@@ -13,7 +13,7 @@
      - : 42 (in 12 instructions)
 
    Commands: :help :names :dump NAME :disasm NAME :optimize NAME
-             :optimize-all :tier NAME :open FILE :commit :compact :stats
+             :optimize-all :tier NAME :open FILE :commit :staged :compact :stats
              :explain NAME :trace on|off|dump :prof :top :slow
              :save FILE :steps :connect TARGET :disconnect :quit *)
 
@@ -66,6 +66,7 @@ let help () =
     \                   or bind a new file to this session (lazy faulting;\n\
     \                   crash recovery on open)\n\
     \  :commit          seal the session state into the open store\n\
+    \  :staged          list the objects the next :commit writes\n\
     \  :compact         commit, then rewrite the store keeping live objects\n\
     \  :stats           merged metrics report (optimizer, specialization\n\
     \                   cache and store counters in one registry)\n\
@@ -153,6 +154,34 @@ let commit_store session =
   | Some pstore ->
     let n = Repl.persist session pstore in
     Printf.printf "committed %d objects to %s\n" n (Pstore.path pstore)
+
+let describe_obj = function
+  | Value.Func fo -> "function " ^ fo.Value.fo_name
+  | Value.Relation r -> "relation " ^ r.Value.rel_name
+  | Value.Module m -> "module " ^ m.Value.mod_name
+  | Value.Index ix -> Printf.sprintf "index on field %d" ix.Value.ix_field
+  | Value.Stats _ -> "stats"
+  | Value.Tuple _ -> "tuple"
+  | Value.Vector _ -> "vector"
+  | Value.Array _ -> "array"
+  | Value.Bytes _ -> "bytes"
+
+(* What the next :commit writes, one object per line.  The manifest is
+   staged first (in place, as :commit does), so the list is exact. *)
+let staged_store session =
+  match !store with
+  | None -> Printf.printf "no store open (use :open FILE)\n"
+  | Some pstore ->
+    ignore (Repl.stage session pstore);
+    let heap = (Repl.ctx session).Runtime.heap in
+    let oids = Pstore.pending pstore in
+    Printf.printf "%d objects staged:\n" (List.length oids);
+    List.iter
+      (fun oid ->
+        match Value.Heap.peek heap oid with
+        | Some obj -> Printf.printf "  %s\n" (describe_obj obj)
+        | None -> ())
+      oids
 
 let unwire_store session_ref =
   match !store with
@@ -243,6 +272,7 @@ let command session_ref line =
         else Printf.printf "cannot promote %s (not a compilable function)\n" name)
   | [ ":open"; file ] -> open_store session_ref file
   | [ ":commit" ] -> commit_store session
+  | [ ":staged" ] -> staged_store session
   | [ ":compact" ] -> (
     match !store with
     | None -> Printf.printf "no store open (use :open FILE)\n"
@@ -338,6 +368,9 @@ let remote_line c line =
     print_endline "disconnected"
   | [ ":commit" ] -> (
     match C.commit c with
+    | Ok (C.Committed { epoch; objects; group = 0 }) ->
+      (* an empty commit joins no fsync group; it only moves the pin *)
+      Printf.printf "committed %d objects at epoch %d (nothing to seal)\n" objects epoch
     | Ok (C.Committed { epoch; objects; group }) ->
       Printf.printf "committed %d objects at epoch %d (group of %d)\n" objects epoch group
     | Ok (C.Conflicted { oid }) ->

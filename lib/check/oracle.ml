@@ -252,10 +252,14 @@ let query_spec (c : Tgen.query_case) =
     Fun.protect
       ~finally:(fun () -> Tml_vm.Relcore.default_page_size := saved)
       (fun () ->
-        Tml_query.Rel.create ctx ~name:"t"
-          (List.map
-             (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row))
-             c.Tgen.rows))
+        let rel =
+          Tml_query.Rel.create ctx ~name:"t"
+            (List.map
+               (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row))
+               c.Tgen.rows)
+        in
+        Option.iter (Tml_query.Rel.add_index ctx rel) (Tgen.base_index c);
+        rel)
   in
   let rel_param =
     match c.Tgen.qproc with

@@ -458,6 +458,30 @@ let gen_pred rng ~width =
   in
   abs [ x; pce; pcc ] body
 
+(* A point predicate proc(x pce pcc) testing x.[f] == key, the shape
+   q.index-select turns into a probe; [key] is a literal or a variable
+   bound outside the predicate. *)
+let gen_point_pred rng ~width ~key =
+  let x = Ident.fresh "row" in
+  let pce = Ident.fresh ~sort:Cont "pce" in
+  let pcc = Ident.fresh ~sort:Cont "pcc" in
+  let t = Ident.fresh "t" in
+  let f = if Random.State.bool rng then 0 else Random.State.int rng width in
+  abs [ x; pce; pcc ]
+    (app (prim "[]")
+       [
+         var x;
+         int f;
+         abs [ t ]
+           (app (prim "==")
+              [
+                var t;
+                key;
+                abs [] (app (Var pcc) [ bool_ true ]);
+                abs [] (app (Var pcc) [ bool_ false ]);
+              ]);
+       ])
+
 (* A join predicate proc(x y pce pcc) comparing one field of each side. *)
 let gen_join_pred rng ~w1 ~w2 =
   let x = Ident.fresh "lrow" in
@@ -544,9 +568,19 @@ let rec gen_query rng env (k : value -> app) : app =
       mk (abs [ s ] (gen_query rng { env with rels = (s, width) :: env.rels } k))
     in
     match Random.State.int rng 100 with
-    | n when n < 22 ->
+    | n when n < 16 ->
       bind_rel "sel" (fun rest ->
           app (prim "select") [ gen_pred rng ~width:w; var rel; Var env.qce; rest ])
+    | n when n < 22 ->
+      (* a point select keyed, when one is in scope, by a count result:
+         a key bound at run time, as in a parameterized stored query *)
+      let key =
+        match env.qints with
+        | [] -> int (Random.State.int rng 21)
+        | qs -> var (pick rng qs)
+      in
+      bind_rel "pt" (fun rest ->
+          app (prim "select") [ gen_point_pred rng ~width:w ~key; var rel; Var env.qce; rest ])
     | n when n < 30 -> bind_rel "dis" (fun rest -> app (prim "distinct") [ var rel; rest ])
     | n when n < 38 -> (
       match List.filter (fun (_, w') -> w' = w) env.rels with
@@ -673,6 +707,8 @@ let query_case_of_seed ?(min_size = 2) ?(max_size = 10) seed =
   let size = min_size + Random.State.int rng (max 1 (max_size - min_size + 1)) in
   let qproc = query_proc_gen rng ~size in
   { qseed = seed; rows; qproc }
+
+let base_index (c : query_case) = if c.qseed land 1 = 0 then Some 0 else None
 
 (* ------------------------------------------------------------------ *)
 (* Shrinking                                                           *)

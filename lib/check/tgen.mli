@@ -59,6 +59,13 @@ type query_case = {
 
 val query_case_of_seed : ?min_size:int -> ?max_size:int -> int -> query_case
 
+(** [base_index c] — the field the relation of [c] is indexed on before
+    the program runs: field 0 for even seeds, none for odd ones.  With an
+    index in place when the persistent engines optimize, the generated
+    point selections (some keyed by values bound at run time) become
+    index probes there, while the other engines scan. *)
+val base_index : query_case -> int option
+
 (** {2 Building blocks}
 
     The individual query-operand generators, exposed so the per-rule proof

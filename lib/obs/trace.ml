@@ -163,23 +163,29 @@ let memory_sink ?(limit = 262144) () =
   in
   ({ sk_emit = emit; sk_close = ignore }, fun () -> List.of_seq (Queue.to_seq q))
 
+(* Concurrent sessions emit into one file: each event, with its newline
+   or separator, is rendered first and then written in one call under the
+   sink's lock, so two events can never share or split a line. *)
 let jsonl_sink oc =
+  let m = Mutex.create () in
   {
     sk_emit =
       (fun ev ->
-        output_string oc (event_to_json ev);
-        output_char oc '\n');
+        let line = event_to_json ev ^ "\n" in
+        Mutex.protect m (fun () -> output_string oc line));
     sk_close = (fun () -> flush oc);
   }
 
 let chrome_sink oc =
+  let m = Mutex.create () in
   let first = ref true in
   output_string oc "{\"traceEvents\":[";
   {
     sk_emit =
       (fun ev ->
-        if !first then first := false else output_string oc ",\n";
-        output_string oc (event_to_json ev));
+        let json = event_to_json ev in
+        Mutex.protect m (fun () ->
+            output_string oc (if !first then (first := false; json) else ",\n" ^ json)));
     sk_close =
       (fun () ->
         output_string oc "],\"displayTimeUnit\":\"ms\"}\n";

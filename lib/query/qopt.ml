@@ -13,9 +13,13 @@ let index_select ctx (a : app) =
         match Rel.find_index ctx rel_oid field with
         | Some _ ->
           Rewrite.note_rule
-            ~fact:(Printf.sprintf "index on field %d of %s" field (Oid.to_string rel_oid))
+            ~fact:
+              (Printf.sprintf "index on field %d of %s%s" field (Oid.to_string rel_oid)
+                 (match key with
+                 | Var _ -> "; key bound at run time"
+                 | _ -> ""))
             "q.index-select";
-          Some (app (prim "indexselect") [ rel; int field; lit key; ce; k ])
+          Some (app (prim "indexselect") [ rel; int field; key; ce; k ])
         | None -> None)
       | _ -> None)
     | None -> None)
@@ -224,9 +228,9 @@ let join_order ctx (a : app) =
    gets the live closure. *)
 
 let index_select_doc =
-  "σ(field = lit) over a relation carrying a live hash index on that \
-   field becomes an indexselect probe (runtime-only: needs the linked \
-   store)."
+  "σ(field = key) over a relation carrying a live hash index on that \
+   field becomes an indexselect probe; the key is a literal or a \
+   variable bound at run time (runtime-only: needs the linked store)."
 
 let select_past_doc =
   "Hoist a base-relation selection past a read-only interposer so two \

@@ -36,11 +36,14 @@ val full_plan : Tml_vm.Runtime.ctx -> Rewrite.rule list
     closures), as registered by {!install}. *)
 val rule_descriptors : Tml_rules.Dsl.rule list
 
-(** [index_select ctx] — σ(field = literal) over a relation known (at
+(** [index_select ctx] — σ(field = key) over a relation known (at
     runtime) to carry a hash index on that field becomes an [indexselect].
     The relation must appear as a literal OID, i.e. the term must already be
     linked against the live store — which is exactly why this optimization
-    cannot happen at compile time. *)
+    cannot happen at compile time.  The key may be a literal or a variable
+    bound at run time (a parameter of the enclosing function): the probe
+    then takes its key when it runs, and falls back to a scan when the
+    key has no literal form or the index is gone. *)
 val index_select : Tml_vm.Runtime.ctx -> Rewrite.rule
 
 (** [select_past ctx] — hoist a selection over a base relation past an

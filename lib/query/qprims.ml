@@ -313,25 +313,37 @@ let indexselect_impl ctx values conts =
   | [ rel; field; key ], [ _ce; cc ] -> (
     let oid = as_reloid ctx ~what:"indexselect" rel in
     let field = Runtime.as_int ~what:"indexselect" field in
-    let key_lit =
-      match Value.to_literal key with
-      | Some l -> l
-      | None -> Runtime.fault "indexselect: key %s has no literal form" (Value.type_name key)
+    (* the ["=="] of the predicate this probe replaced *)
+    let matches row =
+      let fields = Rel.row_tuple ctx row in
+      field >= 0 && field < Array.length fields && Value.identical fields.(field) key
     in
-    match Rel.lookup ctx oid ~field key_lit with
+    let probe =
+      match Value.to_literal key with
+      | Some l -> Rel.lookup ctx oid ~field l
+      | None -> None
+    in
+    match probe with
     | Some positions ->
       (* positions come back ascending: only their pages fault in *)
       Runtime.charge ctx (1 + (3 * List.length positions));
-      let rows = Array.of_list (List.map (fun pos -> Rel.nth ctx oid pos) positions) in
+      let rows = List.map (fun pos -> Rel.nth ctx oid pos) positions in
+      (* the index compares literal forms structurally, which conflates
+         reals that are not bit-identical (0.0 and -0.0, NaN payloads):
+         re-check those rows against the key *)
+      let rows =
+        match key with
+        | Value.Real _ -> List.filter matches rows
+        | _ -> rows
+      in
+      let rows = Array.of_list rows in
       ret cc (Value.Oidv (Rel.of_rows ctx ~name:(rel_name ctx oid ^ "[ix]") rows))
     | None ->
-      (* no index at runtime: degrade to a scan *)
+      (* no index at run time, or a key with no literal form (a closure
+         bound to a runtime key): degrade to a scan *)
       Runtime.charge ctx (Rel.length ctx oid);
       let out = ref [] in
-      Rel.iteri ctx oid (fun _ row ->
-          let fields = Rel.row_tuple ctx row in
-          if field >= 0 && field < Array.length fields && Value.identical fields.(field) key
-          then out := row :: !out);
+      Rel.iteri ctx oid (fun _ row -> if matches row then out := row :: !out);
       let kept = Array.of_list (List.rev !out) in
       ret cc (Value.Oidv (Rel.of_rows ctx ~name:(rel_name ctx oid ^ "[scan]") kept)))
   | _ -> Runtime.fault "indexselect: bad arguments"

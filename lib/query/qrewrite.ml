@@ -353,12 +353,14 @@ let select_union = to_rewrite select_union_rule
 let distinct_distinct = to_rewrite distinct_distinct_rule
 let select_before_distinct = to_rewrite select_before_distinct_rule
 
-(* Recognize λ(x ce cc). x.[i] == lit — the indexable equality predicate
-   (used by the [index_select] closure rule in [Qopt]). *)
+(* Recognize λ(x ce cc). x.[i] == v — the indexable equality predicate
+   (used by the [index_select] closure rule in [Qopt]).  The key is a
+   literal or a variable bound outside the predicate, so it is in scope
+   at the selection and can become the probe's argument. *)
 let field_eq_predicate (pred : Term.value) =
   let open Term in
   match pred with
-  | Abs { params = [ x; _ce; cc ]; body } -> (
+  | Abs { params = [ x; ce; cc ]; body } -> (
     match body with
     | {
      func = Prim "[]";
@@ -371,12 +373,15 @@ let field_eq_predicate (pred : Term.value) =
        args =
          [
            Var t';
-           Lit key;
+           ((Lit _ | Var _) as key);
            Abs { params = []; body = { func = Var cc1; args = [ Lit (Literal.Bool true) ] } };
            Abs { params = []; body = { func = Var cc2; args = [ Lit (Literal.Bool false) ] } };
          ];
       }
-        when Ident.equal t t' && Ident.equal cc cc1 && Ident.equal cc cc2 ->
+        when Ident.equal t t' && Ident.equal cc cc1 && Ident.equal cc cc2
+             && (match key with
+                | Var v -> not (List.exists (Ident.equal v) [ x; ce; cc; t ])
+                | _ -> true) ->
         Some (field, key)
       | _ -> None)
     | _ -> None)

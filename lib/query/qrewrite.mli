@@ -75,9 +75,12 @@ val distinct_distinct : Rewrite.rule
 val select_before_distinct : Rewrite.rule
 
 (** [field_eq_predicate pred] recognizes a predicate abstraction of the
-    shape λ(x ce cc). x.[i] == lit, returning [(i, lit)] — the shape the
-    [index_select] rule (in {!Qopt}) accelerates. *)
-val field_eq_predicate : Term.value -> (int * Literal.t) option
+    shape λ(x ce cc). x.[i] == v, returning [(i, v)] — the shape the
+    [index_select] rule (in {!Qopt}) accelerates.  The key [v] is a
+    literal, or a variable free in the predicate (bound at run time by
+    the enclosing code); a key naming the row, either continuation or
+    the field temporary is rejected. *)
+val field_eq_predicate : Term.value -> (int * Term.value) option
 
 (** [join_field_eq_predicate pred] recognizes the equi-join predicate
     shape [λ(x y ce cc). x.[f1] == y.[f2]] and returns [(f1, f2)]. *)

@@ -101,6 +101,8 @@ type t = {
   m_conflicts : Metrics.counter;
   m_busy : Metrics.counter;
   m_slow : Metrics.counter;
+  m_evals_reclaimed : Metrics.counter;  (* read-only Evals whose objects were dropped *)
+  m_objects_reclaimed : Metrics.counter;
   m_latency : Metrics.histogram;
   m_lock_wait : Metrics.histogram;  (* eval_lock.wait_s *)
   m_lock_hold : Metrics.histogram;  (* eval_lock.hold_s *)
@@ -205,28 +207,68 @@ let eval_locked t f =
 
 let heap_of ss = (Repl.ctx ss.ss_repl).Runtime.heap
 
-(* After an eval: refresh the staged-byte figure the admission check
-   reads, and keep the allocation cursor inside this session's stripe —
-   re-stripe at half use; past the end, fresh OIDs may collide with
-   another session's stripe, so the session is poisoned (its commits
-   refused) rather than allowed to corrupt the store. *)
-let after_eval t ss =
+(* Taken before a TL Eval that may turn out to define no names: the heap
+   size, and the two process-wide tables that could take one of the
+   Eval's fresh OIDs (a specialization stored for it, a promotion). *)
+type eval_mark = { em_lo : int; em_stores : int; em_promotions : int }
+
+let mark_eval ss =
+  {
+    em_lo = Value.Heap.size (heap_of ss);
+    em_stores = (Speccache.stats ()).Speccache.stores;
+    em_promotions = (Tierup.stats ()).Tierup.promotions;
+  }
+
+(* A read-only Eval's fresh objects are garbage once its reply is
+   rendered.  When the batch a commit would write holds only OIDs at or
+   past [em_lo], no older object changed (so none refers to a fresh
+   one) and no earlier Eval left fresh objects staged; if no
+   process-wide table took a fresh OID either, nothing that outlives
+   the Eval can reach them. *)
+let reclaimable mark batch =
+  (Speccache.stats ()).Speccache.stores = mark.em_stores
+  && (Tierup.stats ()).Tierup.promotions = mark.em_promotions
+  && List.for_all (fun (ix, _) -> ix >= mark.em_lo) batch
+
+(* After an eval: reclaim a read-only Eval's fresh objects ([mark] is
+   given for TL source that defined no names), refresh the staged-byte
+   figure the admission check reads, and keep the allocation cursor
+   inside this session's stripe — re-stripe at half use; past the end,
+   fresh OIDs may collide with another session's stripe, so the session
+   is poisoned (its commits refused) rather than allowed to corrupt the
+   store.  The poison check reads the size before reclamation. *)
+let after_eval t ss ?mark () =
   let heap = heap_of ss in
   let size = Value.Heap.size heap in
+  let batch = lazy (Pstore.collect ss.ss_pstore) in
   if size > ss.ss_limit then
     ss.ss_poisoned <-
       Some
         (Printf.sprintf "allocation stripe overflow (oid %d past %d)" (size - 1)
-           ss.ss_limit)
-  else if size > ss.ss_base + (t.config.stripe / 2) then begin
+           ss.ss_limit);
+  let reclaimed =
+    match mark with
+    | Some m when ss.ss_poisoned = None && reclaimable m (Lazy.force batch) ->
+      Pstore.discard_from ss.ss_pstore m.em_lo;
+      Tierup.forget ~lo:m.em_lo ~hi:size;
+      Speccache.forget ~lo:m.em_lo ~hi:size;
+      Metrics.inc t.m_evals_reclaimed;
+      Metrics.add t.m_objects_reclaimed (size - m.em_lo);
+      true
+    | _ -> false
+  in
+  if ss.ss_poisoned = None && Value.Heap.size heap > ss.ss_base + (t.config.stripe / 2)
+  then begin
     let base = alloc_stripe t in
     Value.Heap.reserve heap base;
     ss.ss_base <- base;
     ss.ss_limit <- base + t.config.stripe
   end;
-  if t.config.staged_cap > 0 then
+  (* after a reclamation the batch held only the discarded objects *)
+  if reclaimed then ss.ss_staged_bytes <- 0
+  else if t.config.staged_cap > 0 then
     ss.ss_staged_bytes <-
-      List.fold_left (fun a (_, p) -> a + String.length p) 0 (Pstore.collect ss.ss_pstore)
+      List.fold_left (fun a (_, p) -> a + String.length p) 0 (Lazy.force batch)
 
 let render_feed (r : Repl.feed_result) =
   let buf = Buffer.create 128 in
@@ -363,6 +405,10 @@ let render_top t =
     (Metrics.counter_value t.m_conflicts)
     (Metrics.counter_value t.m_slow)
     (Metrics.counter_value t.m_busy);
+  Printf.bprintf buf "reclaimed: %d read-only evals, %d objects; store: %d object faults\n"
+    (Metrics.counter_value t.m_evals_reclaimed)
+    (Metrics.counter_value t.m_objects_reclaimed)
+    (Metrics.counter_value Pstore.object_faults);
   Printf.bprintf buf "phases (seconds):\n";
   let hist name h =
     Printf.bprintf buf "  %-22s count %-8d p50 %.6f  p99 %.6f\n" name
@@ -437,18 +483,19 @@ let handle_eval t ss ?trace src =
       Metrics.inc t.m_evals;
       eval_locked t (fun () ->
           let probe = slow_probe ss in
-          let out =
+          let out, mark =
             let line = String.trim src in
-            if line <> "" && line.[0] = ':' then eval_directive t ss line
+            if line <> "" && line.[0] = ':' then (eval_directive t ss line, None)
             else begin
+              let mark = mark_eval ss in
               let r = Repl.feed ss.ss_repl src in
               (* defining (or redefining) names dirties the manifest:
                  this session's next commit must stage and re-root it *)
               if r.Repl.defined <> [] then ss.ss_defined <- true;
-              render_feed r
+              (render_feed r, if r.Repl.defined = [] then Some mark else None)
             end
           in
-          after_eval t ss;
+          after_eval t ss ?mark ();
           note_slow t ss ?trace ~kind:"eval" ~src ~rules:true probe;
           Wire.Result out)
     end
@@ -463,15 +510,16 @@ let handle_commit t ss ?trace () =
     with
     | Cr_committed { epoch; objects; group; gid; _ } ->
       (* the join record between this request's trace and the fsync
-         group that sealed it *)
-      Trace.instant ~cat:"server" "commit.sealed"
-        ~args:
-          [
-            ("session", Trace.Int ss.ss_id);
-            ("trace", Trace.Int (match trace with Some tc -> tc.Wire.tc_id | None -> 0));
-            ("group", Trace.Int gid);
-            ("epoch", Trace.Int epoch);
-          ];
+         group that sealed it; an empty commit joined no group *)
+      if gid > 0 then
+        Trace.instant ~cat:"server" "commit.sealed"
+          ~args:
+            [
+              ("session", Trace.Int ss.ss_id);
+              ("trace", Trace.Int (match trace with Some tc -> tc.Wire.tc_id | None -> 0));
+              ("group", Trace.Int gid);
+              ("epoch", Trace.Int epoch);
+            ];
       Wire.Committed { epoch; objects; group }
     | Cr_conflict oid -> Wire.Conflict { oid })
 
@@ -922,6 +970,8 @@ let start config =
       m_conflicts = Metrics.counter "server.conflicts";
       m_busy = Metrics.counter "server.busy";
       m_slow = Metrics.counter "server.slow_queries";
+      m_evals_reclaimed = Metrics.counter "server.evals_reclaimed";
+      m_objects_reclaimed = Metrics.counter "server.objects_reclaimed";
       m_latency = Metrics.histogram "server.commit_latency_s";
       m_lock_wait = Metrics.histogram "eval_lock.wait_s";
       m_lock_hold = Metrics.histogram "eval_lock.hold_s";

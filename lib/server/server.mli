@@ -28,7 +28,12 @@
     New OIDs are allocated from per-session {e stripes} handed out by the
     server, so concurrent sessions never collide on fresh OIDs; a session
     that overruns its stripe faster than it can be re-striped is poisoned
-    (its commits are refused) rather than allowed to corrupt the store. *)
+    (its commits are refused) rather than allowed to corrupt the store.
+
+    An [Eval] that defines no names and changes no older object leaves
+    nothing behind: once its reply is rendered, its fresh objects are
+    dropped and the session's allocation cursor moves back, so a
+    read-only session stages nothing and its [Commit] seals nothing. *)
 
 type config = {
   store_path : string;
@@ -76,7 +81,9 @@ val slowlog : t -> Tml_obs.Slowlog.t
 (** Server metrics (in the [Tml_obs.Metrics] registry, reported by the
     [Stat] frame): counters [server.connections], [server.evals],
     [server.commits], [server.group_commits], [server.conflicts],
-    [server.busy], [server.slow_queries]; histograms
+    [server.busy], [server.slow_queries], [server.evals_reclaimed] and
+    [server.objects_reclaimed] (read-only [Eval]s whose fresh objects
+    were dropped, and how many objects that was); histograms
     [server.commit_latency_s], [eval_lock.wait_s], [eval_lock.hold_s]
     and [commit.group_wait_s] (p50/p99) — the three phase histograms
     decompose commit latency into lock serialization, batching window
@@ -90,4 +97,4 @@ val slowlog : t -> Tml_obs.Slowlog.t
     [eval_lock.hold] phases, [commit.submit] waits, the committer's
     [commit.group] / [commit.fsync] spans tagged with the fsync group
     id, and a [commit.sealed] instant joining each request's trace id to
-    its group id. *)
+    its group id (an empty commit joins no group and emits none). *)

@@ -8,7 +8,6 @@ type session = {
   mutable lowered_count : int;          (* tdefs already lowered and linked *)
   globals : (string, Value.t) Hashtbl.t;
   mutable funcs : (string * Oid.t) list;  (* link order *)
-  mutable expr_counter : int;
   mutable src_log : string list;  (* definition sources, reverse order *)
 }
 
@@ -108,6 +107,8 @@ let link_batch session (defs : Lower.compiled_def list) =
     List.filter (fun (n, _) -> not (List.mem_assoc n new_funcs)) session.funcs @ new_funcs;
   List.map (fun (d : Lower.compiled_def) -> d.Lower.c_name) defs
 
+let expr_name = "it"
+
 let drop n xs = List.filteri (fun i _ -> i >= n) xs
 
 let process session (items : Ast.item list) =
@@ -136,9 +137,9 @@ let process session (items : Ast.item list) =
     | None -> None
     | Some main ->
       let tml = Lower.lower_main session.lower_env main in
-      session.expr_counter <- session.expr_counter + 1;
-      let name = Printf.sprintf "it%d" session.expr_counter in
-      let oid = Value.Heap.alloc_func session.sctx.Runtime.heap ~name tml in
+      (* one name for every expression: per-function tables keyed by name
+         (the VM profiler's) grow per function, not per evaluation *)
+      let oid = Value.Heap.alloc_func session.sctx.Runtime.heap ~name:expr_name tml in
       (match Value.Heap.get session.sctx.Runtime.heap oid with
       | Value.Func fo -> resolve_bindings session oid fo
       | _ -> assert false);
@@ -158,7 +159,6 @@ let create ?(mode = Lower.Library) () =
       lowered_count = 0;
       globals = Hashtbl.create 64;
       funcs = [];
-      expr_counter = 0;
       src_log = [];
     }
   in
@@ -242,7 +242,6 @@ let stage session pstore =
       "#globals", Value.Oidv g;
       "#funcs", Value.Oidv f;
       "#speccache", Value.Oidv c;
-      "#expr_counter", Value.Int session.expr_counter;
     |]
   in
   let root =
@@ -331,7 +330,6 @@ let restore ?(mode = Lower.Library) ?(preserve_caches = false) pstore =
       lowered_count = 0;
       globals = Hashtbl.create 64;
       funcs = [];
-      expr_counter = 0;
       src_log = [];
     }
   in
@@ -380,9 +378,6 @@ let restore ?(mode = Lower.Library) ?(preserve_caches = false) pstore =
       | Value.Oidv oid -> funcs := (name, oid) :: !funcs
       | v -> Runtime.fault "corrupt session manifest: function %s" (Value.to_string v));
   session.funcs <- List.rev !funcs;
-  (match manifest_export m "#expr_counter" with
-  | Value.Int n -> session.expr_counter <- n
-  | v -> Runtime.fault "corrupt session manifest: counter %s" (Value.to_string v));
   (* reload the persisted specialization cache; images written before the
      cache existed simply lack the entry, and a damaged image costs only
      re-optimization, never the session.  When preserving shared caches,

@@ -57,7 +57,8 @@ val lookup_tml : session -> string -> Tml_core.Term.value option
     A session running on a store-backed heap ({!Pstore}) persists as a
     manifest module recorded as the store root: the definition sources
     fed so far, the global bindings, the linked-function table and the
-    expression counter. *)
+    specialization cache.  Each expression runs as a fresh function
+    object named [it]; none of them is recorded in the manifest. *)
 
 (** [persist session pstore] writes the manifest and commits every dirty
     and new object; returns the number of objects written.  The session

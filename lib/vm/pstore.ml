@@ -97,6 +97,10 @@ let note_access t oid obj =
 let note_update t oid _obj =
   if (not t.closed) && t.in_fault = 0 then mark_dirty t (Oid.to_int oid)
 
+(* process-wide, so a server's sessions add up; the store's own stats
+   block counts per log *)
+let object_faults = Tml_obs.Metrics.counter "store.object_faults"
+
 let backing_read t ix =
   match t.snap with
   | Some sn -> Ls.find_at t.store sn ix
@@ -112,6 +116,7 @@ let fault t oid =
       let st = stats t in
       st.Stats.faults <- st.Stats.faults + 1;
       st.Stats.cache_misses <- st.Stats.cache_misses + 1;
+      Tml_obs.Metrics.inc object_faults;
       Tml_obs.Events.store_fault ~oid:ix ~bytes:(String.length payload);
       let obj, indexed =
         try Obj_codec.decode_obj payload with
@@ -221,6 +226,13 @@ let encode_at t ix =
     | payload -> Some payload
     | exception Obj_codec.Codec_error msg -> fail "cannot commit object %d: %s" ix msg)
 
+let pending t =
+  List.filter_map
+    (fun ix ->
+      let oid = Oid.of_int ix in
+      if Value.Heap.is_loaded t.heap oid then Some oid else None)
+    (to_write_oids t)
+
 let commit ?root t =
   check_open t;
   if t.snap <> None then
@@ -294,6 +306,24 @@ let mark_committed t sn =
     | Some ix -> Value.Heap.evict t.heap (Oid.of_int ix)
   done;
   t.watermark <- max t.watermark (Value.Heap.size t.heap)
+
+let discard_from t lo =
+  check_open t;
+  if lo < t.watermark then
+    invalid_arg
+      (Printf.sprintf "Pstore.discard_from: %d is below the watermark %d" lo t.watermark);
+  Hashtbl.filter_map_inplace (fun ix () -> if ix >= lo then None else Some ()) t.dirty;
+  (* the older objects the last collect found unchanged were only read:
+     they are clean cached copies again, evicted by the next commit like
+     any other (an access re-dirties them, as after a fault) *)
+  List.iter
+    (fun ix ->
+      Hashtbl.remove t.dirty ix;
+      if Value.Heap.is_loaded t.heap (Oid.of_int ix) then Lru.touch t.lru ix)
+    t.skipped;
+  t.skipped <- [];
+  enforce_capacity t;
+  Value.Heap.truncate t.heap lo
 
 let compact t =
   check_open t;

@@ -67,6 +67,10 @@ val commit : ?root:Tml_core.Oid.t -> t -> int
     {!root} reports after reopening.
     @raise Store_error if an object holds a live closure *)
 
+val pending : t -> Tml_core.Oid.t list
+(** the objects the next {!commit} writes — every dirty and new object —
+    in ascending OID order *)
+
 val compact : t -> unit
 (** commit, then rewrite the file keeping only live objects (see
     {!Tml_store.Log_store.compact}) *)
@@ -88,6 +92,16 @@ val mark_committed : t -> Tml_store.Log_store.snapshot -> unit
     clear dirty tracking, advance the watermark, and evict read-only and
     clean cached copies so later dereferences re-fault against the new
     epoch *)
+
+val discard_from : t -> int -> unit
+(** [discard_from t lo] drops every object allocated at OID [lo] or
+    above — never committed, since [lo] is at or past the watermark —
+    from the heap and the dirty set, and moves the allocation cursor back
+    to [lo] ({!Value.Heap.truncate}).  Older objects that the last
+    {!collect} found unchanged (only read) stop counting as dirty.  The
+    caller guarantees nothing that survives refers to the dropped
+    objects: typically that last batch held only OIDs at or past [lo].
+    @raise Invalid_argument if [lo] is below the watermark *)
 
 val snapshot : t -> Tml_store.Log_store.snapshot option
 (** the pinned read view, when snapshot-backed *)
@@ -113,6 +127,10 @@ val dirty_count : t -> int
 val uncommitted_count : t -> int
 (** dirty plus never-committed objects — what a commit (or {!collect})
     would consider writing; what [tmlsh] warns about on exit *)
+
+val object_faults : Tml_obs.Metrics.counter
+(** the registry counter [store.object_faults]: objects decoded from a
+    log on first dereference, summed over every store in the process *)
 
 val cached_clean_count : t -> int
 (** clean objects currently cached (the LRU population) *)

@@ -332,6 +332,17 @@ let invalidate oid =
       end)
     ids
 
+let forget ~lo ~hi =
+  let in_range o = o >= lo && o < hi in
+  Hashtbl.fold
+    (fun id e acc ->
+      if in_range e.en_callee || List.exists (fun d -> in_range d.d_oid) e.en_deps then
+        id :: acc
+      else acc)
+    by_id []
+  |> List.iter remove_id;
+  Hashtbl.filter_map_inplace (fun o id -> if in_range o then None else Some id) rev
+
 (* ------------------------------------------------------------------ *)
 (* Serialization (persisted through the session manifest)               *)
 (* ------------------------------------------------------------------ *)

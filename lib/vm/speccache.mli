@@ -78,6 +78,12 @@ val invalidate : Tml_core.Oid.t -> unit
 val subscribe_invalidate : (Tml_core.Oid.t -> unit) -> unit
 
 val clear : unit -> unit
+
+(** [forget ~lo ~hi] drops every entry specialized for, or depending
+    on, an OID in [lo, hi) — objects a session discarded, whose OIDs it
+    will allocate again.  Unlike {!invalidate} it notifies nobody. *)
+val forget : lo:int -> hi:int -> unit
+
 val length : unit -> int
 val set_capacity : int -> unit
 

@@ -297,6 +297,16 @@ let clear () =
   watched := [];
   Jit.invalidate_sites ()
 
+let forget ~lo ~hi =
+  let in_range o = o >= lo && o < hi in
+  Hashtbl.fold (fun o _ acc -> if in_range o then o :: acc else acc) promoted []
+  |> List.iter deopt;
+  let drop tbl = Hashtbl.filter_map_inplace (fun o v -> if in_range o then None else Some v) tbl in
+  drop calls;
+  drop rejected;
+  drop sticky;
+  drop dep_watch
+
 let register_metrics () =
   Tml_obs.Metrics.register_source ~name:"tier"
     ~snapshot:(fun () ->

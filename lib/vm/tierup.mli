@@ -60,5 +60,10 @@ val promoted_count : unit -> int
     kept); used by fresh differential-oracle contexts *)
 val clear : unit -> unit
 
+(** [forget ~lo ~hi] drops every promotion, call count and dependency
+    watch of the OIDs in [lo, hi) — objects a session discarded, whose
+    OIDs it will allocate again with no history *)
+val forget : lo:int -> hi:int -> unit
+
 (** register the ["tier"] source in the {!Tml_obs.Metrics} registry *)
 val register_metrics : unit -> unit

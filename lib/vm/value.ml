@@ -221,6 +221,13 @@ module Heap = struct
       heap.objs.(ix) <- None
     end
 
+  let truncate heap n =
+    if n < 0 || n > heap.next then
+      invalid_arg (Printf.sprintf "Heap.truncate: %d outside 0..%d" n heap.next);
+    heap.gen <- heap.gen + 1;
+    Array.fill heap.objs n (heap.next - n) None;
+    heap.next <- n
+
   let is_loaded heap oid =
     let ix = Oid.to_int oid in
     ix >= 0

@@ -188,6 +188,13 @@ module Heap : sig
       state.  Only safe for clean objects of a store-backed heap: on a
       plain heap this turns the OID into a dangling reference. *)
 
+  val truncate : heap -> int -> unit
+  (** [truncate heap n] forgets every object at OID [n] and above and
+      moves the allocation cursor back to [n], so the next {!alloc}
+      returns OID [n] again; bumps the {!generation}.  Only safe when
+      nothing outside the dropped range refers to it.
+      @raise Invalid_argument unless [0 <= n <= size heap] *)
+
   val is_loaded : heap -> Tml_core.Oid.t -> bool
   (** whether the slot is materialized (no hooks fired) *)
 

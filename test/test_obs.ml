@@ -160,6 +160,71 @@ let test_chrome_sink_streams () =
       check tstr "streaming sink = pure renderer" (Trace.chrome_of_events golden_events)
         streamed)
 
+(* [s] split at every occurrence of [sep] *)
+let split_on ~sep s =
+  let n = String.length sep in
+  let rec go start i acc =
+    if i + n > String.length s then List.rev (String.sub s start (String.length s - start) :: acc)
+    else if String.sub s i n = sep then go (i + n) (i + n) (String.sub s start (i - start) :: acc)
+    else go start (i + 1) acc
+  in
+  go 0 0 []
+
+(* 4 threads x 1000 events into one file sink: every line (jsonl) and
+   every separated item (chrome) is exactly one whole event, each event
+   appears once — no two events share or split a line *)
+let test_file_sinks_concurrent () =
+  let threads = 4 and per_thread = 1000 in
+  let event t i =
+    { Trace.ev_name = Printf.sprintf "ev-%d-%d" t i; ev_cat = "concurrent"; ev_ph = Trace.I;
+      ev_ts = float_of_int i; ev_args = [ ("payload", Trace.Str (String.make 64 'x')) ];
+      ev_tid = t }
+  in
+  let expected = Hashtbl.create (threads * per_thread) in
+  for t = 0 to threads - 1 do
+    for i = 0 to per_thread - 1 do
+      Hashtbl.replace expected (Trace.event_to_json (event t i)) ()
+    done
+  done;
+  let run mk_sink items_of =
+    let path = Filename.temp_file "tmlobs" ".trace" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let oc = open_out path in
+        let sink = mk_sink oc in
+        Array.iter Thread.join
+          (Array.init threads (fun t ->
+               Thread.create
+                 (fun () ->
+                   for i = 0 to per_thread - 1 do
+                     sink.Trace.sk_emit (event t i);
+                     if i mod 50 = 0 then Thread.yield ()
+                   done)
+                 ()));
+        sink.Trace.sk_close ();
+        close_out oc;
+        let items = items_of (In_channel.with_open_bin path In_channel.input_all) in
+        let seen = Hashtbl.create (threads * per_thread) in
+        List.iter
+          (fun item ->
+            if not (Hashtbl.mem expected item) then Alcotest.failf "torn line: %S" item;
+            if Hashtbl.mem seen item then Alcotest.failf "duplicated line: %S" item;
+            Hashtbl.replace seen item ())
+          items;
+        check tint "every event written once" (threads * per_thread) (Hashtbl.length seen))
+  in
+  run Trace.jsonl_sink (fun s ->
+      check tbool "ends with a newline" true (String.ends_with ~suffix:"\n" s);
+      split_on ~sep:"\n" (String.sub s 0 (String.length s - 1)));
+  let header = "{\"traceEvents\":[" and trailer = "],\"displayTimeUnit\":\"ms\"}\n" in
+  run Trace.chrome_sink (fun s ->
+      check tbool "chrome header" true (String.starts_with ~prefix:header s);
+      check tbool "chrome trailer" true (String.ends_with ~suffix:trailer s);
+      split_on ~sep:",\n"
+        (String.sub s (String.length header)
+           (String.length s - String.length header - String.length trailer)))
+
 let test_memory_sink_counts_drops () =
   Metrics.reset_all ();
   let dropped = Metrics.counter "trace.dropped_spans" in
@@ -632,6 +697,7 @@ let () =
           Alcotest.test_case "chrome golden" `Quick test_chrome_golden;
           Alcotest.test_case "chrome/jsonl shape" `Quick test_chrome_shape;
           Alcotest.test_case "chrome sink streams" `Quick test_chrome_sink_streams;
+          Alcotest.test_case "file sinks under 4 threads" `Quick test_file_sinks_concurrent;
         ] );
       ( "metrics",
         [

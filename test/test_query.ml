@@ -28,8 +28,9 @@ let with_employees f =
   f ctx rel
 
 (* Run a TML application whose free identifiers are bound by [bindings]. *)
-let run_tml ctx bindings src =
-  let a = Sexp.parse_app src in
+let rec run_tml ctx bindings src = run_term ctx bindings (Sexp.parse_app src)
+
+and run_term ctx bindings a =
   let frees = Ident.Set.elements (Term.free_vars_app a) in
   let env =
     List.fold_left
@@ -602,10 +603,33 @@ let test_distinct_rules () =
 (* Runtime (store-dependent) rules                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* run a term whose result continuation k! receives a relation; return it *)
+let run_term_to_rel ctx bindings a =
+  match run_term ctx (("k", Value.Halt true) :: ("ce", Value.Halt false) :: bindings) a with
+  | Eval.Done (Value.Oidv out) -> out
+  | o -> Alcotest.failf "%s: %a" (Sexp.print_app a) Eval.pp_outcome o
+
+let run_to_rel ctx bindings src = run_term_to_rel ctx bindings (Sexp.parse_app src)
+
+let rows_equal ctx name r1 r2 =
+  let a1 = Rel.rows ctx r1 and a2 = Rel.rows ctx r2 in
+  check tint (name ^ ": cardinality") (Array.length a1) (Array.length a2);
+  Array.iteri
+    (fun i row1 ->
+      let f1 = Rel.row_tuple ctx row1 and f2 = Rel.row_tuple ctx a2.(i) in
+      check tint (Printf.sprintf "%s: row %d width" name i) (Array.length f1)
+        (Array.length f2);
+      Array.iteri
+        (fun j v1 ->
+          check tbool (Printf.sprintf "%s: row %d field %d" name i j) true
+            (Value.identical v1 f2.(j)))
+        f1)
+    a1
+
 let test_field_eq_recognition () =
   let pred = Sexp.parse_value (field_pred ~field:1 ~value:38) in
   (match Qrewrite.field_eq_predicate pred with
-  | Some (1, Literal.Int 38) -> ()
+  | Some (1, Term.Lit (Literal.Int 38)) -> ()
   | _ -> Alcotest.fail "field-equality predicate not recognized");
   (* a > predicate is not an equality *)
   let pred2 =
@@ -613,6 +637,71 @@ let test_field_eq_recognition () =
       "proc(x pce! pcc!) ([] x 1 cont(t) (> t 38 cont() (pcc! true) cont() (pcc! false)))"
   in
   check tbool "non-equality rejected" true (Qrewrite.field_eq_predicate pred2 = None)
+
+let key_pred ~key =
+  Printf.sprintf
+    "proc(x pce! pcc!) ([] x 1 cont(t) (== t %s cont() (pcc! true) cont() (pcc! false)))" key
+
+let test_field_eq_runtime_key () =
+  (* a key free in the predicate is bound at run time by the enclosing
+     code: recognized, and handed back as the variable itself *)
+  (match Qrewrite.field_eq_predicate (Sexp.parse_value (key_pred ~key:"k")) with
+  | Some (1, Term.Var k) -> check Alcotest.string "key variable" "k" k.Ident.name
+  | _ -> Alcotest.fail "free-variable key not recognized");
+  (* keys bound inside the predicate are not in scope at the selection *)
+  List.iter
+    (fun key ->
+      check tbool
+        (Printf.sprintf "key %s bound inside the predicate rejected" key)
+        true
+        (Qrewrite.field_eq_predicate (Sexp.parse_value (key_pred ~key)) = None))
+    [ "x"; "t"; "pce!"; "pcc!" ]
+
+(* σ(x.[1] == k) with k bound at run time: the rule emits a probe that
+   takes its key from the variable, and the probe agrees with the scan *)
+let test_index_select_runtime_key () =
+  with_employees (fun ctx rel ->
+      Rel.add_index ctx rel 1;
+      let src =
+        Printf.sprintf "(select %s <oid %d> ce! k!)" (key_pred ~key:"key") (Oid.to_int rel)
+      in
+      let a = Sexp.parse_app src in
+      let planned = Rewrite.reduce_app ~rules:(Qopt.runtime_rules ctx) a in
+      check tint "indexselect introduced" 1 (count_prim "indexselect" planned);
+      check tint "select eliminated" 0 (count_prim "select" planned);
+      List.iter
+        (fun key ->
+          let bindings = [ "key", Value.Int key ] in
+          let probes0 = !Rel.index_probes in
+          let indexed = run_term_to_rel ctx bindings planned in
+          check tint "one probe" 1 (!Rel.index_probes - probes0);
+          rows_equal ctx
+            (Printf.sprintf "key %d: indexselect ≡ select" key)
+            (run_to_rel ctx bindings src) indexed)
+        [ 38; 23; 99 ])
+
+(* A key with no literal form cannot probe a hash index: the primitive
+   scans instead of faulting, on an indexed and an unindexed field. *)
+let test_indexselect_key_without_literal () =
+  let ctx = fresh_ctx () in
+  let closure = Value.Primv "+" in
+  let rel =
+    Rel.create ctx ~name:"fns"
+      [ [| Value.Int 1; closure |]; [| Value.Int 2; Value.Primv "-" |]; [| Value.Int 3; closure |] ]
+  in
+  Rel.add_index ctx rel 0;
+  let count_for field =
+    match
+      run_tml ctx
+        [ "r", Value.Oidv rel; "key", closure ]
+        (Printf.sprintf
+           "(indexselect r %d key halt_err! cont(out) (count out cont(n) (halt_ok! n)))" field)
+    with
+    | Eval.Done (Value.Int n) -> n
+    | o -> Alcotest.failf "indexselect on field %d: %a" field Eval.pp_outcome o
+  in
+  check tint "indexed field: no match, no fault" 0 (count_for 0);
+  check tint "unindexed field: scanned by identity" 2 (count_for 1)
 
 let test_index_select_runtime () =
   with_employees (fun ctx rel ->
@@ -635,29 +724,6 @@ let join_pred ~f1 ~f2 =
     "proc(x y jce! jcc!) ([] x %d cont(ja) ([] y %d cont(jb) (== ja jb cont() (jcc! true) \
      cont() (jcc! false))))"
     f1 f2
-
-(* run a term whose result continuation k! receives a relation; return it *)
-let run_to_rel ctx bindings src =
-  match
-    run_tml ctx (( "k", Value.Halt true) :: ("ce", Value.Halt false) :: bindings) src
-  with
-  | Eval.Done (Value.Oidv out) -> out
-  | o -> Alcotest.failf "%s: %a" src Eval.pp_outcome o
-
-let rows_equal ctx name r1 r2 =
-  let a1 = Rel.rows ctx r1 and a2 = Rel.rows ctx r2 in
-  check tint (name ^ ": cardinality") (Array.length a1) (Array.length a2);
-  Array.iteri
-    (fun i row1 ->
-      let f1 = Rel.row_tuple ctx row1 and f2 = Rel.row_tuple ctx a2.(i) in
-      check tint (Printf.sprintf "%s: row %d width" name i) (Array.length f1)
-        (Array.length f2);
-      Array.iteri
-        (fun j v1 ->
-          check tbool (Printf.sprintf "%s: row %d field %d" name i j) true
-            (Value.identical v1 f2.(j)))
-        f1)
-    a1
 
 let test_prim_idxjoin () =
   let ctx = fresh_ctx () in
@@ -845,6 +911,51 @@ let prop_indexselect_equiv_scan =
           Array.length a1 = Array.length a2
           && Array.for_all2 (fun x y -> Value.identical x y) a1 a2))
 
+(* Key domains for the runtime-key property, one per key type.  Each is
+   small so generated relations repeat keys; the real domain holds the
+   values a structural hash conflates (0.0 and -0.0) and NaN. *)
+let key_domains ctx =
+  [|
+    List.init 5 (fun i -> Value.Int i);
+    List.map (fun s -> Value.Str s) [ ""; "a"; "b"; "ab" ];
+    [ Value.Bool true; Value.Bool false ];
+    [ Value.Real 0.0; Value.Real (-0.0); Value.Real 1.5; Value.Real Float.nan ];
+    List.init 4 (fun i ->
+        Value.Oidv (Value.Heap.alloc ctx.Runtime.heap (Value.Tuple [| Value.Int i |])));
+  |]
+
+(* σ(x.[f] == key) planned by q.index-select with [key] bound only when
+   the probe runs, against the scan, over relations spanning sealed
+   pages and the tail: same rows, same order, for every key type *)
+let prop_indexselect_runtime_key =
+  QCheck2.Test.make ~name:"indexselect with a runtime key ≡ select (int/string/bool/real/oid)"
+    ~count:150
+    QCheck2.Gen.(
+      quad (int_bound 4)
+        (list_size (int_bound 30) (pair (int_bound 4) (int_bound 4)))
+        (int_bound 1) (int_bound 4))
+    (fun (ty, cells, field, key_ix) ->
+      with_page_size 3 (fun () ->
+          let ctx = fresh_ctx () in
+          let domain = (key_domains ctx).(ty) in
+          let pick i = List.nth domain (i mod List.length domain) in
+          let rel = Rel.create ctx ~name:"p" (List.map (fun (a, b) -> [| pick a; pick b |]) cells) in
+          Rel.add_index ctx rel field;
+          let select =
+            Sexp.parse_app
+              (Printf.sprintf
+                 "(select proc(x pce! pcc!) ([] x %d cont(t) (== t key cont() (pcc! true) \
+                  cont() (pcc! false))) <oid %d> ce! k!)"
+                 field (Oid.to_int rel))
+          in
+          let planned = Rewrite.reduce_app ~rules:(Qopt.runtime_rules ctx) select in
+          let bindings = [ "key", pick key_ix ] in
+          let a1 = Rel.rows ctx (run_term_to_rel ctx bindings select)
+          and a2 = Rel.rows ctx (run_term_to_rel ctx bindings planned) in
+          count_prim "indexselect" planned = 1
+          && Array.length a1 = Array.length a2
+          && Array.for_all2 Value.identical a1 a2))
+
 let prop_planned_join_equiv_naive =
   QCheck2.Test.make ~name:"planned join chain ≡ naive join chain" ~count:60
     QCheck2.Gen.(
@@ -936,8 +1047,14 @@ let () =
       ( "runtime-rules",
         [
           Alcotest.test_case "field equality recognition" `Quick test_field_eq_recognition;
+          Alcotest.test_case "field equality with a runtime key" `Quick
+            test_field_eq_runtime_key;
           Alcotest.test_case "index-select needs the runtime binding" `Quick
             test_index_select_runtime;
+          Alcotest.test_case "index-select with a key bound at run time" `Quick
+            test_index_select_runtime_key;
+          Alcotest.test_case "key without a literal form scans" `Quick
+            test_indexselect_key_without_literal;
           Alcotest.test_case "equi-join predicate recognition" `Quick
             test_join_field_eq_recognition;
           Alcotest.test_case "index-join needs the runtime binding" `Quick
@@ -948,6 +1065,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_indexselect_equiv_scan;
+          QCheck_alcotest.to_alcotest prop_indexselect_runtime_key;
           QCheck_alcotest.to_alcotest prop_planned_join_equiv_naive;
         ] );
     ]

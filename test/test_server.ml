@@ -430,6 +430,116 @@ let test_slowlog_survives_restart () =
            (Tml_obs.Slowlog.entries reloaded));
       Server.stop t2)
 
+(* --- read-only evals leave nothing behind ------------------------------ *)
+
+let reclaimed () = Metrics.counter_value (Metrics.counter "server.evals_reclaimed")
+
+(* the session's uncommitted object count, from its Stat frame *)
+let staged_objects c =
+  let s = Client.stats c in
+  let key = "\"staged_objects\":" in
+  let rec find i =
+    if i + String.length key > String.length s then Alcotest.failf "no %s in %s" key s
+    else if String.sub s i (String.length key) = key then i + String.length key
+    else find (i + 1)
+  in
+  Scanf.sscanf (String.sub s (find 0) 12) "%d" Fun.id
+
+let test_read_only_evals_stage_nothing () =
+  with_server (fun addr _t ->
+      let c = Client.connect addr in
+      ignore (eval_ok c "let r = relation(tuple(1, 10), tuple(2, 20))");
+      ignore (eval_ok c "let f(x: Int): Int = count(r) + x");
+      let epoch, _, _ = commit_ok c in
+      (* a fresh relation's OID shows where the allocation cursor is *)
+      let probe = eval_ok c "relation(tuple(1, 2))" in
+      let before = reclaimed () in
+      for i = 1 to 1000 do
+        ignore (eval_ok c (if i mod 2 = 0 then "count(r)" else Printf.sprintf "f(%d)" i))
+      done;
+      check tint "every read-only eval reclaimed" 1000 (reclaimed () - before);
+      check tint "nothing staged" 0 (staged_objects c);
+      check Alcotest.string "allocation cursor unchanged" probe
+        (eval_ok c "relation(tuple(1, 2))");
+      let epoch', objects, _ = commit_ok c in
+      check tint "the next commit seals nothing" 0 objects;
+      check tint "and does not advance the epoch" epoch epoch';
+      check tint "reads still see the data" 2 (int_result (eval_ok c "count(r)"));
+      Client.close c)
+
+(* An eval that defines a name, changes an older object, or follows an
+   uncommitted write keeps everything it allocated — and all of it
+   survives a restart. *)
+let test_reclamation_gates () =
+  let store = temp_path ".tmlstore" in
+  let sock = temp_path ".sock" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists store then Sys.remove store;
+      if Sys.file_exists sock then Sys.remove sock)
+    (fun () ->
+      let t = Server.start (config ~store ~sock ()) in
+      let c = Client.connect (Wire.Unix_path sock) in
+      ignore (eval_ok c "let r = relation(tuple(1, 10))");
+      ignore (eval_ok c "let a = array(2, relation(tuple(0, 0)))");
+      ignore (commit_ok c);
+      let kept name src =
+        let before = reclaimed () in
+        ignore (eval_ok c src);
+        check tint (name ^ ": not reclaimed") 0 (reclaimed () - before)
+      in
+      let commits_objects name =
+        let _, objects, _ = commit_ok c in
+        check tbool (name ^ ": commit seals its objects") true (objects > 0)
+      in
+      kept "definition" "let s = relation(tuple(5, 50), tuple(6, 60))";
+      commits_objects "definition";
+      kept "insert" "do insert(r, tuple(2, 20)) end";
+      commits_objects "insert";
+      kept "store into an array" "do a[1] := relation(tuple(7, 70), tuple(8, 80), tuple(9, 90)) end";
+      commits_objects "store into an array";
+      kept "write" "do insert(r, tuple(3, 30)) end";
+      kept "read after an uncommitted write" "count(r)";
+      kept "another read" "count(a[1])";
+      commits_objects "reads after a write";
+      Client.close c;
+      Server.stop t;
+      let t2 = Server.start (config ~store ~sock ()) in
+      let c2 = Client.connect (Wire.Unix_path sock) in
+      check tint "defined relation survives" 2 (int_result (eval_ok c2 "count(s)"));
+      check tint "inserted rows survive" 3 (int_result (eval_ok c2 "count(r)"));
+      check tint "stored relation survives" 3 (int_result (eval_ok c2 "count(a[1])"));
+      Client.close c2;
+      Server.stop t2)
+
+(* Expression functions share one name and, reclaimed, one OID: the VM
+   profiler's (tier, name#oid) table grows per function, not per eval. *)
+let test_vmprof_table_bounded () =
+  let module Vmprof = Tml_vm.Vmprof in
+  let saved = !Vmprof.enabled in
+  Vmprof.enabled := true;
+  Vmprof.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Vmprof.enabled := saved;
+      Vmprof.reset ())
+    (fun () ->
+      with_server (fun addr _t ->
+          let c = Client.connect addr in
+          ignore (eval_ok c "let f(x: Int): Int = x + 1");
+          ignore (commit_ok c);
+          let run lo hi =
+            for i = lo to hi do
+              ignore (eval_ok c (Printf.sprintf "f(%d)" i))
+            done
+          in
+          run 1 100;
+          let size = List.length (Vmprof.samples ()) in
+          run 101 10_000;
+          check tint "profile table size constant over 10 000 evals" size
+            (List.length (Vmprof.samples ()));
+          Client.close c))
+
 (* --- request spans ---------------------------------------------------- *)
 
 let test_commit_spans_carry_group_id () =
@@ -447,6 +557,11 @@ let test_commit_spans_carry_group_id () =
           ignore (eval_ok c "let r = relation(tuple(1, 10))");
           ignore (commit_ok c);
           let trace_id = Client.last_trace_id c in
+          (* an empty commit seals nothing and joins no group *)
+          let _, objects, group = commit_ok c in
+          check tint "empty commit: no objects" 0 objects;
+          check tint "empty commit: no group" 0 group;
+          let empty_trace_id = Client.last_trace_id c in
           Client.close c;
           let events = drain () in
           let arg_int name ev =
@@ -476,6 +591,12 @@ let test_commit_spans_carry_group_id () =
               events
           in
           check tbool "commit.sealed joins trace id to group id" true (sealed <> None);
+          check tbool "no commit.sealed for the empty commit" false
+            (List.exists
+               (fun ev ->
+                 ev.Trace.ev_name = "commit.sealed"
+                 && (arg_int "trace" ev = Some empty_trace_id || arg_int "group" ev = Some 0))
+               events);
           (* the server wrapped the request in a span naming the phase *)
           check tbool "server.commit span emitted" true
             (List.exists
@@ -529,5 +650,13 @@ let () =
           Alcotest.test_case "restart recovers committed state" `Quick test_restart_recovers;
           Alcotest.test_case "shutdown wakes blocked clients" `Quick test_shutdown_wakes_clients;
           Alcotest.test_case "fetch PTML / pull objects" `Quick test_fetch_and_pull;
+        ] );
+      ( "reclamation",
+        [
+          Alcotest.test_case "1000 read-only evals stage nothing" `Quick
+            test_read_only_evals_stage_nothing;
+          Alcotest.test_case "gates keep their objects across a restart" `Quick
+            test_reclamation_gates;
+          Alcotest.test_case "vm profile table bounded" `Quick test_vmprof_table_bounded;
         ] );
     ]

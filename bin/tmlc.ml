@@ -28,14 +28,9 @@ let print_output out =
   print_string out;
   if out <> "" && out.[String.length out - 1] <> '\n' then print_newline ()
 
-let options_of ?(no_analysis = false) ?(no_incremental = false) ?(no_rule_index = false)
-    ~direct ~static_opt () =
+let options_of ?(no_analysis = false) ~direct ~static_opt () =
   if no_analysis then Tml_analysis.Bridge.enabled := false;
-  if no_rule_index then Tml_rules.Index.enabled := false;
-  let tune config =
-    Tml_analysis.Bridge.with_analysis
-      { config with Optimizer.incremental = not no_incremental }
-  in
+  let tune = Tml_analysis.Bridge.with_analysis in
   {
     Link.default_options with
     mode = (if direct then Lower.Direct else Lower.Library);
@@ -45,14 +40,6 @@ let options_of ?(no_analysis = false) ?(no_incremental = false) ?(no_rule_index 
       | 1 -> Some (tune Optimizer.o1)
       | 2 -> Some (tune Optimizer.o2)
       | _ -> Some (tune Optimizer.o3));
-  }
-
-let reflect_config ~no_incremental =
-  let d = Tml_reflect.Reflect.default in
-  {
-    d with
-    Tml_reflect.Reflect.optimizer =
-      { d.Tml_reflect.Reflect.optimizer with Optimizer.incremental = not no_incremental };
   }
 
 (* [--profile]: run [f] with the optimizer profiler on and print the
@@ -111,17 +98,11 @@ let fno_analysis_arg =
     value & flag
     & info [ "fno-analysis" ]
         ~doc:
-          "Disable the effect/alias analysis bridge: optimize with the purely \
-           syntactic rules only.")
-
-let fno_incremental_arg =
-  Arg.(
-    value & flag
-    & info [ "fno-incremental" ]
-        ~doc:
-          "Disable the incremental rewrite engine (normal-form memoization, \
-           shared-subtree skipping, delta validation): every pass re-sweeps \
-           the whole term, as the legacy optimizer did.")
+          "Disable the effect-analysis bridge: no effect-based rewrite rules \
+           or inlining bonus, and no analysis-gated selection hoisting or \
+           effect summaries in the reflective optimizer.  The alias check \
+           of the constant-selection rule is a soundness precondition and \
+           stays on.")
 
 let fno_jit_arg =
   Arg.(
@@ -132,16 +113,6 @@ let fno_jit_arg =
            to the compiled closure tier and every call runs on the bytecode \
            machine.  Promotion does not change results or abstract \
            instruction counts, only wall-clock time.")
-
-let fno_rule_index_arg =
-  Arg.(
-    value & flag
-    & info [ "fno-rule-index" ]
-        ~doc:
-          "Disable the head-indexed rule dispatcher: domain rewrite rules \
-           are tried by linear scan at every node, as the legacy engine \
-           did.  Fires, provenance and results are identical either way \
-           (experiment E15 measures the lookup cost difference).")
 
 let profile_arg =
   Arg.(
@@ -195,15 +166,14 @@ let check_cmd =
 (* ---- dump ---- *)
 
 let dump_cmd =
-  let run file direct opt_level no_analysis no_incremental no_rule_index profile explain name =
+  let run file direct opt_level no_analysis profile explain name =
     handle_errors (fun () ->
         let opt_level = with_explain explain opt_level in
         let compiled =
           with_profile profile (fun () ->
               Link.compile
                 ~options:
-                  (options_of ~no_analysis ~no_incremental ~no_rule_index ~direct
-                     ~static_opt:opt_level ())
+                  (options_of ~no_analysis ~direct ~static_opt:opt_level ())
                 (read_file file))
         in
         let dump (d : Lower.compiled_def) =
@@ -231,20 +201,19 @@ let dump_cmd =
   in
   Cmd.v (Cmd.info "dump" ~doc:"Print the TML intermediate representation")
     Term.(
-      const run $ file_arg $ direct_arg $ opt_arg $ fno_analysis_arg $ fno_incremental_arg
-      $ fno_rule_index_arg $ profile_arg $ explain_arg $ name_arg)
+      const run $ file_arg $ direct_arg $ opt_arg $ fno_analysis_arg $ profile_arg $ explain_arg
+      $ name_arg)
 
 (* ---- disasm ---- *)
 
 let disasm_cmd =
-  let run file direct opt_level no_analysis no_incremental no_rule_index profile name =
+  let run file direct opt_level no_analysis profile name =
     handle_errors (fun () ->
         let program =
           with_profile profile (fun () ->
               Link.load
                 ~options:
-                  (options_of ~no_analysis ~no_incremental ~no_rule_index ~direct
-                     ~static_opt:opt_level ())
+                  (options_of ~no_analysis ~direct ~static_opt:opt_level ())
                 (read_file file))
         in
         let ctx = program.Link.ctx in
@@ -270,14 +239,12 @@ let disasm_cmd =
   in
   Cmd.v (Cmd.info "disasm" ~doc:"Print abstract machine code")
     Term.(
-      const run $ file_arg $ direct_arg $ opt_arg $ fno_analysis_arg $ fno_incremental_arg
-      $ fno_rule_index_arg $ profile_arg $ name_arg)
+      const run $ file_arg $ direct_arg $ opt_arg $ fno_analysis_arg $ profile_arg $ name_arg)
 
 (* ---- run ---- *)
 
 let run_cmd =
-  let run file direct opt_level no_analysis no_incremental no_rule_index no_jit profile
-      dynamic engine explain =
+  let run file direct opt_level no_analysis no_jit profile dynamic engine explain =
     handle_errors (fun () ->
         Tierup.enabled := not no_jit;
         let opt_level = with_explain explain opt_level in
@@ -286,14 +253,12 @@ let run_cmd =
               let program =
                 Link.load
                   ~options:
-                    (options_of ~no_analysis ~no_incremental ~no_rule_index ~direct
-                       ~static_opt:opt_level ())
+                    (options_of ~no_analysis ~direct ~static_opt:opt_level ())
                   (read_file file)
               in
               if dynamic then
-                Tml_reflect.Reflect.optimize_all
-                  ~config:(reflect_config ~no_incremental)
-                  program.Link.ctx (Link.all_function_oids program);
+                Tml_reflect.Reflect.optimize_all program.Link.ctx
+                  (Link.all_function_oids program);
               let outcome, steps = Link.run_main program ~engine () in
               program, outcome, steps)
         in
@@ -317,9 +282,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Compile, link and execute a TL program")
     Term.(
-      const run $ file_arg $ direct_arg $ opt_arg $ fno_analysis_arg $ fno_incremental_arg
-      $ fno_rule_index_arg $ fno_jit_arg $ profile_arg $ dynamic_arg $ engine_arg
-      $ explain_arg)
+      const run $ file_arg $ direct_arg $ opt_arg $ fno_analysis_arg $ fno_jit_arg $ profile_arg
+      $ dynamic_arg $ engine_arg $ explain_arg)
 
 (* ---- stanford ---- *)
 

@@ -2,9 +2,7 @@ open Tml_core
 open Term
 
 (* Relation-reading primitives and the argument positions (over the full
-   argument list) at which a relation is consumed read-only.  This is the
-   table [Qrewrite.alias_safe] was built on; it lives here now so both the
-   syntactic fallback and the flow-based gate share it. *)
+   argument list) at which a relation is consumed read-only. *)
 let reader_positions = function
   | "select" | "project" | "exists" | "sum" | "minagg" | "maxagg" | "foreach" -> [ 1 ]
   | "join" -> [ 1; 2 ]
@@ -162,8 +160,10 @@ let escapes ~(tmp : Ident.t) (body : app) =
    itself never flows to a non-reading position: writes and identity tests
    through either name are ruled out, and neither the relation nor a
    closure that captures it can leave the region through an unknown
-   continuation.  Strictly more permissive than the syntactic
-   [Qrewrite.alias_safe]: calls to λ-bound procedures inside the region are
-   resolved by the inference instead of being rejected outright. *)
+   continuation.  A closure that captures the alias and is passed to the
+   return continuation counts as an escape: the caller may run it after a
+   later insert into R, and it must then still see the copy.  Calls to
+   λ-bound procedures inside the region are resolved by the inference
+   instead of being rejected outright. *)
 let select_alias_ok ~(tmp : Ident.t) (body : app) =
   Effsig.read_only (Infer.sig_of_app body) && not (escapes ~tmp body)

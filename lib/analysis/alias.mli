@@ -4,11 +4,9 @@
     [σtrue(R)] by [R] binds the base relation to the name of the (would-be)
     copy.  The rewrite is only sound when the alias is never distinguishable
     from a copy — never written through, never identity-compared, never
-    leaked past the analyzed region.  [Qrewrite.alias_safe] decides this
-    with a purely syntactic walk that rejects any call through a variable;
-    this module decides it by flow: β-bound procedures are resolved, taint
-    is propagated through parameter passing and closure capture, and only
-    the residual uses are judged. *)
+    leaked past the analyzed region.  This module decides it by flow:
+    β-bound procedures are resolved, taint is propagated through parameter
+    passing and closure capture, and only the residual uses are judged. *)
 
 open Tml_core
 
@@ -22,7 +20,10 @@ val reader_positions : string -> int list
     relation itself, or any argument of a call the flow cannot follow. *)
 val escapes : tmp:Ident.t -> Term.app -> bool
 
-(** The analysis-based gate for [Qrewrite.constant_select]: the region's
-    inferred effect is at most [Observer] and [tmp] does not escape.
-    Strictly more permissive than the syntactic [alias_safe]. *)
+(** The gate of [Qrewrite.constant_select] (the rule DSL's
+    [Alias_consumed_ok]): the region's inferred effect is at most
+    [Observer] and [tmp] does not escape — in particular, no closure
+    capturing [tmp] is passed to a continuation the region does not bind,
+    since the caller could run it after a later write to the base
+    relation. *)
 val select_alias_ok : tmp:Ident.t -> Term.app -> bool

@@ -2,7 +2,8 @@ open Tml_core
 open Term
 
 (* Global switch: when off, every consumer falls back to its pre-analysis
-   behaviour (syntactic gates, no effect-based rules, no inlining bonus). *)
+   behaviour (no effect-based rules, no inlining bonus, no analysis-gated
+   hoisting).  Soundness gates such as [Alias.select_alias_ok] ignore it. *)
 let enabled = ref true
 
 (* Effect-based [remove]: delete a call whose result is dead and whose

@@ -2,9 +2,10 @@
 
     Consumers opt in by wrapping their {!Tml_core.Optimizer.config} with
     {!with_analysis}; the global {!enabled} switch (on by default, turned
-    off by [tmlc --fno-analysis]) also controls the analysis-based gate of
-    [Qrewrite.constant_select], which falls back to the syntactic
-    [alias_safe] walk when off. *)
+    off by [tmlc --fno-analysis]) turns off the analysis-driven
+    optimizations.  It does not touch the alias gate of
+    [Qrewrite.constant_select]: that gate is a soundness precondition and
+    always runs the escape analysis ({!Alias.select_alias_ok}). *)
 
 open Tml_core
 

@@ -5,7 +5,6 @@ type config = {
   rules : Rewrite.rule list;
   max_steps : int;
   validate : bool;
-  incremental : bool;
 }
 
 exception Validation_error of string
@@ -18,7 +17,6 @@ let default =
     rules = [];
     max_steps = 200_000;
     validate = false;
-    incremental = true;
   }
 
 let o1 = { default with max_rounds = 1 }
@@ -111,12 +109,6 @@ let with_fire_hook prov f =
     Fun.protect ~finally:(fun () -> Rewrite.fire_hook := saved) f
   end
 
-(* The incremental engine uses the hash-consed measures (memoized, same
-   numbers); the legacy engine kept behind [--fno-incremental] pays the
-   original walking versions so benchmark comparisons stay honest. *)
-let size_of config a = if config.incremental then Hashcons.size_app a else Term.size_app a
-let cost_of config a = if config.incremental then Hashcons.cost_app a else Cost.app_cost a
-
 (* Physical-identity table of application nodes that were part of a tree
    that passed validation earlier in this optimizer invocation.  Terms are
    immutable, so a node recognized here is exactly the subtree previously
@@ -142,13 +134,10 @@ let validation_failed ~phase ~round fmt =
     fmt
 
 let validate_pass ~config ~frees0 ~validated ~phase ~round ~before ~after ~growth =
-  let skip =
-    match validated with
-    | Some tbl -> Some (fun a -> Pa.mem tbl a)
-    | None -> None
-  in
+  let tbl = Lazy.force validated in
   (match
-     Wf.check_app ?skip
+     Wf.check_app
+       ~skip:(fun a -> Pa.mem tbl a)
        ~free_allowed:(fun id -> Ident.Set.mem id (Lazy.force frees0))
        after
    with
@@ -164,7 +153,7 @@ let validate_pass ~config ~frees0 ~validated ~phase ~round ~before ~after ~growt
   | Some (g, expansions) ->
     (* the expansion pass replaces one [Var] node per expansion by a copy
        whose size it adds to [growth], so its accounting is exact *)
-    let actual = size_of config after - size_of config before in
+    let actual = Hashcons.size_app after - Hashcons.size_app before in
     if actual <> g - expansions then
       validation_failed ~phase ~round
         "growth accounting mismatch: reported %d over %d expansions, actual size delta %d" g
@@ -175,35 +164,32 @@ let validate_pass ~config ~frees0 ~validated ~phase ~round ~before ~after ~growt
        legitimately trade size for speed, so the accounting check only
        applies to the pure-core configuration *)
     if config.rules = [] then begin
-      if size_of config after > size_of config before then
+      if Hashcons.size_app after > Hashcons.size_app before then
         validation_failed ~phase ~round "reduction grew the tree: %d -> %d"
-          (size_of config before) (size_of config after);
-      if cost_of config after > cost_of config before then
+          (Hashcons.size_app before) (Hashcons.size_app after);
+      if Hashcons.cost_app after > Hashcons.cost_app before then
         validation_failed ~phase ~round "reduction increased static cost: %d -> %d"
-          (cost_of config before) (cost_of config after)
+          (Hashcons.cost_app before) (Hashcons.cost_app after)
     end);
   (* The tree passed: mark every node as validated for later passes.  The
      walk stops at already-marked nodes (their subtrees are marked too), so
      its cost is proportional to the changed region, not the whole term. *)
-  match validated with
-  | None -> ()
-  | Some tbl ->
-    let rec mark_app a =
-      if not (Pa.mem tbl a) then begin
-        Pa.add tbl a ();
-        mark_value a.Term.func;
-        List.iter mark_value a.Term.args
-      end
-    and mark_value = function
-      | Term.Abs f -> mark_app f.Term.body
-      | Term.Lit _ | Term.Var _ | Term.Prim _ -> ()
-    in
-    mark_app after
+  let rec mark_app a =
+    if not (Pa.mem tbl a) then begin
+      Pa.add tbl a ();
+      mark_value a.Term.func;
+      List.iter mark_value a.Term.args
+    end
+  and mark_value = function
+    | Term.Abs f -> mark_app f.Term.body
+    | Term.Lit _ | Term.Var _ | Term.Prim _ -> ()
+  in
+  mark_app after
 
 let optimize_app ?(config = default) ?memo (a : Term.app) =
   let stats = Rewrite.fresh_stats () in
-  let size_before = size_of config a in
-  let cost_before = cost_of config a in
+  let size_before = Hashcons.size_app a in
+  let cost_before = Hashcons.cost_app a in
   let expansions = ref 0 in
   let prov = if !Tml_obs.Provenance.enabled then Some (Tml_obs.Provenance.create ()) else None in
   let prov_add rule site fact size_delta cost_delta =
@@ -220,23 +206,14 @@ let optimize_app ?(config = default) ?memo (a : Term.app) =
     | None -> ()
   in
   let frees0 = lazy (Term.free_vars_app a) in
-  let memo =
-    match memo with
-    | Some _ as m -> m
-    | None -> if config.incremental then Some (Rewrite.fresh_memo ()) else None
-  in
-  let memo_seen_hits = ref 0 and memo_seen_misses = ref 0 in
-  (match memo with
-  | Some m ->
-    memo_seen_hits := Rewrite.memo_hits m;
-    memo_seen_misses := Rewrite.memo_misses m
-  | None -> ());
-  let validated = if config.validate && config.incremental then Some (Pa.create 256) else None in
-  let validate = validate_pass ~config ~frees0 ~validated in
+  let memo = match memo with Some m -> m | None -> Rewrite.fresh_memo () in
+  let memo_seen_hits = Rewrite.memo_hits memo in
+  let memo_seen_misses = Rewrite.memo_misses memo in
+  let validate = validate_pass ~config ~frees0 ~validated:(lazy (Pa.create 256)) in
   let reduce a =
     Tml_obs.Trace.with_span ~cat:"optimizer" "reduce" (fun () ->
         Profile.timed Profile.Reduce (fun () ->
-            Rewrite.reduce_app ~stats ~rules:config.rules ~max_steps:config.max_steps ?memo a))
+            Rewrite.reduce_app ~stats ~rules:config.rules ~max_steps:config.max_steps ~memo a))
   in
   (* The penalty budget bounds cumulative expansion growth.  Running out
      used to be silent — the loop just stopped expanding — which made
@@ -275,8 +252,8 @@ let optimize_app ?(config = default) ?memo (a : Term.app) =
         prov_add "expand"
           (Printf.sprintf "%d call sites" r.expansions)
           ""
-          (size_of config r.term - size_of config a)
-          (cost_of config r.term - cost_of config a);
+          (Hashcons.size_app r.term - Hashcons.size_app a)
+          (Hashcons.cost_app r.term - Hashcons.cost_app a);
         (* each round of the reduction/expansion phases accumulates a
            penalty proportional to the growth it caused *)
         loop (round + 1) (penalty + r.growth + r.expansions) r.term
@@ -287,12 +264,9 @@ let optimize_app ?(config = default) ?memo (a : Term.app) =
   if !Profile.enabled then begin
     Profile.record_call ();
     Profile.record_fires stats;
-    match memo with
-    | Some m ->
-      Profile.record_memo
-        ~hits:(Rewrite.memo_hits m - !memo_seen_hits)
-        ~misses:(Rewrite.memo_misses m - !memo_seen_misses)
-    | None -> ()
+    Profile.record_memo
+      ~hits:(Rewrite.memo_hits memo - memo_seen_hits)
+      ~misses:(Rewrite.memo_misses memo - memo_seen_misses)
   end;
   let report =
     {
@@ -301,9 +275,9 @@ let optimize_app ?(config = default) ?memo (a : Term.app) =
       stats;
       expansions = !expansions;
       size_before;
-      size_after = size_of config a';
+      size_after = Hashcons.size_app a';
       cost_before;
-      cost_after = cost_of config a';
+      cost_after = Hashcons.cost_app a';
       prov = (match prov with Some p -> Tml_obs.Provenance.contents p | None -> []);
     }
   in

@@ -29,16 +29,9 @@ type config = {
           free identifiers), and the pass's size/cost accounting.  A
           violation raises {!Validation_error}.  Intended for the
           differential test harness ([Tml_check]) and for debugging domain
-          rules; the checks cost one tree traversal per pass. *)
-  incremental : bool;
-      (** the incremental engine (on by default): reduction passes memoize
-          normal forms by hash-consed handle ({!Rewrite.memo}) and preserve
-          the physical identity of unchanged subtrees, so later rounds skip
-          already-normalized regions in O(1); validation becomes delta
-          validation (boundary checks on unchanged subtrees via {!Wf}'s
-          [skip]); size/cost accounting uses the memoized {!Hashcons}
-          measures.  Switch off ([--fno-incremental] in the tools) to get
-          the legacy full-resweep engine for comparison benchmarks. *)
+          rules.  Validation is delta validation: subtrees that passed an
+          earlier pass of the same run get boundary checks only ({!Wf}'s
+          [skip]). *)
 }
 
 (** Raised (only when [validate] is on) when a pass produces an ill-formed
@@ -77,11 +70,16 @@ type report = {
 val pp_report : Format.formatter -> report -> unit
 
 (** [optimize_app ?config ?memo a] optimizes a TML application to fixpoint
-    (or penalty exhaustion) and reports what happened.
+    (or penalty exhaustion) and reports what happened.  Reduction passes
+    memoize normal forms by hash-consed handle ({!Rewrite.memo}) and keep
+    the physical identity of unchanged subtrees, so later rounds skip
+    already-normalized regions in O(1); roots below
+    {!Rewrite.memo_size_threshold} take the memo-free path.  Size and cost
+    accounting uses the memoized {!Hashcons} measures.
 
     [memo] supplies an external normal-form memo instead of the fresh
-    per-call one the incremental engine creates; pass it to share work
-    across repeated optimizations of overlapping terms.  Only sound while
+    per-call one; pass it to share work across repeated optimizations of
+    overlapping terms.  Only sound while
     the rule set stays a pure function of the term — with the empty or a
     pure [config.rules], not with store-aware rules over a heap that
     mutates between calls. *)

@@ -81,21 +81,14 @@ let named ?fact name rule a =
    labelled table below keys them by their noted provenance name, so the
    metrics registry (source "rules") and [tmlc --profile] can attribute
    optimization work rule by rule.  Unnoted fires land under the fallback
-   name "domain" — and fault in strict mode, which the rule audit uses to
-   guarantee no anonymous rules ship. *)
+   name "domain" — and fault in strict mode, which the differential test
+   battery turns on to guarantee no anonymous rule fires. *)
 
 exception Unnamed_rule_fire
 
 let anonymous_rule_name = "domain"
 
-(* Env-settable so the audit mode needs no plumbing through every entry
-   point: TML_STRICT_RULE_NAMES=1 turns any unnoted domain fire into a
-   fault. *)
-let strict_names =
-  ref
-    (match Sys.getenv_opt "TML_STRICT_RULE_NAMES" with
-    | Some ("1" | "true" | "yes") -> true
-    | Some _ | None -> false)
+let strict_names = ref false
 
 let fire_tbl : (string, int ref) Hashtbl.t = Hashtbl.create 32
 
@@ -336,11 +329,11 @@ let fresh_memo () =
 let memo_hits m = m.m_hits
 let memo_misses m = m.m_misses
 
-(* Roots below this node count take the legacy (memo-free) path even
-   when a memo is supplied: for a term a few dozen nodes big, one
-   intern + table lookup per node costs more than just re-reducing it
-   (the E11 small-term regression).  The probe below is budget-bounded,
-   so large already-normal roots keep their O(1) memo fast path. *)
+(* Roots below this node count take the memo-free path even when a memo
+   is supplied: for a term a few dozen nodes big, one intern + table
+   lookup per node costs more than just re-reducing it (the E11
+   small-term regression).  The probe below is budget-bounded, so large
+   already-normal roots keep their O(1) memo fast path. *)
 let memo_size_threshold = ref 48
 
 (* counts nodes as [Term.size_*] but stops once the budget is spent;
@@ -516,12 +509,12 @@ let reduce ?(stats = dummy_stats) ?(rules = []) ?(max_steps = default_max_steps)
     (* per-root gate: small roots skip the memo entirely (recursion
        included); both variants share the fuel and stats *)
     let memo_app, memo_value = make memo in
-    let legacy_app, legacy_value = make None in
+    let plain_app, plain_value = make None in
     let norm_app a =
-      if app_below ~limit:!memo_size_threshold a then legacy_app a else memo_app a
+      if app_below ~limit:!memo_size_threshold a then plain_app a else memo_app a
     in
     let norm_value v =
-      if value_below ~limit:!memo_size_threshold v then legacy_value v else memo_value v
+      if value_below ~limit:!memo_size_threshold v then plain_value v else memo_value v
     in
     norm_app, norm_value
 

@@ -71,8 +71,8 @@ exception Unnamed_rule_fire
 (** The fallback name unnoted fires report under. *)
 val anonymous_rule_name : string
 
-(** Fault on unnoted domain fires.  Defaults to the
-    [TML_STRICT_RULE_NAMES] environment variable ("1"/"true"/"yes"). *)
+(** Fault on unnoted domain fires (off by default).  The differential
+    test battery turns it on, so no rule it exercises fires anonymously. *)
 val strict_names : bool ref
 
 (** [fire_counts ()] — cumulative (process-wide) fires per noted rule
@@ -136,12 +136,14 @@ val memo_hits : memo -> int
 
 val memo_misses : memo -> int
 
-(** Roots whose node count ([Term.size_*]) is below this take the legacy
-    (memo-free) path even when a memo is supplied: on a term a few dozen
+(** Roots whose node count ([Term.size_*]) is below this take the
+    memo-free path even when a memo is supplied: on a term a few dozen
     nodes big, one intern + table lookup per node costs more than simply
     re-reducing it.  The size probe is budget-bounded, so large
     already-normal roots keep their O(1) memo fast path.  Set to [0] to
-    memoize unconditionally (the pre-gate behavior). *)
+    memoize unconditionally; set to [max_int] to reduce every root
+    memo-free, the reference the optimizer equivalence tests and
+    experiment E11 compare the memo against. *)
 val memo_size_threshold : int ref
 
 (** [reduce_app ?stats ?rules ?max_steps ?memo app] normalizes [app]:

@@ -294,12 +294,11 @@ let declarative_runtime_rules ctx =
 let runtime_rules ctx = List.map Tml_rules.Dsl.to_rewrite (declarative_runtime_rules ctx)
 
 (* What the optimizer entry points actually install: the indexed
-   dispatcher over the full declarative set (or the historical linear
-   list when [Tml_rules.Index.enabled] is off — [tmlc --fno-rule-index]). *)
-let static_plan () = Tml_rules.Index.plan Qrewrite.declarative_rules
+   dispatcher over the full declarative set. *)
+let static_plan () = [ Tml_rules.Index.compile Qrewrite.declarative_rules ]
 
 let full_plan ctx =
-  Tml_rules.Index.plan (Qrewrite.declarative_rules @ declarative_runtime_rules ctx)
+  [ Tml_rules.Index.compile (Qrewrite.declarative_rules @ declarative_runtime_rules ctx) ]
 
 let optimize ?(config = Optimizer.default) ctx a =
   install ();

@@ -17,14 +17,12 @@ open Tml_core
 val install : unit -> unit
 
 (** Store-independent algebraic rules ({!Qrewrite.algebraic_rules}),
-    available to the static optimizer.  This is the historical flat list;
-    the optimizer entry points below consult {!static_plan} instead, which
-    swaps in the indexed dispatcher. *)
+    available to the static optimizer, as a flat list; the optimizer entry
+    points below consult {!static_plan} instead. *)
 val static_rules : Rewrite.rule list
 
 (** [static_plan ()] — the store-independent rules as the optimizer should
-    receive them: the head-indexed dispatcher of {!Tml_rules.Index}, or
-    the flat list when indexing is disabled ([tmlc --fno-rule-index]). *)
+    receive them: one head-indexed dispatcher ({!Tml_rules.Index.compile}). *)
 val static_plan : unit -> Rewrite.rule list
 
 (** [full_plan ctx] — {!static_plan} plus the store-aware rules, as one

@@ -10,10 +10,10 @@ open Tml_rules.Dsl
    compiled [Rewrite.rule] exported below is [Dsl.to_rewrite] of the
    declaration, noted under the same provenance name as before.
 
-   The side-condition walks themselves ([alias_safe], [pure_app],
-   [row_local], [reader_positions]) live in [Tml_rules.Sidecond]; the gate
-   history (differential-fuzzer counterexamples and all) is documented
-   there and in the per-rule docs here. *)
+   The side-condition walks themselves ([pure_app], [row_local]) live in
+   [Tml_rules.Sidecond], the aliasing gate in [Tml_analysis.Alias]; the
+   gate history (differential-fuzzer counterexamples and all) is
+   documented in the per-rule docs here. *)
 
 (* σp(σq(R)) ≡ σp∧q(R).
 
@@ -123,9 +123,12 @@ let merge_project_rule =
    mutated while it is live — an [insert] through either name would be
    visible through the other (found by the differential fuzzer:
    (select true R cont(s) (insert s t ...)) must insert into a copy).
-   [Alias_consumed_ok] is the layered gate: the syntactic
-   [Sidecond.alias_safe] walk, or the flow-based escape analysis when the
-   bridge is live. *)
+   Nor may the alias leave the region: a closure capturing it and passed
+   out through the return continuation would read the base relation after
+   later inserts, where the copy is a snapshot.  [Alias_consumed_ok] is the
+   flow-based escape analysis [Tml_analysis.Alias.select_alias_ok]; it is
+   a soundness precondition, so it applies whatever
+   [Tml_analysis.Bridge.enabled] says. *)
 let constant_select_true_rule =
   decl_rule ~name:"q.constant-select" ~fact:"alias-safe source"
     ~doc:
@@ -334,8 +337,6 @@ let declarative_rules =
     distinct_distinct_rule;
     select_before_distinct_rule;
   ]
-
-let alias_safe = Tml_rules.Sidecond.alias_safe
 
 (* The compiled forms, kept under their historical export names (the unit
    tests drive the rules one at a time). *)

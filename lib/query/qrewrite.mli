@@ -38,22 +38,17 @@ val merge_select : Rewrite.rule
 (** πf(πg(R)) ≡ πf∘g(R). *)
 val merge_project : Rewrite.rule
 
-(** The syntactic aliasing gate of {!constant_select}: every application
-    head in the continuation region is a jump, a β-redex or a Pure/Observer
-    primitive, and the temp only appears at relation-reading argument
-    positions. *)
-val alias_safe : Tml_core.Ident.t -> Tml_core.Term.app -> bool
-
 (** σtrue(R) ≡ R and σfalse(R) ≡ ∅ for constant predicates.  The σtrue
     direction aliases the result to [R] instead of copying, so it only
     fires when the continuation consumes the relation read-only and cannot
     mutate the store or call unknown procedures while the alias is live
     (the differential fuzzer caught an [insert] through the alias mutating
-    the base relation).  The gate is layered: a syntactic walk
-    ({!alias_safe}, kept as the fallback when the analysis bridge is
-    disabled) decides the easy cases, and the flow-based escape analysis
-    of [Tml_analysis.Alias] additionally accepts aliases that only reach
-    readers through local procedure bindings. *)
+    the base relation), and neither the relation nor a closure capturing
+    it can leave the region.  The gate is the flow-based escape analysis
+    [Tml_analysis.Alias.select_alias_ok], which also accepts aliases that
+    reach readers only through local procedure bindings.  It is a
+    soundness precondition, so [Tml_analysis.Bridge.enabled] does not
+    switch it. *)
 val constant_select : Rewrite.rule
 
 (** ∃x∈R: p ≡ p ∧ R≠∅ when x does not occur in p — the [trivial-exists]

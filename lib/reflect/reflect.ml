@@ -217,17 +217,18 @@ let rule_descriptors =
 
 let () = Tml_rules.Index.register_all rule_descriptors
 
-(* The store-aware rule set used by both optimize variants: one dispatch
-   plan over the reflective rules plus (when enabled) the declarative
-   query rules and the store-dependent query closures — head-indexed, or
-   the historical flat list under [tmlc --fno-rule-index]. *)
+(* The store-aware rule set used by both optimize variants: one
+   head-indexed dispatcher over the reflective rules plus (when enabled)
+   the declarative query rules and the store-dependent query closures. *)
 let store_rules ctx config ~budget ~count =
-  Tml_rules.Index.plan
-    (reflect_rules ctx config ~budget ~count
-    @
-    if config.use_query_rules then
-      Tml_query.Qrewrite.declarative_rules @ Tml_query.Qopt.declarative_runtime_rules ctx
-    else [])
+  [
+    Tml_rules.Index.compile
+      (reflect_rules ctx config ~budget ~count
+      @
+      if config.use_query_rules then
+        Tml_query.Qrewrite.declarative_rules @ Tml_query.Qopt.declarative_runtime_rules ctx
+      else []);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Specialization cache glue                                            *)
@@ -239,9 +240,9 @@ let store_rules ctx config ~budget ~count =
 let config_token config =
   let o = config.optimizer in
   let e = o.Optimizer.expand in
-  Printf.sprintf "mr%d;pl%d;ms%d;v%b;inc%b;il%d;yl%d;gl%d;ey%b;xr%d;iol%d;ib%d;p%b;q%b;an%b"
+  Printf.sprintf "mr%d;pl%d;ms%d;v%b;il%d;yl%d;gl%d;ey%b;xr%d;iol%d;ib%d;p%b;q%b;an%b"
     o.Optimizer.max_rounds o.Optimizer.penalty_limit o.Optimizer.max_steps o.Optimizer.validate
-    o.Optimizer.incremental e.Expand.inline_limit e.Expand.y_inline_limit e.Expand.growth_limit
+    e.Expand.inline_limit e.Expand.y_inline_limit e.Expand.growth_limit
     e.Expand.expand_y
     (List.length o.Optimizer.rules)
     config.inline_oid_limit config.inline_budget config.use_ptml config.use_query_rules

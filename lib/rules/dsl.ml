@@ -6,7 +6,8 @@ open Term
 (* ------------------------------------------------------------------ *)
 
 (* A rule is an LHS term pattern with metavariables, a side-condition list
-   drawn from the closed vocabulary of [Sidecond], and an RHS template.
+   drawn from the closed vocabulary [cond] (decided by the [Sidecond] walks
+   and the escape analysis of [Tml_analysis.Alias]), and an RHS template.
    Three namespaces of metavariables exist side by side:
 
    - {e value} metavariables ([P_any]) bind whole TML values; a value
@@ -63,9 +64,8 @@ type cond =
   | Used_once of mvar * mvar  (** binder occurs exactly once in app *)
   | Not_occurs of mvar * mvar  (** binder does not occur in app *)
   | Alias_consumed_ok of mvar * mvar
-      (** app consumes the relation bound to binder alias-safely
-          ({!Sidecond.alias_ok}: syntactic walk, or flow analysis when the
-          bridge is live) *)
+      (** app consumes the relation bound to binder alias-safely: the
+          escape analysis [Tml_analysis.Alias.select_alias_ok] *)
   | Pure_app of mvar  (** app is syntactically pure ({!Sidecond.pure_app}) *)
   | Row_local of mvar * mvar  (** app observes binder only via field reads *)
   | Size_le of mvar * int  (** value has tree size at most the bound *)
@@ -210,7 +210,8 @@ let the_val env m = SM.find m env.vals
 let eval_cond env = function
   | Used_once (b, m) -> Occurs.count_app (binder env b) (the_app env m) = 1
   | Not_occurs (b, m) -> not (Occurs.occurs_app (binder env b) (the_app env m))
-  | Alias_consumed_ok (b, m) -> Sidecond.alias_ok (binder env b) (the_app env m)
+  | Alias_consumed_ok (b, m) ->
+    Tml_analysis.Alias.select_alias_ok ~tmp:(binder env b) (the_app env m)
   | Pure_app m -> Sidecond.pure_app (the_app env m)
   | Row_local (b, m) -> Sidecond.row_local (binder env b) (the_app env m)
   | Size_le (m, bound) -> Term.size_value (the_val env m) <= bound

@@ -1,7 +1,7 @@
 (** A small declarative language for rewrite rules (ROADMAP item 3,
     following "An Extensible and Verifiable Language for Query Rewrite
     Rules"): LHS/RHS term patterns with metavariables and side conditions
-    drawn from a closed vocabulary ({!Sidecond}).
+    drawn from a closed vocabulary ({!cond}).
 
     From one declaration three artifacts derive automatically:
 

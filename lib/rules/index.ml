@@ -29,8 +29,6 @@ open Tml_core
    test in [test_rules.ml] checks precisely this on generated query
    pipelines. *)
 
-let enabled = ref true
-
 type prim_bucket = {
   pb_generic : Rewrite.rule array;
       (* arity-agnostic rules only: closures, PA_any roots *)
@@ -185,12 +183,6 @@ let split_stats rules =
     }
 
 let compile rules = dispatcher (compile_buckets rules)
-
-(* The A/B seam: the indexed plan packages the whole rule set as one
-   dispatching [Rewrite.rule]; the linear plan is the same compiled
-   entries in a flat list, exactly what the engine scanned before. *)
-let linear rules = List.map Dsl.to_rewrite rules
-let plan rules = if !enabled then [ compile rules ] else linear rules
 
 (* ------------------------------------------------------------------ *)
 (* The rule registry                                                    *)

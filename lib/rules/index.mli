@@ -10,21 +10,12 @@
 
 open Tml_core
 
-(** The A/B switch ([tmlc --fno-rule-index] clears it): when false,
-    {!plan} degrades to the historical linear rule list. *)
-val enabled : bool ref
-
 (** [compile rules] — one dispatching [Rewrite.rule] covering the whole
-    set. *)
+    set: what the optimizer entry points install as [config.rules].
+    Observably equivalent to trying [List.map Dsl.to_rewrite rules] in
+    order, the reference scan the equivalence tests and experiment E15
+    compare it against. *)
 val compile : Dsl.rule list -> Rewrite.rule
-
-(** [linear rules] — the same compiled entries as a flat list (the legacy
-    linear scan; the comparison arm of E15 and the equivalence property). *)
-val linear : Dsl.rule list -> Rewrite.rule list
-
-(** [plan rules] — what to hand to [Optimizer.config.rules]: the indexed
-    dispatcher, or the linear list when {!enabled} is off. *)
-val plan : Dsl.rule list -> Rewrite.rule list
 
 (** Shape summary of a compiled dispatch table: prim buckets additionally
     specialize on argument count (a declarative LHS rooted

@@ -173,6 +173,22 @@ let test_escape_capture () =
   in
   check tbool "captured escape is rejected" false (Alias.select_alias_ok ~tmp body)
 
+let test_escape_closure_return () =
+  (* a closure capturing the temp leaves through the return continuation:
+     the caller may run it after inserting into r, and it must still count
+     the copy.  The rule must keep the select whether or not the analysis
+     bridge is enabled. *)
+  let src = select_src "(cc! proc(fce! fcc!) (count s fcc!))" in
+  let tmp, body = tmp_of (parse src) in
+  check tbool "returned closure escape is rejected" false (Alias.select_alias_ok ~tmp body);
+  let reduce () = Rewrite.reduce_app ~rules:Tml_query.Qopt.static_rules (parse src) in
+  check tint "σtrue kept" 1 (count_prim "select" (reduce ()));
+  Bridge.enabled := false;
+  let without =
+    Fun.protect ~finally:(fun () -> Bridge.enabled := true) reduce
+  in
+  check tint "σtrue kept with the bridge off" 1 (count_prim "select" without)
+
 (* ------------------------------------------------------------------ *)
 (* The optimizer bridge                                                *)
 (* ------------------------------------------------------------------ *)
@@ -215,24 +231,17 @@ let test_optimizer_uses_effect_remove () =
 let test_gated_constant_select () =
   (* acceptance case: σtrue whose temp flows through a β-bound reader used
      TWICE — β reduction cannot inline a multi-use abstraction, so the
-     region keeps its calls through a variable: alias_safe rejects it, the
-     flow analysis resolves the binding and accepts it *)
+     region keeps its calls through a variable: the flow analysis resolves
+     the binding and accepts it *)
   let src =
     select_src
       "(cont(reader) (reader s ce! cont(m) (reader s ce! cont(m2) (k! m m2))) \
        proc(q qce! qcc!) (count q cont(n) (qcc! n)))"
   in
-  let tmp, body = tmp_of (parse src) in
-  check tbool "syntactic walk rejects" false (Tml_query.Qrewrite.alias_safe tmp body);
   let reduce () = Rewrite.reduce_app ~rules:Tml_query.Qopt.static_rules (parse src) in
   let with_analysis = reduce () in
   check tint "analysis gate fires σtrue" 0 (count_prim "select" with_analysis);
-  Bridge.enabled := false;
-  let without = reduce () in
-  Bridge.enabled := true;
-  check tint "syntactic fallback keeps the select" 1 (count_prim "select" without);
-  (* the analysis gate must stay a superset: the fuzzer's minimized
-     mutation counterexample is still rejected *)
+  (* the fuzzer's minimized mutation counterexample is still rejected *)
   let mut =
     parse (select_src "(tuple 0 cont(t) (insert s t ce2! cont(u) (k! 0)))")
   in
@@ -294,6 +303,7 @@ let () =
           Alcotest.test_case "unknown call" `Quick test_escape_unknown_call;
           Alcotest.test_case "known reader flow" `Quick test_escape_known_reader_flow;
           Alcotest.test_case "closure capture" `Quick test_escape_capture;
+          Alcotest.test_case "closure returned" `Quick test_escape_closure_return;
         ] );
       ( "bridge",
         [

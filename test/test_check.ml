@@ -12,6 +12,9 @@ open Tml_check
 
 let () = Tml_query.Qprims.install ()
 
+(* no rule the battery exercises may fire anonymously *)
+let () = Rewrite.strict_names := true
+
 (* every optimizing engine runs with the pass-level validation hook on *)
 let engines = Oracle.engines ~validate:true
 

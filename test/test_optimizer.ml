@@ -142,19 +142,21 @@ let test_with_rules () =
 
 (* the incremental engine (normal-form memo + physical sharing + delta
    validation) must be a pure performance change: same results as the
-   legacy full-re-sweep engine, modulo the stamps freshened by inlining *)
+   memo-free full-re-sweep reducer, which the size gate forced to
+   [max_int] selects for every root, modulo the stamps freshened by
+   inlining *)
 let test_incremental_matches_legacy () =
   let rng = Random.State.make [| 31 |] in
+  let config = { Optimizer.o3 with Optimizer.validate = true } in
+  let memo_free f =
+    let saved = !Rewrite.memo_size_threshold in
+    Rewrite.memo_size_threshold := max_int;
+    Fun.protect ~finally:(fun () -> Rewrite.memo_size_threshold := saved) f
+  in
   for _ = 1 to 60 do
     let v = Gen.proc2 rng ~size:30 in
-    let inc =
-      { Optimizer.o3 with Optimizer.incremental = true; validate = true }
-    in
-    let leg =
-      { Optimizer.o3 with Optimizer.incremental = false; validate = true }
-    in
-    let vi, ri = Optimizer.optimize_value ~config:inc v in
-    let vl, rl = Optimizer.optimize_value ~config:leg v in
+    let vi, ri = Optimizer.optimize_value ~config v in
+    let vl, rl = memo_free (fun () -> Optimizer.optimize_value ~config v) in
     check tbool "same optimized term" true (Term.alpha_equal_by_name_value vi vl);
     check tint "same final cost" rl.Optimizer.cost_after ri.Optimizer.cost_after;
     check tint "same final size" rl.Optimizer.size_after ri.Optimizer.size_after
@@ -242,9 +244,7 @@ let test_delta_validation_catches_breakage () =
     | _ -> None
   in
   let config =
-    Optimizer.with_rules
-      { Optimizer.o2 with Optimizer.validate = true; incremental = true }
-      [ rogue ]
+    Optimizer.with_rules { Optimizer.o2 with Optimizer.validate = true } [ rogue ]
   in
   let v = parse_v "proc(x ce! cc!) (+ x 1 ce! cont(t) (cc! t))" in
   match Optimizer.optimize_value ~config v with

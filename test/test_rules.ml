@@ -102,7 +102,7 @@ let optimize_obs rules v =
   v', report.Optimizer.prov, Rewrite.fire_counts ()
 
 let assert_equiv what v =
-  let v1, p1, f1 = optimize_obs (Index.linear Qrewrite.declarative_rules) v in
+  let v1, p1, f1 = optimize_obs (List.map Dsl.to_rewrite Qrewrite.declarative_rules) v in
   let v2, p2, f2 = optimize_obs [ Index.compile Qrewrite.declarative_rules ] v in
   check tbool (what ^ ": same normal form") true (Term.alpha_equal_value v1 v2);
   check tbool (what ^ ": same provenance") true (Tml_obs.Provenance.equal p1 p2);

@@ -43,10 +43,6 @@ let only =
   | None -> None
   | Some s -> Some (String.split_on_char ',' s)
 
-(* one clock for everything: tracing spans, Profile pass timings (an
-   alias of the same ref) and the harness's own wall timings *)
-let () = Tml_obs.Trace.clock := Unix.gettimeofday
-
 (* every experiment runs inside a span; with --trace FILE the whole
    harness run becomes a Perfetto-loadable Chrome trace *)
 let trace_path =

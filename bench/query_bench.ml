@@ -49,8 +49,6 @@ let n_paged = getenv_int "TML_QUERY_BENCH_PAGED_ROWS" (if smoke_mode then 20_000
 let n_queries = if smoke_mode then 200 else 2000
 let n_naive_queries = if smoke_mode then 3 else 5
 
-let () = Tml_obs.Trace.clock := Unix.gettimeofday
-
 let json_rows : string list ref = ref []
 let json_add fmt = Printf.ksprintf (fun s -> json_rows := s :: !json_rows) fmt
 

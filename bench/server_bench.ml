@@ -156,6 +156,5 @@ let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Tml_vm.Runtime.install ();
   Tml_query.Qprims.install ();
-  Tml_obs.Trace.clock := Unix.gettimeofday;
   List.iter phase [ 1; 2; 4; 8; 16 ];
   tracing_overhead ()

@@ -24,9 +24,6 @@ let n_objects = getenv_int "TML_STORE_BENCH_OBJECTS" 2000
 let n_commits = getenv_int "TML_STORE_BENCH_COMMITS" 50
 let n_accesses = getenv_int "TML_STORE_BENCH_ACCESSES" 20000
 
-(* same clock as tracing and the optimizer profiler *)
-let () = Tml_obs.Trace.clock := Unix.gettimeofday
-
 let temp_store () =
   let path = Filename.temp_file "tml_store_bench" ".tmlstore" in
   Sys.remove path;

@@ -16,10 +16,6 @@ open Cmdliner
 
 let () = Tml_query.Qprims.install ()
 
-(* the core library defaults to Sys.time (no Unix dependency); the
-   binary upgrades the profiler to wall-clock time *)
-let () = Profile.clock := Unix.gettimeofday
-
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all
 

@@ -21,7 +21,6 @@ let () =
   let window_ms = ref 2.0 in
   let staged_cap = ref (16 * 1024 * 1024) in
   let fsync = ref true in
-  let stripe = ref (1 lsl 16) in
   let slow_ms = ref 0. in
   let slowlog_limit = ref 128 in
   let trace_chrome = ref "" in
@@ -40,7 +39,6 @@ let () =
         Arg.Set_int staged_cap,
         "BYTES per-session staged-byte cap (default 16 MiB; 0 = unlimited)" );
       "--no-fsync", Arg.Clear fsync, " do not fsync commits (benchmarks only)";
-      "--stripe", Arg.Set_int stripe, "N OIDs per session allocation stripe (default 65536)";
       ( "--slow-ms",
         Arg.Set_float slow_ms,
         "MS log Eval/Pull slower than MS to the persistent slow-query log (default off)" );
@@ -71,10 +69,8 @@ let () =
   in
   (* keep the optimizer profiler and provenance recorder running, as
      tmlsh does, so :stats / :explain work against a server too *)
-  Tml_core.Profile.clock := Unix.gettimeofday;
   Tml_core.Profile.enabled := true;
   Tml_obs.Provenance.enabled := true;
-  Tml_obs.Trace.clock := Unix.gettimeofday;
   Tml_vm.Vmprof.enabled := !prof;
   (* streaming sinks: closed (bracket emitted, buffers flushed) by the
      graceful drain below, so a SIGTERM'd daemon never leaves a
@@ -94,7 +90,6 @@ let () =
       commit_window = !window_ms /. 1000.;
       staged_cap = !staged_cap;
       fsync = !fsync;
-      stripe = !stripe;
       slow_ms = !slow_ms;
       slowlog_limit = !slowlog_limit;
     }

@@ -28,7 +28,6 @@ let interactive = Unix.isatty Unix.stdin
    is a clock read per optimizer pass plus one small log per optimized
    function *)
 let () =
-  Profile.clock := Unix.gettimeofday;
   Profile.enabled := true;
   Tml_obs.Provenance.enabled := true;
   Profile.register_metrics ();

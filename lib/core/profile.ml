@@ -31,9 +31,7 @@ let global = fresh ()
 let enabled = ref false
 
 (* The system-wide clock lives in the observability library so trace
-   timestamps, pass timings and bench measurements agree; the default is
-   still [Sys.time] (no Unix dependency down here) and binaries install a
-   wall clock at startup. *)
+   timestamps, pass timings and bench measurements agree. *)
 let clock = Tml_obs.Trace.clock
 
 let reset () =

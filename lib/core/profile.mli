@@ -29,9 +29,8 @@ val global : t
     optimizer skips all recording. *)
 val enabled : bool ref
 
-(** The time source, in seconds.  Defaults to [Sys.time] (CPU time — the
-    core library has no Unix dependency); binaries install
-    [Unix.gettimeofday] at startup for wall-clock numbers. *)
+(** The time source, in seconds: an alias of [Tml_obs.Trace.clock]
+    (wall-clock [Unix.gettimeofday] by default). *)
 val clock : (unit -> float) ref
 
 val reset : unit -> unit

@@ -33,10 +33,9 @@ let enabled = ref false
 let tid_source : (unit -> int) ref = ref (fun () -> 1)
 
 (* Single clock for the whole system: trace timestamps, [Profile] pass
-   timings and bench measurements all read this ref.  Defaults to
-   [Sys.time] (no Unix dependency down here); CLIs and bench install
-   [Unix.gettimeofday] at startup. *)
-let clock : (unit -> float) ref = ref Sys.time
+   timings, server phase timers and bench measurements all read this
+   ref.  Tests install a fake clock to make durations deterministic. *)
+let clock : (unit -> float) ref = ref Unix.gettimeofday
 
 let now_us () = !clock () *. 1e6
 

@@ -29,8 +29,8 @@ val enabled : bool ref
 val tid_source : (unit -> int) ref
 
 (** The single clock (seconds, as a float) shared by tracing,
-    {!Profile} pass timings and bench.  Defaults to [Sys.time];
-    executables install [Unix.gettimeofday] at startup. *)
+    {!Profile} pass timings, the server's phase timers and bench.
+    Defaults to [Unix.gettimeofday]; tests may install a fake one. *)
 val clock : (unit -> float) ref
 
 (** Current time in microseconds, per {!clock}. *)

@@ -3,6 +3,13 @@ open Term
 
 let static_rules = Qrewrite.algebraic_rules
 
+(* σ(field = key) over a relation known (at runtime) to carry a hash
+   index on that field becomes an [indexselect].  The relation must
+   appear as a literal OID, i.e. the term must already be linked against
+   the live store — which is exactly why this cannot happen at compile
+   time.  The key may be a literal or a variable bound at run time: the
+   probe then takes its key when it runs, and falls back to a scan when
+   the key has no literal form or the index is gone. *)
 let index_select ctx (a : app) =
   match a.func, a.args with
   | Prim "select", [ pred; (Lit (Literal.Oid rel_oid) as rel); ce; k ] -> (
@@ -41,11 +48,12 @@ let index_select ctx (a : app) =
    computation is read-only, so the two cannot communicate through the
    store.  Scope is preserved by requiring [t]'s only use to be the inner
    selection's source and OP's continuation parameters to be free in
-   neither the predicate nor the exception continuation. *)
+   neither the predicate nor the exception continuation.  Without the
+   analysis ([Tml_analysis.Bridge.enabled] off) the rule never fires. *)
 let select_past ctx (a : app) =
   match a.func, a.args with
   | Prim "select", [ (Abs qabs as q); (Lit (Literal.Oid rel_oid) as rel); ce; Abs kont ]
-    -> (
+    when !Tml_analysis.Bridge.enabled -> (
     match Tml_vm.Value.Heap.get_opt ctx.Tml_vm.Runtime.heap rel_oid with
     | Some (Tml_vm.Value.Relation _) -> (
       match kont.params, kont.body with
@@ -224,72 +232,53 @@ let join_order ctx (a : app) =
 
 (* The store-aware rules keep the closure escape hatch of the rule DSL:
    they close over a runtime context, so what the audit registry holds is
-   a representative descriptor (never executed there) while the optimizer
-   gets the live closure. *)
+   each rule over a closure that never fires, while the optimizer gets
+   the live closure.  [q.join-order] must precede [q.index-join]: the
+   indexed dispatcher keeps declaration order, and consuming the outer
+   join into an idxjoin first would hide the chain the reassociation
+   needs to see. *)
+let store_aware =
+  let open Tml_rules.Dsl in
+  [
+    ( "q.join-order",
+      "Reassociate a left-deep equi-join chain A ⋈ B ⋈ C into A ⋈ (B ⋈ C) \
+       when the per-relation cardinality statistics estimate the right-deep \
+       order at under 0.9× the cost (runtime-only: reads stats objects).",
+      Head_prim "join",
+      join_order );
+    ( "q.index-join",
+      "⋈(x.f1 = y.f2) whose inner relation carries a live persistent hash \
+       index on f2 becomes an idxjoin probe loop (runtime-only: needs the \
+       linked store).",
+      Head_prim "join",
+      index_join );
+    ( "q.index-select",
+      "σ(field = key) over a relation carrying a live hash index on that \
+       field becomes an indexselect probe; the key is a literal or a \
+       variable bound at run time (runtime-only: needs the linked store).",
+      Head_prim "select",
+      index_select );
+    ( "q.select-past",
+      "Hoist a base-relation selection past a read-only interposer so two \
+       selections become adjacent and merge-select can fuse them; gated on \
+       the effect analysis (pure, total, confined predicate).",
+      Head_prim "select",
+      select_past );
+  ]
 
-let index_select_doc =
-  "σ(field = key) over a relation carrying a live hash index on that \
-   field becomes an indexselect probe; the key is a literal or a \
-   variable bound at run time (runtime-only: needs the linked store)."
+let store_aware_rules rule_of =
+  List.map
+    (fun (name, doc, head, rule) ->
+      Tml_rules.Dsl.closure_rule ~name ~doc ~heads:[ head ] (rule_of rule))
+    store_aware
 
-let select_past_doc =
-  "Hoist a base-relation selection past a read-only interposer so two \
-   selections become adjacent and merge-select can fuse them; gated on \
-   the effect analysis (pure, total, confined predicate)."
-
-let index_join_doc =
-  "⋈(x.f1 = y.f2) whose inner relation carries a live persistent hash \
-   index on f2 becomes an idxjoin probe loop (runtime-only: needs the \
-   linked store)."
-
-let join_order_doc =
-  "Reassociate a left-deep equi-join chain A ⋈ B ⋈ C into A ⋈ (B ⋈ C) \
-   when the per-relation cardinality statistics estimate the right-deep \
-   order at under 0.9× the cost (runtime-only: reads stats objects)."
-
-let index_select_rule ctx =
-  Tml_rules.Dsl.closure_rule ~name:"q.index-select" ~doc:index_select_doc
-    ~heads:[ Tml_rules.Dsl.Head_prim "select" ] (index_select ctx)
-
-let select_past_rule ctx =
-  Tml_rules.Dsl.closure_rule ~name:"q.select-past" ~doc:select_past_doc
-    ~heads:[ Tml_rules.Dsl.Head_prim "select" ] (select_past ctx)
-
-let index_join_rule ctx =
-  Tml_rules.Dsl.closure_rule ~name:"q.index-join" ~doc:index_join_doc
-    ~heads:[ Tml_rules.Dsl.Head_prim "join" ] (index_join ctx)
-
-let join_order_rule ctx =
-  Tml_rules.Dsl.closure_rule ~name:"q.join-order" ~doc:join_order_doc
-    ~heads:[ Tml_rules.Dsl.Head_prim "join" ] (join_order ctx)
-
-let rule_descriptors =
-  Qrewrite.declarative_rules
-  @ [
-      Tml_rules.Dsl.closure_rule ~name:"q.join-order" ~doc:join_order_doc
-        ~heads:[ Tml_rules.Dsl.Head_prim "join" ]
-        (fun _ -> None);
-      Tml_rules.Dsl.closure_rule ~name:"q.index-join" ~doc:index_join_doc
-        ~heads:[ Tml_rules.Dsl.Head_prim "join" ]
-        (fun _ -> None);
-      Tml_rules.Dsl.closure_rule ~name:"q.index-select" ~doc:index_select_doc
-        ~heads:[ Tml_rules.Dsl.Head_prim "select" ]
-        (fun _ -> None);
-      Tml_rules.Dsl.closure_rule ~name:"q.select-past" ~doc:select_past_doc
-        ~heads:[ Tml_rules.Dsl.Head_prim "select" ]
-        (fun _ -> None);
-    ]
+let rule_descriptors = Qrewrite.declarative_rules @ store_aware_rules (fun _ _ -> None)
 
 let install () =
   Qprims.install ();
   Tml_rules.Index.register_all rule_descriptors
 
-(* [join_order] must precede [index_join]: the indexed dispatcher keeps
-   declaration order, and consuming the outer join into an idxjoin first
-   would hide the chain the reassociation needs to see. *)
-let declarative_runtime_rules ctx =
-  join_order_rule ctx :: index_join_rule ctx :: index_select_rule ctx
-  :: (if !Tml_analysis.Bridge.enabled then [ select_past_rule ctx ] else [])
+let declarative_runtime_rules ctx = store_aware_rules (fun rule -> rule ctx)
 
 let runtime_rules ctx = List.map Tml_rules.Dsl.to_rewrite (declarative_runtime_rules ctx)
 

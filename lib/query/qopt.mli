@@ -30,43 +30,12 @@ val static_plan : unit -> Rewrite.rule list
 val full_plan : Tml_vm.Runtime.ctx -> Rewrite.rule list
 
 (** Descriptors of every rule this library can fire (declarative query
-    rules plus representative descriptors for the two store-aware
-    closures), as registered by {!install}. *)
+    rules plus the store-aware rules over a closure that never fires),
+    as registered by {!install}. *)
 val rule_descriptors : Tml_rules.Dsl.rule list
 
-(** [index_select ctx] — σ(field = key) over a relation known (at
-    runtime) to carry a hash index on that field becomes an [indexselect].
-    The relation must appear as a literal OID, i.e. the term must already be
-    linked against the live store — which is exactly why this optimization
-    cannot happen at compile time.  The key may be a literal or a variable
-    bound at run time (a parameter of the enclosing function): the probe
-    then takes its key when it runs, and falls back to a scan when the
-    key has no literal form or the index is gone. *)
-val index_select : Tml_vm.Runtime.ctx -> Rewrite.rule
-
-(** [select_past ctx] — hoist a selection over a base relation past an
-    intervening read-only computation so two selections become adjacent
-    (and [Qrewrite.merge_select] can fuse them).  Gated on the effect
-    analysis: the hoisted selection's predicate must be provably pure,
-    terminating and fault-free, and the intervening computation read-only;
-    the relation must resolve (at runtime) to a live heap relation so the
-    selection itself cannot fault. *)
-val select_past : Tml_vm.Runtime.ctx -> Rewrite.rule
-
-(** [index_join ctx] — ⋈(x.f1 = y.f2) whose inner relation carries a live
-    persistent hash index on f2 becomes an [idxjoin] probe loop.  Like
-    [index_select], the inner relation must appear as a literal OID. *)
-val index_join : Tml_vm.Runtime.ctx -> Rewrite.rule
-
-(** [join_order ctx] — reassociate a left-deep equi-join chain
-    [A ⋈ B ⋈ C] into [A ⋈ (B ⋈ C)] when the per-relation cardinality
-    statistics (row counts and distinct-key sketches) estimate the
-    right-deep order as cheaper.  Row order and tuple layout of the
-    output are preserved; the provenance fact records the enabling
-    cardinalities and both cost estimates. *)
-val join_order : Tml_vm.Runtime.ctx -> Rewrite.rule
-
-(** [runtime_rules ctx] — all store-dependent rules ([select_past] only
+(** [runtime_rules ctx] — all store-dependent rules: [q.join-order],
+    [q.index-join], [q.index-select] and [q.select-past] (which fires only
     while [Tml_analysis.Bridge.enabled]). *)
 val runtime_rules : Tml_vm.Runtime.ctx -> Rewrite.rule list
 

@@ -173,47 +173,40 @@ let cache_summary oid optimized =
    consult the live heap, so their verification is the oracle battery, not
    a derived obligation).  Each declares its dispatch heads for the
    indexed matcher; a head set that under-declared would silently lose
-   fires, which the indexed≡linear property test would catch. *)
+   fires, which the indexed≡linear property test would catch.  The audit
+   registry holds each over a closure that never fires. *)
+let reflect_table =
+  let open Tml_rules.Dsl in
+  [
+    ( "reflect.store-fold",
+      "Fold a field read / size probe of an immutable store object (vector, \
+       tuple) to the literal it must produce.",
+      [ Head_prim "[]"; Head_prim "size" ],
+      fun ctx _ ~budget:_ ~count:_ -> store_fold ctx );
+    ( "reflect.inline-oid",
+      "Inline a stored function applied as a literal OID, closing over its \
+       literal R-value bindings (budgeted, size-limited).",
+      [ Head_oid ],
+      fun ctx config ~budget ~count ->
+        inline_oid ctx ~budget ~limit:config.inline_oid_limit ~count );
+    ( "reflect.inline-query-arg",
+      "Inline a stored function appearing as the procedure argument of a \
+       query operator, exposing its body to the algebraic rules.",
+      List.map (fun p -> Head_prim p) query_fn_arg_prims,
+      fun ctx config ~budget ~count ->
+        inline_query_arg ctx ~budget ~limit:config.inline_oid_limit ~count );
+  ]
 
-let store_fold_doc =
-  "Fold a field read / size probe of an immutable store object (vector, \
-   tuple) to the literal it must produce."
-
-let inline_oid_doc =
-  "Inline a stored function applied as a literal OID, closing over its \
-   literal R-value bindings (budgeted, size-limited)."
-
-let inline_query_arg_doc =
-  "Inline a stored function appearing as the procedure argument of a \
-   query operator, exposing its body to the algebraic rules."
+let reflect_rules_of rule_of =
+  List.map
+    (fun (name, doc, heads, rule) ->
+      Tml_rules.Dsl.closure_rule ~name ~doc ~heads (rule_of rule))
+    reflect_table
 
 let reflect_rules ctx config ~budget ~count =
-  let open Tml_rules.Dsl in
-  [
-    closure_rule ~name:"reflect.store-fold" ~doc:store_fold_doc
-      ~heads:[ Head_prim "[]"; Head_prim "size" ]
-      (store_fold ctx);
-    closure_rule ~name:"reflect.inline-oid" ~doc:inline_oid_doc ~heads:[ Head_oid ]
-      (inline_oid ctx ~budget ~limit:config.inline_oid_limit ~count);
-    closure_rule ~name:"reflect.inline-query-arg" ~doc:inline_query_arg_doc
-      ~heads:(List.map (fun p -> Head_prim p) query_fn_arg_prims)
-      (inline_query_arg ctx ~budget ~limit:config.inline_oid_limit ~count);
-  ]
+  reflect_rules_of (fun rule -> rule ctx config ~budget ~count)
 
-(* Representative descriptors for the audit registry (the closures are
-   never run there). *)
-let rule_descriptors =
-  let open Tml_rules.Dsl in
-  [
-    closure_rule ~name:"reflect.store-fold" ~doc:store_fold_doc
-      ~heads:[ Head_prim "[]"; Head_prim "size" ]
-      (fun _ -> None);
-    closure_rule ~name:"reflect.inline-oid" ~doc:inline_oid_doc ~heads:[ Head_oid ]
-      (fun _ -> None);
-    closure_rule ~name:"reflect.inline-query-arg" ~doc:inline_query_arg_doc
-      ~heads:(List.map (fun p -> Head_prim p) query_fn_arg_prims)
-      (fun _ -> None);
-  ]
+let rule_descriptors = reflect_rules_of (fun _ _ -> None)
 
 let () = Tml_rules.Index.register_all rule_descriptors
 

@@ -3,6 +3,8 @@ open Tml_vm
 open Tml_frontend
 module Ls = Tml_store.Log_store
 module Metrics = Tml_obs.Metrics
+module Trace = Tml_obs.Trace
+module Slowlog = Tml_obs.Slowlog
 
 type config = {
   store_path : string;
@@ -11,7 +13,6 @@ type config = {
   commit_window : float;
   staged_cap : int;
   fsync : bool;
-  stripe : int;
   slow_ms : float;  (* slow-query threshold in ms; 0 = log disabled *)
   slowlog_limit : int;
 }
@@ -24,7 +25,6 @@ let default_config ~store_path ~addr =
     commit_window = 0.002;
     staged_cap = 16 * 1024 * 1024;
     fsync = true;
-    stripe = 1 lsl 16;
     slow_ms = 0.;
     slowlog_limit = 128;
   }
@@ -56,9 +56,6 @@ type session_state = {
   ss_fd : Unix.file_descr;
   ss_pstore : Pstore.t;
   ss_repl : Repl.session;
-  mutable ss_base : int;  (* current OID allocation stripe *)
-  mutable ss_limit : int;
-  mutable ss_poisoned : string option;
   mutable ss_defined : bool;  (* manifest changed since the last commit *)
   mutable ss_staged_bytes : int;
   mutable ss_phase : string;  (* what the session is doing, for :top *)
@@ -70,6 +67,7 @@ type t = {
   log : Ls.t;
   listen_fd : Unix.file_descr;
   eval_lock : Mutex.t;
+  mutable next_oid : int;  (* the one OID allocation cursor; eval lock only *)
   (* committer *)
   qlock : Mutex.t;
   qcond : Condition.t;  (* work arrived / committer should stop *)
@@ -82,7 +80,6 @@ type t = {
   sessions : (int, session_state) Hashtbl.t;  (* live sessions, for :top *)
   mutable threads : Thread.t list;
   mutable next_session : int;
-  mutable next_base : int;
   mutable running : bool;
   mutable accept_thread : Thread.t option;
   mutable committer_thread : Thread.t option;
@@ -116,13 +113,6 @@ let active_sessions t =
   n
 
 let slowlog t = t.slowlog
-
-let alloc_stripe t =
-  Mutex.lock t.clock;
-  let b = t.next_base in
-  t.next_base <- b + t.config.stripe;
-  Mutex.unlock t.clock;
-  b
 
 exception Session_error of string
 
@@ -160,7 +150,7 @@ let submit_commit t ss (root, batch) =
         cr_batch = batch;
         cr_root = root;
         cr_epoch = Pstore.epoch ss.ss_pstore;
-        cr_enqueued = Unix.gettimeofday ();
+        cr_enqueued = !Trace.clock ();
         cr_result = None;
       }
     in
@@ -187,25 +177,34 @@ let locked m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-module Trace = Tml_obs.Trace
-module Slowlog = Tml_obs.Slowlog
-
 (* Take the eval lock with its two phases measured: how long this
    request queued behind other sessions' evals (the E13 p99 suspect)
    and how long it then kept everyone else out.  Both are histograms in
    the registry and, when tracing, spans in the request's trace. *)
 let eval_locked t f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = !Trace.clock () in
   Trace.with_span ~cat:"server" "eval_lock.wait" (fun () -> Mutex.lock t.eval_lock);
-  let t1 = Unix.gettimeofday () in
+  let t1 = !Trace.clock () in
   Metrics.observe t.m_lock_wait (t1 -. t0);
   Fun.protect
     ~finally:(fun () ->
-      Metrics.observe t.m_lock_hold (Unix.gettimeofday () -. t1);
+      Metrics.observe t.m_lock_hold (!Trace.clock () -. t1);
       Mutex.unlock t.eval_lock)
     (fun () -> Trace.with_span ~cat:"server" "eval_lock.hold" f)
 
 let heap_of ss = (Repl.ctx ss.ss_repl).Runtime.heap
+
+(* Run [f] under the eval lock with the session's heap allocating from
+   the one server-wide cursor: the heap first grows to [next_oid] (so it
+   can also fault whatever another session sealed below it), and on the
+   way out the cursor follows the heap.  Only a reclaimed read-only Eval
+   shrinks a heap, and never below where its section began, so the
+   cursor never moves back past an OID some session still holds. *)
+let session_locked t ss f =
+  let heap = heap_of ss in
+  eval_locked t (fun () ->
+      Value.Heap.reserve heap t.next_oid;
+      Fun.protect ~finally:(fun () -> t.next_oid <- Value.Heap.size heap) f)
 
 (* Taken before a TL Eval that may turn out to define no names: the heap
    size, and the two process-wide tables that could take one of the
@@ -231,24 +230,14 @@ let reclaimable mark batch =
   && List.for_all (fun (ix, _) -> ix >= mark.em_lo) batch
 
 (* After an eval: reclaim a read-only Eval's fresh objects ([mark] is
-   given for TL source that defined no names), refresh the staged-byte
-   figure the admission check reads, and keep the allocation cursor
-   inside this session's stripe — re-stripe at half use; past the end,
-   fresh OIDs may collide with another session's stripe, so the session
-   is poisoned (its commits refused) rather than allowed to corrupt the
-   store.  The poison check reads the size before reclamation. *)
+   given for TL source that defined no names) and refresh the
+   staged-byte figure the admission check reads. *)
 let after_eval t ss ?mark () =
-  let heap = heap_of ss in
-  let size = Value.Heap.size heap in
+  let size = Value.Heap.size (heap_of ss) in
   let batch = lazy (Pstore.collect ss.ss_pstore) in
-  if size > ss.ss_limit then
-    ss.ss_poisoned <-
-      Some
-        (Printf.sprintf "allocation stripe overflow (oid %d past %d)" (size - 1)
-           ss.ss_limit);
   let reclaimed =
     match mark with
-    | Some m when ss.ss_poisoned = None && reclaimable m (Lazy.force batch) ->
+    | Some m when reclaimable m (Lazy.force batch) ->
       Pstore.discard_from ss.ss_pstore m.em_lo;
       Tierup.forget ~lo:m.em_lo ~hi:size;
       Speccache.forget ~lo:m.em_lo ~hi:size;
@@ -257,13 +246,6 @@ let after_eval t ss ?mark () =
       true
     | _ -> false
   in
-  if ss.ss_poisoned = None && Value.Heap.size heap > ss.ss_base + (t.config.stripe / 2)
-  then begin
-    let base = alloc_stripe t in
-    Value.Heap.reserve heap base;
-    ss.ss_base <- base;
-    ss.ss_limit <- base + t.config.stripe
-  end;
   (* after a reclamation the batch held only the discarded objects *)
   if reclaimed then ss.ss_staged_bytes <- 0
   else if t.config.staged_cap > 0 then
@@ -343,7 +325,7 @@ type slow_probe = {
 
 let slow_probe ss =
   {
-    sp_t0 = Unix.gettimeofday ();
+    sp_t0 = !Trace.clock ();
     sp_steps = (Repl.ctx ss.ss_repl).Runtime.steps;
     sp_faults = !Relcore.page_faults;
     sp_probes = !Tml_query.Rel.index_probes;
@@ -355,7 +337,7 @@ let slow_probe ss =
    from the store). *)
 let note_slow t ss ?trace ~kind ~src ~rules probe =
   if t.config.slow_ms > 0. then begin
-    let dur = Unix.gettimeofday () -. probe.sp_t0 in
+    let dur = !Trace.clock () -. probe.sp_t0 in
     if dur *. 1000. >= t.config.slow_ms then begin
       let rules, facts = if rules then fired_rules ss src else ([], []) in
       let tier_runs = (Tierup.stats ()).Tierup.runs - probe.sp_tier_runs in
@@ -431,10 +413,7 @@ let render_top t =
       Printf.bprintf buf "  %-5d %-6d %-6d %-11d %-12d %s\n" ss.ss_id
         (Pstore.epoch ss.ss_pstore) ss.ss_requests
         (Pstore.uncommitted_count ss.ss_pstore)
-        ss.ss_staged_bytes
-        (match ss.ss_poisoned with
-        | Some _ -> "poisoned"
-        | None -> ss.ss_phase))
+        ss.ss_staged_bytes ss.ss_phase)
     (List.sort (fun a b -> compare a.ss_id b.ss_id) sessions);
   Buffer.contents buf
 
@@ -443,8 +422,6 @@ let render_top t =
 let eval_directive t ss line =
   match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
   | [ ":top" ] -> render_top t
-  | [ ":slow" ] -> Format.asprintf "%a" Slowlog.pp t.slowlog
-  | [ ":slow"; "json" ] -> Slowlog.to_json t.slowlog ^ "\n"
   | [ ":prof" ] -> Format.asprintf "%a" Vmprof.pp ()
   | [ ":prof"; "collapsed" ] -> Vmprof.collapsed ()
   | [ ":prof"; "reset" ] ->
@@ -472,56 +449,50 @@ let eval_directive t ss line =
   | _ -> sfail "unknown server directive %s" line
 
 let handle_eval t ss ?trace src =
-  match ss.ss_poisoned with
-  | Some why -> Wire.Error ("session poisoned: " ^ why ^ "; reconnect")
-  | None ->
-    if t.config.staged_cap > 0 && ss.ss_staged_bytes > t.config.staged_cap then
-      Wire.Busy
-        (Printf.sprintf "staged bytes %d exceed per-session cap %d; commit first"
-           ss.ss_staged_bytes t.config.staged_cap)
-    else begin
-      Metrics.inc t.m_evals;
-      eval_locked t (fun () ->
-          let probe = slow_probe ss in
-          let out, mark =
-            let line = String.trim src in
-            if line <> "" && line.[0] = ':' then (eval_directive t ss line, None)
-            else begin
-              let mark = mark_eval ss in
-              let r = Repl.feed ss.ss_repl src in
-              (* defining (or redefining) names dirties the manifest:
-                 this session's next commit must stage and re-root it *)
-              if r.Repl.defined <> [] then ss.ss_defined <- true;
-              (render_feed r, if r.Repl.defined = [] then Some mark else None)
-            end
-          in
-          after_eval t ss ?mark ();
-          note_slow t ss ?trace ~kind:"eval" ~src ~rules:true probe;
-          Wire.Result out)
-    end
+  if t.config.staged_cap > 0 && ss.ss_staged_bytes > t.config.staged_cap then
+    Wire.Busy
+      (Printf.sprintf "staged bytes %d exceed per-session cap %d; commit first"
+         ss.ss_staged_bytes t.config.staged_cap)
+  else begin
+    Metrics.inc t.m_evals;
+    session_locked t ss (fun () ->
+        let probe = slow_probe ss in
+        let out, mark =
+          let line = String.trim src in
+          if line <> "" && line.[0] = ':' then (eval_directive t ss line, None)
+          else begin
+            let mark = mark_eval ss in
+            let r = Repl.feed ss.ss_repl src in
+            (* defining (or redefining) names dirties the manifest:
+               this session's next commit must stage and re-root it *)
+            if r.Repl.defined <> [] then ss.ss_defined <- true;
+            (render_feed r, if r.Repl.defined = [] then Some mark else None)
+          end
+        in
+        after_eval t ss ?mark ();
+        note_slow t ss ?trace ~kind:"eval" ~src ~rules:true probe;
+        Wire.Result out)
+  end
 
 let handle_commit t ss ?trace () =
-  match ss.ss_poisoned with
-  | Some why -> Wire.Error ("session poisoned: " ^ why ^ "; reconnect")
-  | None -> (
-    let prepared = eval_locked t (fun () -> prepare_commit ss) in
-    match Trace.with_span ~cat:"server" "commit.submit" (fun () ->
-              submit_commit t ss prepared)
-    with
-    | Cr_committed { epoch; objects; group; gid; _ } ->
-      (* the join record between this request's trace and the fsync
-         group that sealed it; an empty commit joined no group *)
-      if gid > 0 then
-        Trace.instant ~cat:"server" "commit.sealed"
-          ~args:
-            [
-              ("session", Trace.Int ss.ss_id);
-              ("trace", Trace.Int (match trace with Some tc -> tc.Wire.tc_id | None -> 0));
-              ("group", Trace.Int gid);
-              ("epoch", Trace.Int epoch);
-            ];
-      Wire.Committed { epoch; objects; group }
-    | Cr_conflict oid -> Wire.Conflict { oid })
+  let prepared = session_locked t ss (fun () -> prepare_commit ss) in
+  match Trace.with_span ~cat:"server" "commit.submit" (fun () ->
+            submit_commit t ss prepared)
+  with
+  | Cr_committed { epoch; objects; group; gid; _ } ->
+    (* the join record between this request's trace and the fsync
+       group that sealed it; an empty commit joined no group *)
+    if gid > 0 then
+      Trace.instant ~cat:"server" "commit.sealed"
+        ~args:
+          [
+            ("session", Trace.Int ss.ss_id);
+            ("trace", Trace.Int (match trace with Some tc -> tc.Wire.tc_id | None -> 0));
+            ("group", Trace.Int gid);
+            ("epoch", Trace.Int epoch);
+          ];
+    Wire.Committed { epoch; objects; group }
+  | Cr_conflict oid -> Wire.Conflict { oid }
 
 let handle_stat ss =
   Wire.Stats
@@ -580,8 +551,8 @@ let handle_req t ss ?trace req =
     | Wire.Eval src -> handle_eval t ss ?trace src
     | Wire.Commit -> handle_commit t ss ?trace ()
     | Wire.Stat -> handle_stat ss
-    | Wire.Explain name -> eval_locked t (fun () -> handle_explain ss name)
-    | Wire.Fetch name -> eval_locked t (fun () -> handle_fetch ss name)
+    | Wire.Explain name -> session_locked t ss (fun () -> handle_explain ss name)
+    | Wire.Fetch name -> session_locked t ss (fun () -> handle_fetch ss name)
     | Wire.Pull oid -> handle_pull t ss ?trace oid
     | Wire.Slowlog { json } ->
       Wire.Stats
@@ -605,22 +576,20 @@ let handle_req t ss ?trace req =
 
 let open_session t ~id ~fd =
   eval_locked t (fun () ->
-      let base = alloc_stripe t in
-      let pstore = Pstore.open_snapshot t.log ~alloc_base:base in
+      let pstore = Pstore.open_snapshot t.log ~alloc_base:t.next_oid in
       match Repl.restore ~preserve_caches:true pstore with
       | exception e ->
         Pstore.close pstore;
         raise e
       | repl ->
+        (* restoring the manifest may allocate: the cursor follows *)
+        t.next_oid <- Value.Heap.size (Pstore.heap pstore);
         let ss =
           {
             ss_id = id;
             ss_fd = fd;
             ss_pstore = pstore;
             ss_repl = repl;
-            ss_base = base;
-            ss_limit = base + t.config.stripe;
-            ss_poisoned = None;
             ss_defined = false;
             ss_staged_bytes = 0;
             ss_phase = "idle";
@@ -732,7 +701,7 @@ let process_group t group =
   t.next_gid <- gid + 1;
   (* how long each request sat in the queue before its group started:
      the batching-window share of commit latency *)
-  let started = Unix.gettimeofday () in
+  let started = !Trace.clock () in
   List.iter (fun req -> Metrics.observe t.m_group_wait (started -. req.cr_enqueued)) group;
   Trace.with_span ~cat:"server"
     ~args:[ ("group", Trace.Int gid); ("requests", Trace.Int (List.length group)) ]
@@ -778,7 +747,7 @@ let process_group t group =
     Metrics.inc t.m_group_commits;
     let epoch = Ls.seq t.log in
     let n = List.length !winners in
-    let now = Unix.gettimeofday () in
+    let now = !Trace.clock () in
     List.iter
       (fun req ->
         Metrics.inc t.m_commits;
@@ -935,13 +904,13 @@ let start config =
   bootstrap config;
   let log = Ls.open_ ~fsync:config.fsync config.store_path in
   let listen_fd = listen_on config.addr in
-  let round_up n k = (n + k - 1) / k * k in
   let t =
     {
       config;
       log;
       listen_fd;
       eval_lock = Mutex.create ();
+      next_oid = Ls.max_oid log + 1;
       qlock = Mutex.create ();
       qcond = Condition.create ();
       done_cond = Condition.create ();
@@ -952,7 +921,6 @@ let start config =
       sessions = Hashtbl.create 32;
       threads = [];
       next_session = 0;
-      next_base = round_up (Ls.max_oid log + 1) config.stripe;
       running = true;
       accept_thread = None;
       committer_thread = None;

@@ -25,15 +25,17 @@
     concurrency win lives; warm specializations made by one session serve
     every other ([Repl.restore ~preserve_caches:true]).
 
-    New OIDs are allocated from per-session {e stripes} handed out by the
-    server, so concurrent sessions never collide on fresh OIDs; a session
-    that overruns its stripe faster than it can be re-striped is poisoned
-    (its commits are refused) rather than allowed to corrupt the store.
+    New OIDs come from one server-wide allocation cursor, moved only
+    under the eval lock: before a session evaluates, its heap grows to
+    the cursor, so concurrent sessions never collide on fresh OIDs and
+    every session can fault any object sealed at its pinned epoch,
+    whichever session allocated it.
 
     An [Eval] that defines no names and changes no older object leaves
     nothing behind: once its reply is rendered, its fresh objects are
-    dropped and the session's allocation cursor moves back, so a
-    read-only session stages nothing and its [Commit] seals nothing. *)
+    dropped and the allocation cursor moves back to where the [Eval]
+    began, so a read-only session stages nothing and its [Commit] seals
+    nothing. *)
 
 type config = {
   store_path : string;
@@ -42,7 +44,6 @@ type config = {
   commit_window : float;  (** seconds the committer waits to batch a group *)
   staged_cap : int;  (** per-session staged-byte cap; [Eval] past it gets [Busy] *)
   fsync : bool;
-  stripe : int;  (** OIDs per session allocation stripe *)
   slow_ms : float;
       (** [Eval]/[Pull] requests slower than this (milliseconds) land in
           the persistent slow-query log ([store_path ^ ".slowlog"]);
@@ -52,8 +53,7 @@ type config = {
 
 val default_config : store_path:string -> addr:Wire.addr -> config
 (** [max_clients = 64], [commit_window = 2ms], [staged_cap = 16 MiB],
-    [fsync = true], [stripe = 65536], [slow_ms = 0.] (off),
-    [slowlog_limit = 128] *)
+    [fsync = true], [slow_ms = 0.] (off), [slowlog_limit = 128] *)
 
 type t
 

@@ -41,9 +41,9 @@ let load name level =
 
 let run_loaded ?(engine = `Machine) (program : Link.program) =
   let before_out = String.length (Link.output program) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = !Tml_obs.Trace.clock () in
   let outcome, steps = Link.run_main program ~engine () in
-  let t1 = Unix.gettimeofday () in
+  let t1 = !Tml_obs.Trace.clock () in
   let full = Link.output program in
   let output = String.sub full before_out (String.length full - before_out) in
   { outcome; steps; output; wall_ns = (t1 -. t0) *. 1e9 }

@@ -43,8 +43,19 @@ let cached_clean_count t = Lru.length t.lru
 let set_fsync t b = Ls.set_fsync t.store b
 let check_open t = if t.closed then fail "persistent store %s is closed" (path t)
 
+(* Past the watermark sit this session's fresh objects but also, on a
+   shared log, objects other sessions sealed and this one faulted: only
+   an object with no sealed version is staged. *)
 let uncommitted_count t =
-  Hashtbl.length t.dirty + max 0 (Value.Heap.size t.heap - t.watermark)
+  let fresh = ref 0 in
+  for ix = t.watermark to Value.Heap.size t.heap - 1 do
+    if
+      (not (Hashtbl.mem t.dirty ix))
+      && Value.Heap.is_loaded t.heap (Oid.of_int ix)
+      && Ls.latest_seq t.store ix = None
+    then incr fresh
+  done;
+  Hashtbl.length t.dirty + !fresh
 
 (* Mutable objects observed through an access may be updated in place
    behind the heap's back, so any access dirties them; immutable kinds
@@ -214,7 +225,7 @@ let to_write_oids t =
   let to_write = Hashtbl.create 64 in
   Hashtbl.iter (fun ix () -> Hashtbl.replace to_write ix ()) t.dirty;
   for ix = t.watermark to Value.Heap.size t.heap - 1 do
-    Hashtbl.replace to_write ix ()
+    if Value.Heap.is_loaded t.heap (Oid.of_int ix) then Hashtbl.replace to_write ix ()
   done;
   List.sort compare (Hashtbl.fold (fun ix () acc -> ix :: acc) to_write [])
 
@@ -257,10 +268,12 @@ let commit ?root t =
 
 (* Encode everything a commit would write, without staging or sealing:
    the server enqueues the batch with the group committer instead.
-   Pre-existing objects whose encoding equals the version this session
-   faulted them from were only {e read} (mutable kinds are conservatively
-   dirtied on access) — they are dropped from the batch and remembered so
-   {!mark_committed} can evict rather than retain a stale copy. *)
+   Objects whose encoding equals the version this session faulted them
+   from were only {e read} (mutable kinds are conservatively dirtied on
+   access) — they are dropped from the batch and remembered so
+   {!mark_committed} can evict rather than retain a stale copy.  That
+   holds at any OID: on a shared log, objects other sessions sealed can
+   sit past this session's watermark. *)
 let collect t =
   check_open t;
   t.skipped <- [];
@@ -270,8 +283,6 @@ let collect t =
       | None -> None
       | Some payload ->
         if
-          ix < t.watermark
-          &&
           match backing_read t ix with
           | Some sealed -> String.equal sealed payload
           | None -> false

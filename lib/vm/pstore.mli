@@ -47,10 +47,11 @@ val open_snapshot :
     already-open (possibly shared) log: it pins a
     {!Tml_store.Log_store.snapshot} at the current committed epoch and
     faults every object from that epoch, so concurrent commits by other
-    sessions are invisible.  New allocations start at [alloc_base] — the
-    server hands each session a disjoint OID stripe so concurrently
-    staged objects never collide.  {!commit} is refused on such a store;
-    use {!collect} / {!mark_committed} with a group committer.
+    sessions are invisible.  New allocations start at [alloc_base]: the
+    server passes its one allocation cursor, and keeps every session heap
+    grown to it ({!Value.Heap.reserve}) so concurrently staged objects
+    never collide.  {!commit} is refused on such a store; use {!collect}
+    / {!mark_committed} with a group committer.
     @raise Store_error if [alloc_base] overlaps already-sealed OIDs *)
 
 val close : t -> unit
@@ -125,8 +126,10 @@ val dirty_count : t -> int
 (** objects pinned for the next commit *)
 
 val uncommitted_count : t -> int
-(** dirty plus never-committed objects — what a commit (or {!collect})
-    would consider writing; what [tmlsh] warns about on exit *)
+(** dirty objects plus loaded objects past the watermark that have no
+    sealed version — what a commit (or {!collect}) would consider
+    writing.  Objects another session sealed and this one faulted do not
+    count, wherever their OIDs fall. *)
 
 val object_faults : Tml_obs.Metrics.counter
 (** the registry counter [store.object_faults]: objects decoded from a

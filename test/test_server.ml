@@ -26,24 +26,23 @@ let temp_path suffix =
   path
 
 let config ?(max_clients = 64) ?(window = 0.05) ?(staged_cap = 16 * 1024 * 1024)
-    ?(stripe = 4096) ?(slow_ms = 0.) ?(slowlog_limit = 128) ~store ~sock () =
+    ?(slow_ms = 0.) ?(slowlog_limit = 128) ~store ~sock () =
   {
     (Server.default_config ~store_path:store ~addr:(Wire.Unix_path sock)) with
     Server.max_clients;
     commit_window = window;
     staged_cap;
     fsync = false;
-    stripe;
     slow_ms;
     slowlog_limit;
   }
 
-let with_server ?max_clients ?window ?staged_cap ?stripe ?slow_ms ?slowlog_limit f =
+let with_server ?max_clients ?window ?staged_cap ?slow_ms ?slowlog_limit f =
   let store = temp_path ".tmlstore" in
   let sock = temp_path ".sock" in
   let t =
     Server.start
-      (config ?max_clients ?window ?staged_cap ?stripe ?slow_ms ?slowlog_limit ~store ~sock ())
+      (config ?max_clients ?window ?staged_cap ?slow_ms ?slowlog_limit ~store ~sock ())
   in
   Fun.protect
     ~finally:(fun () ->
@@ -143,6 +142,17 @@ let test_group_commit_amortization () =
         in
         check tbool "some group batched at least half the clients" true
           (Array.exists (fun g -> g >= n / 2) groups)
+      done;
+      (* once repinned, the first client to connect reads every other
+         client's last row, wherever the server allocated it *)
+      ignore (commit_ok clients.(0));
+      for k = 0 to n - 1 do
+        check tint
+          (Printf.sprintf "r%d's round-%d row visible" k rounds)
+          1
+          (int_result
+             (eval_ok clients.(0)
+                (Printf.sprintf "count(select x from x in r%d where x.1 == %d end)" k rounds)))
       done;
       Array.iter Client.close clients;
       let commits = Metrics.counter_value (Metrics.counter "server.commits") - commits0 in
@@ -608,6 +618,93 @@ let test_commit_spans_carry_group_id () =
           let tids = List.sort_uniq compare (List.map (fun ev -> ev.Trace.ev_tid) events) in
           check tbool "spans span multiple threads" true (List.length tids >= 2)))
 
+(* --- one allocation cursor ------------------------------------------ *)
+
+(* A session that connected before a writer still faults the writer's
+   rows once its pin moves past the writer's commit. *)
+let test_reader_faults_later_writers_rows () =
+  with_server (fun addr _t ->
+      let setup = Client.connect addr in
+      ignore (eval_ok setup "let r = relation(tuple(1, 10), tuple(2, 20))");
+      ignore (commit_ok setup);
+      Client.close setup;
+      let reader = Client.connect addr in
+      let writer = Client.connect addr in
+      ignore (eval_ok writer "do insert(r, tuple(3, 30)) end");
+      ignore (commit_ok writer);
+      (* an empty commit: nothing to seal, it only moves the pin *)
+      ignore (commit_ok reader);
+      check tint "reader reads the writer's row" 1
+        (int_result (eval_ok reader "count(select x from x in r where x.2 == 30 end)"));
+      Client.close reader;
+      Client.close writer)
+
+(* One Eval may allocate any number of OIDs. *)
+let test_large_eval_commits () =
+  with_server (fun addr _t ->
+      let c = Client.connect addr in
+      ignore (eval_ok c "let big = relation(tuple(0, 0))");
+      ignore (commit_ok c);
+      ignore (eval_ok c "do for i = 1 upto 70000 do insert(big, tuple(i, i)) end end");
+      let _, objects, _ = commit_ok c in
+      check tbool "the commit seals the inserted rows" true (objects > 70000);
+      Client.close c;
+      let fresh = Client.connect addr in
+      check tint "a fresh session counts every row" 70001
+        (int_result (eval_ok fresh "count(big)"));
+      Client.close fresh)
+
+(* A reader's heap grows over the OIDs another session allocates, but
+   none of them is the reader's to commit. *)
+let test_reader_stages_nothing_beside_writer () =
+  with_server (fun addr _t ->
+      let setup = Client.connect addr in
+      ignore (eval_ok setup "let r = relation(tuple(1, 10), tuple(2, 20))");
+      ignore (commit_ok setup);
+      Client.close setup;
+      let reader = Client.connect addr in
+      let writer = Client.connect addr in
+      ignore (eval_ok writer "do for i = 1 upto 50 do insert(r, tuple(i, i)) end end");
+      ignore (commit_ok writer);
+      check tint "pinned reader counts the seeded rows" 2
+        (int_result (eval_ok reader "count(r)"));
+      check tint "reader stages nothing" 0 (staged_objects reader);
+      Client.close reader;
+      Client.close writer)
+
+(* Objects another session sealed in the same group as this session's
+   commit sit past this session's watermark once it repins: reading them
+   stages nothing. *)
+let test_read_past_watermark_stages_nothing () =
+  with_server ~window:0.5 (fun addr _t ->
+      let setup = Client.connect addr in
+      ignore (eval_ok setup "let r = relation(tuple(1, 10), tuple(2, 20))");
+      ignore (eval_ok setup "let s = relation(tuple(0, 0))");
+      ignore (commit_ok setup);
+      Client.close setup;
+      let reader = Client.connect addr in
+      let writer = Client.connect addr in
+      ignore (eval_ok reader "do insert(s, tuple(1, 1)) end");
+      (* the reader stages its commit first; the writer allocates after
+         it and joins the same group *)
+      let reader_commit = ref None in
+      let th = Thread.create (fun () -> reader_commit := Some (Client.commit reader)) () in
+      Thread.delay 0.1;
+      ignore (eval_ok writer "do insert(r, tuple(3, 30)) end");
+      ignore (commit_ok writer);
+      Thread.join th;
+      (match !reader_commit with
+      | Some (Ok (Client.Committed { group; _ })) ->
+        check tint "both commits share one group" 2 group
+      | _ -> Alcotest.fail "the reader's commit failed");
+      check tint "reader reads the writer's row" 1
+        (int_result (eval_ok reader "count(select x from x in r where x.2 == 30 end)"));
+      check tint "reader stages nothing" 0 (staged_objects reader);
+      let _, objects, _ = commit_ok reader in
+      check tint "its next commit seals nothing" 0 objects;
+      Client.close reader;
+      Client.close writer)
+
 let () =
   (* a server tearing down a connection mid-write must surface as EPIPE,
      not kill the whole test binary *)
@@ -658,5 +755,16 @@ let () =
           Alcotest.test_case "gates keep their objects across a restart" `Quick
             test_reclamation_gates;
           Alcotest.test_case "vm profile table bounded" `Quick test_vmprof_table_bounded;
+        ] );
+      ( "cursor",
+        [
+          Alcotest.test_case "reader faults a later writer's rows" `Quick
+            test_reader_faults_later_writers_rows;
+          Alcotest.test_case "one eval allocates past 65536 OIDs" `Quick
+            test_large_eval_commits;
+          Alcotest.test_case "reader stages nothing beside a writer" `Quick
+            test_reader_stages_nothing_beside_writer;
+          Alcotest.test_case "reading past the watermark stages nothing" `Quick
+            test_read_past_watermark_stages_nothing;
         ] );
     ]

@@ -165,7 +165,7 @@ let submit_commit t ss (root, batch) =
     (match result with
     | Cr_committed { sn; _ } ->
       (* the session thread is the only user of its pstore, and it is
-         right here — safe to repin and flush its caches *)
+         right here — safe to repin and drop what others sealed *)
       Pstore.mark_committed ss.ss_pstore sn;
       ss.ss_defined <- false;
       ss.ss_staged_bytes <- 0
@@ -387,10 +387,13 @@ let render_top t =
     (Metrics.counter_value t.m_conflicts)
     (Metrics.counter_value t.m_slow)
     (Metrics.counter_value t.m_busy);
-  Printf.bprintf buf "reclaimed: %d read-only evals, %d objects; store: %d object faults\n"
+  Printf.bprintf buf
+    "reclaimed: %d read-only evals, %d objects; store: %d object faults, %d cache \
+     invalidations\n"
     (Metrics.counter_value t.m_evals_reclaimed)
     (Metrics.counter_value t.m_objects_reclaimed)
-    (Metrics.counter_value Pstore.object_faults);
+    (Metrics.counter_value Pstore.object_faults)
+    (Metrics.counter_value Pstore.cache_invalidations);
   Printf.bprintf buf "phases (seconds):\n";
   let hist name h =
     Printf.bprintf buf "  %-22s count %-8d p50 %.6f  p99 %.6f\n" name

@@ -8,7 +8,12 @@ let magic = "TMLLOG1\n"
    newest first, each version tagged with the sequence number of the
    commit that sealed it.  Old versions are kept only while a snapshot
    pinned at an epoch that can still see them exists; with no pins the
-   chain is always a single entry. *)
+   chain is always a single entry.
+
+   The journal lists, newest first, the OIDs each commit sealed while
+   an older pin existed.  Only journaled OIDs can have more than one
+   version, so it is both the pinned readers' invalidation feed
+   ([written_after]) and the set of chains a release may shorten. *)
 type entry = {
   e_off : int;  (* absolute file offset of the payload bytes *)
   e_len : int;
@@ -34,7 +39,11 @@ type t = {
   mutable fsync : bool;
   mutable closed : bool;
   mutable pins : snapshot list;  (* active snapshots *)
-  lock : Mutex.t;  (* guards the directory, the file cursor and the pins *)
+  mutable journal : (int * int list) list;
+      (* (seq, OIDs sealed), newest first: every commit newer than the
+         oldest pin, and only those *)
+  mutable sealed_max : int;  (* highest sealed OID; -1 when empty *)
+  lock : Mutex.t;  (* guards the directory, the file cursor, the pins and the journal *)
   stats : Store_stats.t;
 }
 
@@ -66,9 +75,7 @@ let head_entry t oid =
 let mem t oid =
   locked t (fun () -> Hashtbl.mem t.staged oid || Hashtbl.mem t.dir oid)
 
-let max_oid_u t =
-  let m = Hashtbl.fold (fun oid _ acc -> max oid acc) t.dir (-1) in
-  Hashtbl.fold (fun oid _ acc -> max oid acc) t.staged m
+let max_oid_u t = Hashtbl.fold (fun oid _ acc -> max oid acc) t.staged t.sealed_max
 
 let max_oid t = locked t (fun () -> max_oid_u t)
 
@@ -106,34 +113,54 @@ let prune_chain min_pin es =
     in
     keep es
 
-let prune_all_u t =
-  let m = min_pin_u t in
-  let shrunk =
-    Hashtbl.fold
-      (fun oid es acc ->
-        let es' = prune_chain m es in
-        if List.compare_lengths es es' <> 0 then (oid, es') :: acc else acc)
-      t.dir []
-  in
-  List.iter (fun (oid, es) -> Hashtbl.replace t.dir oid es) shrunk
-
 let pin t =
   locked t (fun () ->
       check_open t;
-      let sealed_max = Hashtbl.fold (fun oid _ acc -> max oid acc) t.dir (-1) in
       let sn =
-        { sn_seq = t.seq; sn_root = t.sroot; sn_max_oid = sealed_max; sn_active = true }
+        { sn_seq = t.seq; sn_root = t.sroot; sn_max_oid = t.sealed_max; sn_active = true }
       in
       t.pins <- sn :: t.pins;
       sn)
 
+(* Once the oldest pin moves to [m] (or no pin is left), the journal
+   entries at or below [m] expire, and only their chains can hold a
+   version no pin sees any more. *)
 let release t sn =
   locked t (fun () ->
       if sn.sn_active then begin
         sn.sn_active <- false;
+        let before = min_pin_u t in
         t.pins <- List.filter (fun s -> s != sn) t.pins;
-        prune_all_u t
+        let m = min_pin_u t in
+        if m <> before then begin
+          let expired, kept =
+            List.partition
+              (fun (s, _) -> match m with None -> true | Some m -> s <= m)
+              t.journal
+          in
+          t.journal <- kept;
+          List.iter
+            (fun (_, oids) ->
+              List.iter
+                (fun oid ->
+                  match Hashtbl.find_opt t.dir oid with
+                  | Some es -> Hashtbl.replace t.dir oid (prune_chain m es)
+                  | None -> ())
+                oids)
+            expired
+        end
       end)
+
+let written_after t sn =
+  locked t (fun () ->
+      if not sn.sn_active then fail "snapshot (epoch %d) released" sn.sn_seq;
+      List.sort_uniq compare
+        (List.concat_map
+           (fun (s, oids) -> if s > sn.sn_seq then oids else [])
+           t.journal))
+
+let version_count t =
+  locked t (fun () -> Hashtbl.fold (fun _ es acc -> acc + List.length es) t.dir 0)
 
 (* ------------------------------------------------------------------ *)
 (* Low-level file I/O                                                   *)
@@ -281,6 +308,8 @@ let make ~path ~fd ~dir ~tail ~seq ~root ~fsync =
     fsync;
     closed = false;
     pins = [];
+    journal = [];
+    sealed_max = Hashtbl.fold (fun oid _ acc -> max oid acc) dir (-1);
     lock = Mutex.create ();
     stats = Store_stats.create ();
   }
@@ -319,6 +348,7 @@ let close t =
         t.closed <- true;
         List.iter (fun sn -> sn.sn_active <- false) t.pins;
         t.pins <- [];
+        t.journal <- [];
         Unix.close t.fd
       end)
 
@@ -407,8 +437,10 @@ let commit ?root t =
         List.iter
           (fun (oid, e) ->
             let old = Option.value ~default:[] (Hashtbl.find_opt t.dir oid) in
-            Hashtbl.replace t.dir oid (e :: prune_chain min_pin old))
+            Hashtbl.replace t.dir oid (prune_chain min_pin (e :: old));
+            t.sealed_max <- max t.sealed_max oid)
           located;
+        if t.pins <> [] then t.journal <- (seq', List.map fst located) :: t.journal;
         t.tail <- t.tail + Buffer.length buf;
         t.seq <- seq';
         t.sroot <- new_root;

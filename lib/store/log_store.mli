@@ -76,16 +76,32 @@ val iter_live : (int -> string -> unit) -> t -> unit
     ({!seq}): reads through it resolve every OID to the newest version
     sealed {e at or before} that epoch, never to a staged put and never
     to a later commit.  Superseded versions are retained while any
-    snapshot that can see them is pinned and pruned on {!release}. *)
+    snapshot that can see them is pinned and pruned on {!release}.
+
+    While any snapshot is pinned, each commit also records the OIDs it
+    sealed in a {e write journal}.  An entry lives as long as some pin
+    is older than its commit: it is what {!written_after} reads, and the
+    only chains a {!release} has to prune. *)
 
 type snapshot
 
 val pin : t -> snapshot
-(** pin a read view at the current committed epoch *)
+(** pin a read view at the current committed epoch; constant time (the
+    highest sealed OID is maintained, not computed) *)
 
 val release : t -> snapshot -> unit
-(** drop the pin and prune versions no remaining snapshot can see;
-    idempotent *)
+(** drop the pin; idempotent.  When that moves the oldest pin (or
+    releases the last one), the journal entries no remaining pin is
+    older than expire, and their OIDs' chains are pruned to the
+    versions the remaining pins can see.  Any other release prunes
+    nothing. *)
+
+val written_after : t -> snapshot -> int list
+(** [written_after t sn] — every OID sealed by a commit after [sn]'s
+    epoch, ascending and without duplicates: what a session pinned at
+    [sn] must stop trusting in its cache when it moves to a newer pin.
+    Read it before releasing [sn].
+    @raise Store_error if the snapshot was released *)
 
 val snapshot_seq : snapshot -> int
 (** the pinned epoch *)
@@ -117,6 +133,11 @@ val max_oid : t -> int
 (** highest OID present (staged or sealed); -1 when empty *)
 
 val object_count : t -> int
+
+val version_count : t -> int
+(** sealed versions held in the directory, over every OID: equal to
+    {!object_count} when nothing is pinned *)
+
 val seq : t -> int
 
 val file_bytes : t -> int

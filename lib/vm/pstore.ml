@@ -11,7 +11,7 @@ type t = {
   store : Ls.t;
   heap : Value.Heap.heap;
   capacity : int;  (* max clean cached objects; <= 0 means unbounded *)
-  lru : Lru.t;
+  lru : Lru.t;  (* recency of clean objects, kept only under a capacity *)
   dirty : (int, unit) Hashtbl.t;
   mutable watermark : int;  (* OIDs >= watermark have never been committed *)
   mutable in_fault : int;  (* depth of nested faults; suppresses hook bookkeeping *)
@@ -19,7 +19,7 @@ type t = {
   owns_log : bool;  (* snapshot sessions share the server's log; closing
                        them must not close it *)
   mutable snap : Ls.snapshot option;  (* pinned read view, when snapshot-backed *)
-  mutable skipped : int list;  (* dirty-but-unchanged OIDs of the last collect *)
+  mutable batch_oids : int list;  (* the OIDs of the last collect's batch *)
 }
 
 let heap t = t.heap
@@ -39,7 +39,6 @@ let epoch t =
 
 let snapshot t = t.snap
 let dirty_count t = Hashtbl.length t.dirty
-let cached_clean_count t = Lru.length t.lru
 let set_fsync t b = Ls.set_fsync t.store b
 let check_open t = if t.closed then fail "persistent store %s is closed" (path t)
 
@@ -72,11 +71,14 @@ let mutable_kind = function
 let mark_dirty t ix =
   if not (Hashtbl.mem t.dirty ix) then begin
     Hashtbl.replace t.dirty ix ();
-    Lru.remove t.lru ix
+    if t.capacity > 0 then Lru.remove t.lru ix
   end
 
-let enforce_capacity t =
+(* The LRU is only a capacity policy: without a capacity, a clean object
+   stays cached until a repin learns that another commit sealed it. *)
+let touch t ix =
   if t.capacity > 0 then begin
+    Lru.touch t.lru ix;
     let continue_ = ref true in
     while !continue_ && Lru.length t.lru > t.capacity do
       match Lru.pop_lru t.lru with
@@ -99,10 +101,7 @@ let note_access t oid obj =
     end;
     if Hashtbl.mem t.dirty ix then ()
     else if mutable_kind obj then mark_dirty t ix
-    else if ix < t.watermark then begin
-      Lru.touch t.lru ix;
-      enforce_capacity t
-    end
+    else if ix < t.watermark then touch t ix
   end
 
 let note_update t oid _obj =
@@ -111,6 +110,8 @@ let note_update t oid _obj =
 (* process-wide, so a server's sessions add up; the store's own stats
    block counts per log *)
 let object_faults = Tml_obs.Metrics.counter "store.object_faults"
+
+let cache_invalidations = Tml_obs.Metrics.counter "store.cache_invalidations"
 
 let backing_read t ix =
   match t.snap with
@@ -148,11 +149,7 @@ let fault t oid =
          rebuilt as fresh [Index] objects: dirty the header so the next
          commit rewrites it as REL1 referencing them (otherwise every
          reopen would orphan another generation of index objects). *)
-      if mutable_kind obj || indexed <> [] then mark_dirty t ix
-      else begin
-        Lru.touch t.lru ix;
-        enforce_capacity t
-      end;
+      if mutable_kind obj || indexed <> [] then mark_dirty t ix else touch t ix;
       Some obj
   end
 
@@ -171,7 +168,7 @@ let make ?(owns_log = true) ?snap ~store ~heap ~capacity ~watermark () =
       closed = false;
       owns_log;
       snap;
-      skipped = [];
+      batch_oids = [];
     }
   in
   Value.Heap.set_fault_hook heap (fun oid -> fault t oid);
@@ -194,7 +191,7 @@ let open_ ?(cache_capacity = 0) ?fsync path =
   Value.Heap.reserve heap watermark;
   make ~store ~heap ~capacity:cache_capacity ~watermark ()
 
-let open_snapshot ?(cache_capacity = 0) store ~alloc_base =
+let open_snapshot store ~alloc_base =
   let sn = Ls.pin store in
   let visible = Ls.snapshot_max_oid sn + 1 in
   if alloc_base < visible then begin
@@ -204,8 +201,7 @@ let open_snapshot ?(cache_capacity = 0) store ~alloc_base =
   end;
   let heap = Value.Heap.create () in
   Value.Heap.reserve heap alloc_base;
-  make ~owns_log:false ~snap:sn ~store ~heap ~capacity:cache_capacity
-    ~watermark:alloc_base ()
+  make ~owns_log:false ~snap:sn ~store ~heap ~capacity:0 ~watermark:alloc_base ()
 
 let close t =
   if not t.closed then begin
@@ -260,80 +256,86 @@ let commit ?root t =
   List.iter
     (fun ix ->
       Hashtbl.remove t.dirty ix;
-      if Value.Heap.is_loaded t.heap (Oid.of_int ix) then Lru.touch t.lru ix)
+      if Value.Heap.is_loaded t.heap (Oid.of_int ix) then touch t ix)
     oids;
   t.watermark <- max t.watermark (Value.Heap.size t.heap);
-  enforce_capacity t;
   n
 
 (* Encode everything a commit would write, without staging or sealing:
    the server enqueues the batch with the group committer instead.
    Objects whose encoding equals the version this session faulted them
    from were only {e read} (mutable kinds are conservatively dirtied on
-   access) — they are dropped from the batch and remembered so
-   {!mark_committed} can evict rather than retain a stale copy.  That
-   holds at any OID: on a shared log, objects other sessions sealed can
-   sit past this session's watermark. *)
+   access) — they are dropped from the batch.  That holds at any OID: on
+   a shared log, objects other sessions sealed can sit past this
+   session's watermark. *)
 let collect t =
   check_open t;
-  t.skipped <- [];
-  List.filter_map
-    (fun ix ->
-      match encode_at t ix with
-      | None -> None
-      | Some payload ->
-        if
-          match backing_read t ix with
-          | Some sealed -> String.equal sealed payload
-          | None -> false
-        then begin
-          t.skipped <- ix :: t.skipped;
-          None
-        end
-        else Some (ix, payload))
-    (to_write_oids t)
+  let batch =
+    List.filter_map
+      (fun ix ->
+        match encode_at t ix with
+        | None -> None
+        | Some payload ->
+          if
+            match backing_read t ix with
+            | Some sealed -> String.equal sealed payload
+            | None -> false
+          then None
+          else Some (ix, payload))
+      (to_write_oids t)
+  in
+  t.batch_oids <- List.map fst batch;
+  batch
 
 let mark_committed t sn =
   check_open t;
-  (* this session's writes are now the sealed versions at [sn]'s epoch;
-     anything it only read may have been superseded by other writers in
-     the same or earlier groups, so evict those and every clean cached
-     object — they re-fault on demand against the new epoch *)
-  (match t.snap with
-  | Some old -> Ls.release t.store old
-  | None -> ());
+  (* what other commits sealed since the old pin is stale here; this
+     session's own batch is the sealed version at [sn]'s epoch, and
+     everything else it holds is still current *)
+  let stale =
+    match t.snap with
+    | Some old ->
+      let oids = Ls.written_after t.store old in
+      Ls.release t.store old;
+      oids
+    | None -> []
+  in
   t.snap <- Some sn;
+  let own = Hashtbl.create 64 in
+  List.iter (fun ix -> Hashtbl.replace own ix ()) t.batch_oids;
   List.iter
     (fun ix ->
-      Hashtbl.remove t.dirty ix;
-      Value.Heap.evict t.heap (Oid.of_int ix))
-    t.skipped;
-  t.skipped <- [];
+      let oid = Oid.of_int ix in
+      if (not (Hashtbl.mem own ix)) && Value.Heap.is_loaded t.heap oid then begin
+        Value.Heap.evict t.heap oid;
+        Tml_obs.Metrics.inc cache_invalidations
+      end)
+    stale;
+  (* function objects the transaction created are mostly one-shot
+     expression functions: drop them, a call faults them back *)
+  List.iter
+    (fun ix ->
+      let oid = Oid.of_int ix in
+      match Value.Heap.peek t.heap oid with
+      | Some (Value.Func _) when ix >= t.watermark -> Value.Heap.evict t.heap oid
+      | _ -> ())
+    t.batch_oids;
+  t.batch_oids <- [];
   Hashtbl.reset t.dirty;
-  let continue_ = ref true in
-  while !continue_ do
-    match Lru.pop_lru t.lru with
-    | None -> continue_ := false
-    | Some ix -> Value.Heap.evict t.heap (Oid.of_int ix)
-  done;
   t.watermark <- max t.watermark (Value.Heap.size t.heap)
 
 let discard_from t lo =
   check_open t;
-  if lo < t.watermark then
+  if lo < t.watermark || List.exists (fun ix -> ix < lo) t.batch_oids then
     invalid_arg
-      (Printf.sprintf "Pstore.discard_from: %d is below the watermark %d" lo t.watermark);
-  Hashtbl.filter_map_inplace (fun ix () -> if ix >= lo then None else Some ()) t.dirty;
-  (* the older objects the last collect found unchanged were only read:
-     they are clean cached copies again, evicted by the next commit like
-     any other (an access re-dirties them, as after a fault) *)
-  List.iter
-    (fun ix ->
-      Hashtbl.remove t.dirty ix;
-      if Value.Heap.is_loaded t.heap (Oid.of_int ix) then Lru.touch t.lru ix)
-    t.skipped;
-  t.skipped <- [];
-  enforce_capacity t;
+      (Printf.sprintf
+         "Pstore.discard_from: %d is below the watermark %d or the last collected batch"
+         lo t.watermark);
+  (* the last collect wrote nothing below [lo], so every older dirty
+     object was only read: it is a clean copy again (an access
+     re-dirties it, as after a fault) *)
+  Hashtbl.reset t.dirty;
+  t.batch_oids <- [];
   Value.Heap.truncate t.heap lo
 
 let compact t =

@@ -7,13 +7,18 @@
     heap hooks:
 
     - an access to a {e mutable-kind} object (arrays, byte arrays,
-      relations, functions) marks it dirty, pinning it in memory until
-      the next {!commit} writes it back;
-    - clean {e immutable-kind} objects (vectors, tuples, modules) sit in
-      an LRU of configurable capacity and may be silently evicted — the
-      next dereference faults them back in;
+      functions) marks it dirty, pinning it in memory until the next
+      {!commit} writes it back;
+    - a clean object stays cached.  Only a [cache_capacity] bounds the
+      cache: then clean objects sit in an LRU and the least recently
+      used are silently evicted — the next dereference faults them back
+      in;
     - objects allocated since the last commit are new and always
       committed.
+
+    A snapshot-backed session ({!open_snapshot}) has no capacity.  Its
+    cache goes stale only when another session seals a newer version of
+    a cached object, and {!mark_committed} drops exactly those.
 
     {!commit} encodes every dirty and new object, stages the records and
     seals them with one write-ahead commit record — after a crash the
@@ -41,8 +46,7 @@ val open_ : ?cache_capacity:int -> ?fsync:bool -> string -> t
     and hand back a lazy heap: no object is decoded until dereferenced.
     @raise Tml_store.Log_store.Store_error as {!Tml_store.Log_store.open_} *)
 
-val open_snapshot :
-  ?cache_capacity:int -> Tml_store.Log_store.t -> alloc_base:int -> t
+val open_snapshot : Tml_store.Log_store.t -> alloc_base:int -> t
 (** [open_snapshot log ~alloc_base] — a {e snapshot-backed} store over an
     already-open (possibly shared) log: it pins a
     {!Tml_store.Log_store.snapshot} at the current committed epoch and
@@ -88,21 +92,28 @@ val collect : t -> (int * string) list
     @raise Store_error if an object holds a live closure *)
 
 val mark_committed : t -> Tml_store.Log_store.snapshot -> unit
-(** after the group committer sealed this session's last {!collect}:
-    adopt [snapshot] (pinned at the sealing epoch) as the new read view,
-    clear dirty tracking, advance the watermark, and evict read-only and
-    clean cached copies so later dereferences re-fault against the new
-    epoch *)
+(** after the group committer sealed this session's last {!collect} (or
+    found nothing to seal): adopt [snapshot] (pinned at the sealing
+    epoch) as the new read view, release the old one, clear dirty
+    tracking and advance the watermark.  The cache keeps every object
+    the session read, updated or created, with two exceptions.  An
+    object that another commit sealed after the old pin
+    ({!Tml_store.Log_store.written_after}) is evicted and re-faults at
+    the new epoch; each one counts in {!cache_invalidations}.  A function
+    object this transaction created is evicted too: most are one-shot
+    expression functions, and a call faults it back. *)
 
 val discard_from : t -> int -> unit
 (** [discard_from t lo] drops every object allocated at OID [lo] or
     above — never committed, since [lo] is at or past the watermark —
     from the heap and the dirty set, and moves the allocation cursor back
-    to [lo] ({!Value.Heap.truncate}).  Older objects that the last
-    {!collect} found unchanged (only read) stop counting as dirty.  The
-    caller guarantees nothing that survives refers to the dropped
-    objects: typically that last batch held only OIDs at or past [lo].
-    @raise Invalid_argument if [lo] is below the watermark *)
+    to [lo] ({!Value.Heap.truncate}).  The last {!collect}'s batch must
+    hold only OIDs at or past [lo]: then no older object changed, so the
+    older dirty objects were only read and stop counting as dirty.  The
+    caller also guarantees no process-wide table refers to the dropped
+    objects.
+    @raise Invalid_argument if [lo] is below the watermark, or the last
+    batch holds an OID below [lo] *)
 
 val snapshot : t -> Tml_store.Log_store.snapshot option
 (** the pinned read view, when snapshot-backed *)
@@ -135,7 +146,9 @@ val object_faults : Tml_obs.Metrics.counter
 (** the registry counter [store.object_faults]: objects decoded from a
     log on first dereference, summed over every store in the process *)
 
-val cached_clean_count : t -> int
-(** clean objects currently cached (the LRU population) *)
+val cache_invalidations : Tml_obs.Metrics.counter
+(** the registry counter [store.cache_invalidations]: cached objects a
+    {!mark_committed} dropped because another commit sealed them after
+    the session's old pin, summed over every store in the process *)
 
 val set_fsync : t -> bool -> unit

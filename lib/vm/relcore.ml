@@ -4,7 +4,7 @@
    [Value.Vector] store objects of exactly [rel_page_size] entries —
    plus a small in-header tail buffer for the rows of the last,
    unfilled page. Pages are ordinary store objects: they fault on
-   demand through [Pstore], are evicted by the LRU like anything else,
+   demand through [Pstore], are evicted like any other clean object,
    and are multi-version safe under [tmld] snapshots because each page
    is just another OID in the log. The relation header never holds the
    full row array.

@@ -705,6 +705,84 @@ let test_read_past_watermark_stages_nothing () =
       Client.close reader;
       Client.close writer)
 
+(* --- what a commit does to the session's cache ------------------------- *)
+
+let object_faults () = Metrics.counter_value Tml_vm.Pstore.object_faults
+let cache_invalidations () = Metrics.counter_value Tml_vm.Pstore.cache_invalidations
+
+(* A repin drops exactly what other sessions sealed since the old pin,
+   including objects this session wrote itself before: its copy of [r]
+   must not outlive B's insert. *)
+let lost_update_setup addr =
+  let setup = Client.connect addr in
+  ignore (eval_ok setup "let r = relation(tuple(1, 10))");
+  ignore (commit_ok setup);
+  Client.close setup;
+  let a = Client.connect addr in
+  let b = Client.connect addr in
+  ignore (eval_ok a "do insert(r, tuple(2, 20)) end");
+  ignore (commit_ok a);
+  ignore (commit_ok b);
+  ignore (eval_ok b "do insert(r, tuple(3, 30)) end");
+  ignore (commit_ok b);
+  let before = cache_invalidations () in
+  ignore (commit_ok a);
+  (a, b, cache_invalidations () - before)
+
+let test_repin_sees_other_writers_rows () =
+  with_server (fun addr _t ->
+      let a, b, invalidated = lost_update_setup addr in
+      check tint "A counts B's row" 3 (int_result (eval_ok a "count(r)"));
+      check tbool "A's repin invalidated its copy of r" true (invalidated > 0);
+      Client.close a;
+      Client.close b)
+
+let test_no_lost_update () =
+  with_server (fun addr _t ->
+      let a, b, _ = lost_update_setup addr in
+      ignore (eval_ok a "do insert(r, tuple(4, 40)) end");
+      ignore (commit_ok a);
+      let fresh = Client.connect addr in
+      check tint "every acknowledged row survives" 4 (int_result (eval_ok fresh "count(r)"));
+      Client.close fresh;
+      Client.close a;
+      Client.close b)
+
+(* A commit that touches one relation keeps the session's cached rows
+   of another. *)
+let test_commit_keeps_clean_cache () =
+  with_server (fun addr _t ->
+      let setup = Client.connect addr in
+      ignore (eval_ok setup "let big = relation(tuple(0, 0))");
+      ignore (eval_ok setup "let s = relation(tuple(0, 0))");
+      ignore (eval_ok setup "do for i = 1 upto 1999 do insert(big, tuple(i, i)) end end");
+      ignore (commit_ok setup);
+      Client.close setup;
+      let c = Client.connect addr in
+      let scan = "count(select t from t in big where t.2 == 0 end)" in
+      check tint "first scan" 1 (int_result (eval_ok c scan));
+      ignore (eval_ok c "do insert(s, tuple(1, 1)) end");
+      ignore (commit_ok c);
+      let before = object_faults () in
+      check tint "second scan" 1 (int_result (eval_ok c scan));
+      check tint "the second scan faults nothing" 0 (object_faults () - before);
+      Client.close c)
+
+(* [:optimize] commits mid-request; the function objects the
+   transaction created are dropped and fault back on the next call. *)
+let test_created_functions_fault_back () =
+  with_server (fun addr _t ->
+      let c = Client.connect addr in
+      ignore (eval_ok c "let f(x: Int): Int = x + 1");
+      ignore (eval_ok c "let g(x: Int): Int = f(x) * 2");
+      ignore (eval_ok c ":optimize g");
+      ignore (commit_ok c);
+      check tint "g(5) on the session" 12 (int_result (eval_ok c "g(5)"));
+      let fresh = Client.connect addr in
+      check tint "g(5) on a fresh session" 12 (int_result (eval_ok fresh "g(5)"));
+      Client.close fresh;
+      Client.close c)
+
 let () =
   (* a server tearing down a connection mid-write must surface as EPIPE,
      not kill the whole test binary *)
@@ -766,5 +844,15 @@ let () =
             test_reader_stages_nothing_beside_writer;
           Alcotest.test_case "reading past the watermark stages nothing" `Quick
             test_read_past_watermark_stages_nothing;
+        ] );
+      ( "cache",
+        [
+          Alcotest.test_case "a repin drops what another session sealed" `Quick
+            test_repin_sees_other_writers_rows;
+          Alcotest.test_case "no lost update after a repin" `Quick test_no_lost_update;
+          Alcotest.test_case "a commit keeps clean cached rows" `Quick
+            test_commit_keeps_clean_cache;
+          Alcotest.test_case "created functions fault back after a commit" `Quick
+            test_created_functions_fault_back;
         ] );
     ]

@@ -1,6 +1,7 @@
 (* The durable log-structured store: write-ahead commit semantics, crash
    recovery at every possible torn-write point, CRC rejection, compaction,
-   and the persistent heap above it (lazy faulting, LRU eviction, dirty
+   snapshot pins and the write journal against a model, and the
+   persistent heap above it (lazy faulting, LRU eviction, dirty
    write-back, durable reflective optimization). *)
 
 open Tml_core
@@ -183,6 +184,95 @@ let test_compaction () =
         (Ls.find t 5 = Some "object-5" && Ls.find t 99 = Some "post-compact");
       check tint "clean reopen" 0 (Ls.stats t).Stats.recovery_truncations;
       Ls.close t)
+
+(* --- snapshots, checked against a model ------------------------------ *)
+
+(* Random put/commit/pin/release sequences over 20 OIDs.  The model keeps
+   every epoch's OID -> payload map and the OIDs each commit sealed; after
+   every step each live pin must read its own epoch, see exactly the
+   later commits' OIDs in the journal and know its epoch's highest OID. *)
+type mvcc_op = Put of int | Commit | Pin | Release of int
+
+let pp_mvcc_op = function
+  | Put oid -> Printf.sprintf "put %d" oid
+  | Commit -> "commit"
+  | Pin -> "pin"
+  | Release i -> Printf.sprintf "release #%d" i
+
+let mvcc_ops =
+  QCheck2.Gen.(
+    list_size (int_range 1 60)
+      (frequency
+         [
+           (5, map (fun oid -> Put oid) (int_bound 19));
+           (2, pure Commit);
+           (1, pure Pin);
+           (1, map (fun i -> Release i) (int_bound 7));
+         ]))
+
+module IM = Map.Make (Int)
+
+let prop_mvcc_model =
+  QCheck2.Test.make ~name:"pins read their epoch; the journal lists later commits"
+    ~count:200
+    ~print:(fun ops -> String.concat "; " (List.map pp_mvcc_op ops))
+    mvcc_ops
+    (fun ops ->
+      with_store (fun path ->
+          let t = Ls.create ~fsync:false path in
+          let states = Hashtbl.create 16 and sealed = Hashtbl.create 16 in
+          Hashtbl.replace states 0 IM.empty;
+          let epoch = ref 0 and staged = ref IM.empty and pins = ref [] in
+          let check_pin (sn, e) =
+            let state = Hashtbl.find states e in
+            for oid = 0 to 19 do
+              if Ls.find_at t sn oid <> IM.find_opt oid state then
+                QCheck2.Test.fail_reportf "pin at %d reads the wrong version of %d" e oid
+            done;
+            let later = ref [] in
+            for e' = e + 1 to !epoch do
+              later := Hashtbl.find sealed e' @ !later
+            done;
+            if Ls.written_after t sn <> List.sort_uniq compare !later then
+              QCheck2.Test.fail_reportf "journal after epoch %d is wrong" e;
+            let max_oid = match IM.max_binding_opt state with Some (o, _) -> o | None -> -1 in
+            if Ls.snapshot_max_oid sn <> max_oid then
+              QCheck2.Test.fail_reportf "pin at %d: max OID %d, want %d" e
+                (Ls.snapshot_max_oid sn) max_oid
+          in
+          List.iteri
+            (fun step op ->
+              (match op with
+              | Put oid ->
+                let payload = Printf.sprintf "%d@%d" oid step in
+                Ls.put t oid payload;
+                staged := IM.add oid payload !staged
+              | Commit ->
+                ignore (Ls.commit t);
+                if not (IM.is_empty !staged) then begin
+                  let prev = Hashtbl.find states !epoch in
+                  incr epoch;
+                  Hashtbl.replace states !epoch
+                    (IM.union (fun _ _ fresh -> Some fresh) prev !staged);
+                  Hashtbl.replace sealed !epoch (List.map fst (IM.bindings !staged));
+                  staged := IM.empty
+                end
+              | Pin -> pins := (Ls.pin t, !epoch) :: !pins
+              | Release i -> (
+                match !pins with
+                | [] -> ()
+                | live ->
+                  let sn, _ = List.nth live (i mod List.length live) in
+                  Ls.release t sn;
+                  pins := List.filter (fun (s, _) -> s != sn) live));
+              if Ls.seq t <> !epoch then QCheck2.Test.fail_reportf "epoch drifted";
+              List.iter check_pin !pins;
+              if !pins = [] && Ls.version_count t <> Ls.object_count t then
+                QCheck2.Test.fail_reportf "no pins, yet %d versions of %d objects"
+                  (Ls.version_count t) (Ls.object_count t))
+            ops;
+          Ls.close t;
+          true))
 
 (* --- persistent heap ---------------------------------------------- *)
 
@@ -368,6 +458,7 @@ let () =
           Alcotest.test_case "CRC corruption cuts the tail" `Quick test_crc_corruption_cuts_tail;
           Alcotest.test_case "bad magic rejected" `Quick test_bad_magic_rejected;
           Alcotest.test_case "compaction" `Quick test_compaction;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_mvcc_model;
         ] );
       ( "pstore",
         [

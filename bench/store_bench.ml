@@ -1,16 +1,15 @@
-(* Store workload benchmark: commit latency, cold-open fault latency and
-   cache behaviour of the log-structured object store (docs/STORE.md).
+(* Store workload benchmark: commit latency and cold-open fault latency
+   of the log-structured object store (docs/STORE.md).
 
    Unlike bench/main.ml this harness measures wall time, so numbers vary
    between machines; the JSON on stdout is meant for trend tracking, not
    for asserting absolute values.
 
-     { "commit": ..., "cold_open": ..., "zipf_cache": ... }
+     { "commit": ..., "cold_open": ... }
 
    Environment:
      TML_STORE_BENCH_OBJECTS   heap objects in the workload (default 2000)
-     TML_STORE_BENCH_COMMITS   commit rounds measured        (default 50)
-     TML_STORE_BENCH_ACCESSES  Zipfian accesses measured     (default 20000) *)
+     TML_STORE_BENCH_COMMITS   commit rounds measured        (default 50) *)
 
 open Tml_vm
 module Stats = Tml_store.Store_stats
@@ -22,7 +21,6 @@ let getenv_int name default =
 
 let n_objects = getenv_int "TML_STORE_BENCH_OBJECTS" 2000
 let n_commits = getenv_int "TML_STORE_BENCH_COMMITS" 50
-let n_accesses = getenv_int "TML_STORE_BENCH_ACCESSES" 20000
 
 let temp_store () =
   let path = Filename.temp_file "tml_store_bench" ".tmlstore" in
@@ -58,7 +56,7 @@ let slots i =
   [| Value.Int i; Value.Str (String.make 64 (Char.chr (65 + (i mod 26)))); Value.Real (float_of_int i) |]
 
 (* mutable arrays for the write workload; immutable vectors for the read
-   workloads, since only immutable kinds are evictable (docs/STORE.md) *)
+   workload, since an access dirties a mutable kind (docs/STORE.md) *)
 let populate ?(kind = `Vector) ps n =
   let heap = Pstore.heap ps in
   for i = 0 to n - 1 do
@@ -84,14 +82,20 @@ let bench_commit () =
       let dirty_per_round = max 1 (n_objects / 20) in
       let samples = ref [] in
       for round = 0 to n_commits - 1 do
+        (* a commit writes only the objects whose contents changed: a
+           store of the value already held (round 0 at object 0) is not
+           one *)
+        let changed = Hashtbl.create dirty_per_round in
         for k = 0 to dirty_per_round - 1 do
-          let oid = Tml_core.Oid.of_int ((round + (k * 17)) mod n_objects) in
-          match Value.Heap.get heap oid with
-          | Value.Array slots -> slots.(0) <- Value.Int (round * 1000)
+          let ix = (round + (k * 17)) mod n_objects in
+          match Value.Heap.get heap (Tml_core.Oid.of_int ix) with
+          | Value.Array slots ->
+            if slots.(0) <> Value.Int (round * 1000) then Hashtbl.replace changed ix ();
+            slots.(0) <- Value.Int (round * 1000)
           | _ -> ()
         done;
         let n, us = time_us ~metric:"store_bench.commit_us" (fun () -> Pstore.commit ps) in
-        assert (n = dirty_per_round);
+        assert (n = Hashtbl.length changed);
         samples := us :: !samples
       done;
       let written = (Pstore.stats ps).Stats.bytes_written in
@@ -131,67 +135,17 @@ let bench_cold_open () =
         {|{ "objects": %d, "open_us": %.1f, "loaded_after_open": %d, "first_access": %s, "faults": %d }|}
         n_objects open_us loaded_after_open (summarize !samples) faults)
 
-(* ------------------------------------------------------------------ *)
-(* Zipfian cache hit rate: skewed re-reads against a bounded cache      *)
-(* ------------------------------------------------------------------ *)
-
-(* inverse-CDF sampling of a Zipf(s=1) distribution over ranks 1..n *)
-let zipf_sampler rng n =
-  let cdf = Array.make n 0.0 in
-  let total = ref 0.0 in
-  for i = 0 to n - 1 do
-    total := !total +. (1.0 /. float_of_int (i + 1));
-    cdf.(i) <- !total
-  done;
-  fun () ->
-    let u = Random.State.float rng !total in
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cdf.(mid) < u then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-let bench_zipf_cache () =
-  let path = temp_store () in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
-    (fun () ->
-      let ps = Pstore.create path in
-      populate ps n_objects;
-      ignore (Pstore.commit ps);
-      Pstore.close ps;
-      let capacity = max 8 (n_objects / 10) in
-      let ps = Pstore.open_ ~cache_capacity:capacity path in
-      let heap = Pstore.heap ps in
-      let next = zipf_sampler (Random.State.make [| 1996 |]) n_objects in
-      for _ = 1 to n_accesses do
-        ignore (Value.Heap.get heap (Tml_core.Oid.of_int (next ())))
-      done;
-      let st = Pstore.stats ps in
-      let hits = st.Stats.cache_hits and misses = st.Stats.cache_misses in
-      let rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-      let r =
-        Printf.sprintf
-          {|{ "objects": %d, "cache_capacity": %d, "accesses": %d, "hits": %d, "misses": %d, "hit_rate": %.4f, "evictions": %d }|}
-          n_objects capacity n_accesses hits misses rate st.Stats.evictions
-      in
-      Pstore.close ps;
-      r)
-
 let () =
   let commit = bench_commit () in
   let cold = bench_cold_open () in
-  let zipf = bench_zipf_cache () in
   Printf.printf
     {|{
   "store_bench": {
     "commit": %s,
     "cold_open": %s,
-    "zipf_cache": %s,
     "metrics": %s
   }
 }
 |}
-    commit cold zipf
+    commit cold
     (Tml_obs.Metrics.snapshot_json ())

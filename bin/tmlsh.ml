@@ -141,7 +141,7 @@ let wire_store session pstore =
         "loaded", Tml_obs.Metrics.I (Value.Heap.loaded_count heap);
         ( "objects",
           Tml_obs.Metrics.I (Tml_store.Log_store.object_count (Pstore.log pstore)) );
-        "dirty", Tml_obs.Metrics.I (Pstore.dirty_count pstore);
+        "uncommitted", Tml_obs.Metrics.I (Pstore.uncommitted_count pstore);
       ])
     ~reset:(fun () -> ());
   (Repl.ctx session).Runtime.durable_commit <-
@@ -165,22 +165,23 @@ let describe_obj = function
   | Value.Array _ -> "array"
   | Value.Bytes _ -> "bytes"
 
-(* What the next :commit writes, one object per line.  The manifest is
-   staged first (in place, as :commit does), so the list is exact. *)
+(* What the next :commit writes, one object per line: the manifest is
+   staged first (in place, as :commit does), then the batch is collected
+   as :commit collects it, so the list is exact. *)
 let staged_store session =
   match !store with
   | None -> Printf.printf "no store open (use :open FILE)\n"
   | Some pstore ->
     ignore (Repl.stage session pstore);
     let heap = (Repl.ctx session).Runtime.heap in
-    let oids = Pstore.pending pstore in
-    Printf.printf "%d objects staged:\n" (List.length oids);
+    let batch = Pstore.collect pstore in
+    Printf.printf "%d objects staged:\n" (List.length batch);
     List.iter
-      (fun oid ->
-        match Value.Heap.peek heap oid with
+      (fun (ix, _) ->
+        match Value.Heap.peek heap (Oid.of_int ix) with
         | Some obj -> Printf.printf "  %s\n" (describe_obj obj)
         | None -> ())
-      oids
+      batch
 
 let unwire_store session_ref =
   match !store with
@@ -373,7 +374,9 @@ let remote_line c line =
     | Ok (C.Committed { epoch; objects; group }) ->
       Printf.printf "committed %d objects at epoch %d (group of %d)\n" objects epoch group
     | Ok (C.Conflicted { oid }) ->
-      Printf.printf "commit conflict on oid %d (first committer won; reconnect for a fresh epoch)\n"
+      Printf.printf
+        "commit conflict on oid %d (first committer won; transaction aborted, now at the \
+         latest epoch)\n"
         oid
     | Error msg -> print_endline msg)
   | [ ":stats" ] | [ ":stats"; "json" ] -> print_endline (C.stats c)

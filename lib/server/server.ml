@@ -54,8 +54,8 @@ type commit_req = {
 type session_state = {
   ss_id : int;
   ss_fd : Unix.file_descr;
-  ss_pstore : Pstore.t;
-  ss_repl : Repl.session;
+  mutable ss_pstore : Pstore.t;  (* replaced when a conflict aborts the transaction *)
+  mutable ss_repl : Repl.session;
   mutable ss_defined : bool;  (* manifest changed since the last commit *)
   mutable ss_staged_bytes : int;
   mutable ss_phase : string;  (* what the session is doing, for :top *)
@@ -477,6 +477,45 @@ let handle_eval t ss ?trace src =
         Wire.Result out)
   end
 
+(* A session's view of the store, pinned at the current epoch with the
+   manifest restored into a fresh heap.  Caller holds the eval lock. *)
+let open_view t =
+  let pstore = Pstore.open_snapshot t.log ~alloc_base:t.next_oid in
+  match Repl.restore ~preserve_caches:true pstore with
+  | exception e ->
+    Pstore.close pstore;
+    raise e
+  | repl ->
+    (* restoring the manifest may allocate: the cursor follows *)
+    t.next_oid <- Value.Heap.size (Pstore.heap pstore);
+    (pstore, repl)
+
+(* Give [ss] a fresh view.  The reflective optimizer persists rewrites
+   through the [durable_commit] hook (section 4.1); on the server that
+   means a synchronous trip through the group committer.  Caller holds
+   the eval lock. *)
+let install_view t ss (pstore, repl) =
+  ss.ss_pstore <- pstore;
+  ss.ss_repl <- repl;
+  ss.ss_defined <- false;
+  ss.ss_staged_bytes <- 0;
+  (Repl.ctx repl).Runtime.durable_commit <-
+    Some
+      (fun () ->
+        match submit_commit t ss (prepare_commit ss) with
+        | Cr_committed _ -> ()
+        | Cr_conflict oid ->
+          Runtime.fault "commit conflict on oid %d: another session won the race" oid)
+
+(* A conflict loser aborts: its staged state goes with its old view, and
+   the next request reads the current epoch, so a retry can win.  Not
+   [session_locked]: the cursor must follow the new heap, not the old. *)
+let abort t ss =
+  eval_locked t (fun () ->
+      let old = ss.ss_pstore in
+      install_view t ss (open_view t);
+      Pstore.close old)
+
 let handle_commit t ss ?trace () =
   let prepared = session_locked t ss (fun () -> prepare_commit ss) in
   match Trace.with_span ~cat:"server" "commit.submit" (fun () ->
@@ -495,7 +534,9 @@ let handle_commit t ss ?trace () =
             ("epoch", Trace.Int epoch);
           ];
     Wire.Committed { epoch; objects; group }
-  | Cr_conflict oid -> Wire.Conflict { oid }
+  | Cr_conflict oid ->
+    abort t ss;
+    Wire.Conflict { oid }
 
 let handle_stat ss =
   Wire.Stats
@@ -523,18 +564,15 @@ let handle_fetch ss name =
     | None -> sfail "cannot fault function %s" name)
 
 let handle_pull t ss ?trace oid =
-  match Pstore.snapshot ss.ss_pstore with
-  | None -> sfail "session has no snapshot"
-  | Some sn -> (
-    let probe = slow_probe ss in
-    match Ls.find_at t.log sn oid with
-    | Some data ->
-      (* no eval lock here, so no provenance walk — rules stay empty *)
-      note_slow t ss ?trace ~kind:"pull"
-        ~src:(Printf.sprintf "pull #%d" oid)
-        ~rules:false probe;
-      Wire.Payload { kind = 1; data }
-    | None -> sfail "no object %d at epoch %d" oid (Pstore.epoch ss.ss_pstore))
+  let probe = slow_probe ss in
+  match Ls.find_at t.log (Pstore.snapshot ss.ss_pstore) oid with
+  | Some data ->
+    (* no eval lock here, so no provenance walk — rules stay empty *)
+    note_slow t ss ?trace ~kind:"pull"
+      ~src:(Printf.sprintf "pull #%d" oid)
+      ~rules:false probe;
+    Wire.Payload { kind = 1; data }
+  | None -> sfail "no object %d at epoch %d" oid (Pstore.epoch ss.ss_pstore)
 
 let req_phase = function
   | Wire.Eval _ -> "eval"
@@ -579,39 +617,22 @@ let handle_req t ss ?trace req =
 
 let open_session t ~id ~fd =
   eval_locked t (fun () ->
-      let pstore = Pstore.open_snapshot t.log ~alloc_base:t.next_oid in
-      match Repl.restore ~preserve_caches:true pstore with
-      | exception e ->
-        Pstore.close pstore;
-        raise e
-      | repl ->
-        (* restoring the manifest may allocate: the cursor follows *)
-        t.next_oid <- Value.Heap.size (Pstore.heap pstore);
-        let ss =
-          {
-            ss_id = id;
-            ss_fd = fd;
-            ss_pstore = pstore;
-            ss_repl = repl;
-            ss_defined = false;
-            ss_staged_bytes = 0;
-            ss_phase = "idle";
-            ss_requests = 0;
-          }
-        in
-        locked t.clock (fun () -> Hashtbl.replace t.sessions id ss);
-        (* the reflective optimizer persists rewrites through this hook
-           (section 4.1); on the server that means a synchronous trip
-           through the group committer *)
-        (Repl.ctx repl).Runtime.durable_commit <-
-          Some
-            (fun () ->
-              match submit_commit t ss (prepare_commit ss) with
-              | Cr_committed _ -> ()
-              | Cr_conflict oid ->
-                Runtime.fault "commit conflict on oid %d: another session won the race"
-                  oid);
-        ss)
+      let pstore, repl = open_view t in
+      let ss =
+        {
+          ss_id = id;
+          ss_fd = fd;
+          ss_pstore = pstore;
+          ss_repl = repl;
+          ss_defined = false;
+          ss_staged_bytes = 0;
+          ss_phase = "idle";
+          ss_requests = 0;
+        }
+      in
+      install_view t ss (pstore, repl);
+      locked t.clock (fun () -> Hashtbl.replace t.sessions id ss);
+      ss)
 
 let close_session t ss =
   locked t.clock (fun () -> Hashtbl.remove t.sessions ss.ss_id);
@@ -731,22 +752,19 @@ let process_group t group =
         Metrics.inc t.m_conflicts;
         results := (req, Cr_conflict oid) :: !results
       | None ->
-        List.iter
-          (fun (oid, payload) ->
-            Hashtbl.replace claimed oid ();
-            Ls.put t.log oid payload)
-          req.cr_batch;
+        List.iter (fun (oid, _) -> Hashtbl.replace claimed oid ()) req.cr_batch;
         (match req.cr_root with
         | Some r -> root := Some r
         | None -> ());
         winners := req :: !winners)
     group;
   if !winners <> [] then begin
+    let batch = List.concat_map (fun req -> req.cr_batch) (List.rev !winners) in
     (* one seal, one fsync, for every winner of this window *)
     Trace.with_span ~cat:"server"
       ~args:[ ("group", Trace.Int gid); ("winners", Trace.Int (List.length !winners)) ]
       "commit.fsync"
-      (fun () -> ignore (Ls.commit ?root:!root t.log));
+      (fun () -> ignore (Ls.commit ?root:!root t.log batch));
     Metrics.inc t.m_group_commits;
     let epoch = Ls.seq t.log in
     let n = List.length !winners in

@@ -31,12 +31,10 @@ type t = {
   ls_path : string;
   mutable fd : Unix.file_descr;
   dir : (int, entry list) Hashtbl.t;
-  staged : (int, string) Hashtbl.t;
-  mutable staged_order : int list;  (* reverse order of first staging *)
   mutable tail : int;  (* end of the last sealed transaction = append point *)
   mutable seq : int;  (* sequence number of the last sealed transaction *)
   mutable sroot : int option;
-  mutable fsync : bool;
+  fsync : bool;
   mutable closed : bool;
   mutable pins : snapshot list;  (* active snapshots *)
   mutable journal : (int * int list) list;
@@ -62,9 +60,6 @@ let root t = locked t (fun () -> t.sroot)
 let seq t = locked t (fun () -> t.seq)
 let file_bytes t = locked t (fun () -> t.tail)
 let object_count t = locked t (fun () -> Hashtbl.length t.dir)
-let staged_count t = locked t (fun () -> Hashtbl.length t.staged)
-let set_fsync t b = locked t (fun () -> t.fsync <- b)
-let fsync_enabled t = locked t (fun () -> t.fsync)
 let check_open t = if t.closed then fail "store %s is closed" t.ls_path
 
 let head_entry t oid =
@@ -72,12 +67,7 @@ let head_entry t oid =
   | Some (e :: _) -> Some e
   | _ -> None
 
-let mem t oid =
-  locked t (fun () -> Hashtbl.mem t.staged oid || Hashtbl.mem t.dir oid)
-
-let max_oid_u t = Hashtbl.fold (fun oid _ acc -> max oid acc) t.staged t.sealed_max
-
-let max_oid t = locked t (fun () -> max_oid_u t)
+let max_oid t = locked t (fun () -> t.sealed_max)
 
 let live_bytes_u t =
   Hashtbl.fold
@@ -93,7 +83,6 @@ let live_bytes t = locked t (fun () -> live_bytes_u t)
 let snapshot_seq sn = sn.sn_seq
 let snapshot_root sn = sn.sn_root
 let snapshot_max_oid sn = sn.sn_max_oid
-let pinned_count t = locked t (fun () -> List.length t.pins)
 
 let min_pin_u t =
   List.fold_left
@@ -300,8 +289,6 @@ let make ~path ~fd ~dir ~tail ~seq ~root ~fsync =
     ls_path = path;
     fd;
     dir;
-    staged = Hashtbl.create 64;
-    staged_order = [];
     tail;
     seq;
     sroot = root;
@@ -359,15 +346,10 @@ let close t =
 let find t oid =
   locked t (fun () ->
       check_open t;
-      match Hashtbl.find_opt t.staged oid with
-      | Some payload -> Some payload
-      | None -> (
-        match head_entry t oid with
-        | Some e -> Some (read_exactly t.fd e.e_off e.e_len)
-        | None -> None))
+      match head_entry t oid with
+      | Some e -> Some (read_exactly t.fd e.e_off e.e_len)
+      | None -> None)
 
-(* A snapshot read never sees staged puts: only versions sealed at or
-   before the pinned epoch. *)
 let find_at t sn oid =
   locked t (fun () ->
       check_open t;
@@ -382,54 +364,31 @@ let find_at t sn oid =
 let latest_seq t oid =
   locked t (fun () -> Option.map (fun e -> e.e_seq) (head_entry t oid))
 
-let iter_live f t =
-  let pairs =
-    locked t (fun () ->
-        check_open t;
-        let oids = Hashtbl.fold (fun oid _ acc -> oid :: acc) t.dir [] in
-        List.filter_map
-          (fun oid ->
-            match head_entry t oid with
-            | Some e -> Some (oid, read_exactly t.fd e.e_off e.e_len)
-            | None -> None)
-          (List.sort compare oids))
-  in
-  List.iter (fun (oid, payload) -> f oid payload) pairs
-
 (* ------------------------------------------------------------------ *)
 (* Writes                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let put t oid payload =
+let commit ?root t batch =
   locked t (fun () ->
       check_open t;
-      if oid < 0 then fail "negative oid %d" oid;
-      if not (Hashtbl.mem t.staged oid) then t.staged_order <- oid :: t.staged_order;
-      Hashtbl.replace t.staged oid payload)
-
-let commit ?root t =
-  locked t (fun () ->
-      check_open t;
+      List.iter (fun (oid, _) -> if oid < 0 then fail "negative oid %d" oid) batch;
       let new_root =
         match root with
         | Some _ -> root
         | None -> t.sroot
       in
-      if Hashtbl.length t.staged = 0 && new_root = t.sroot then 0
+      if batch = [] && new_root = t.sroot then 0
       else begin
         let buf = Buffer.create 4096 in
-        let entries =
-          List.rev_map (fun oid -> oid, Hashtbl.find t.staged oid) t.staged_order
-        in
         let seq' = t.seq + 1 in
         let located =
           List.map
             (fun (oid, payload) ->
               let payload_off = t.tail + encode_put buf oid payload in
               oid, { e_off = payload_off; e_len = String.length payload; e_seq = seq' })
-            entries
+            batch
         in
-        encode_commit buf ~seq:seq' ~count:(List.length entries) ~root:new_root;
+        encode_commit buf ~seq:seq' ~count:(List.length batch) ~root:new_root;
         ignore (Unix.lseek t.fd t.tail Unix.SEEK_SET);
         write_all t.fd (Buffer.contents buf);
         if t.fsync then Unix.fsync t.fd;
@@ -444,9 +403,7 @@ let commit ?root t =
         t.tail <- t.tail + Buffer.length buf;
         t.seq <- seq';
         t.sroot <- new_root;
-        Hashtbl.reset t.staged;
-        t.staged_order <- [];
-        let n = List.length entries in
+        let n = List.length batch in
         t.stats.Store_stats.commits <- t.stats.Store_stats.commits + 1;
         t.stats.Store_stats.records_written <- t.stats.Store_stats.records_written + n;
         t.stats.Store_stats.bytes_written <-
@@ -462,7 +419,6 @@ let commit ?root t =
 let compact t =
   locked t (fun () ->
       check_open t;
-      if Hashtbl.length t.staged > 0 then fail "compact: uncommitted puts (commit first)";
       if t.pins <> [] then
         fail "compact: %d active snapshot(s) pin old versions" (List.length t.pins);
       let buf = Buffer.create (live_bytes_u t + 1024) in
@@ -506,7 +462,6 @@ let register_metrics ?(name = "store.log") t =
     ~snapshot:(fun () ->
       locked t (fun () ->
           [
-            "staged_count", Tml_obs.Metrics.I (Hashtbl.length t.staged);
             "seq", Tml_obs.Metrics.I t.seq;
             "fsync", Tml_obs.Metrics.I (if t.fsync then 1 else 0);
             "snapshots_pinned", Tml_obs.Metrics.I (List.length t.pins);

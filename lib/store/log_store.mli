@@ -2,10 +2,11 @@
     durability layer underneath the persistent heap (see docs/STORE.md).
 
     The file is a sequence of length-prefixed, CRC-32-checksummed records.
-    [put] stages an [oid -> payload] pair; [commit] appends one record per
-    staged pair followed by a {e commit record} that seals the transaction
-    (write-ahead semantics: the seal is the atomic point — a transaction
-    either ends in a valid seal or, after recovery, never happened).
+    [commit] takes one transaction's batch of [oid -> payload] pairs and
+    appends one record per pair followed by a {e commit record} that seals
+    them (write-ahead semantics: the seal is the atomic point — a
+    transaction either ends in a valid seal or, after recovery, never
+    happened).  Nothing is staged inside the store between commits.
     [open_] replays the log, rebuilds the in-memory OID directory from the
     sealed prefix and truncates any torn tail.
 
@@ -42,40 +43,29 @@ val close : t -> unit
 
 (** {1 Transactions} *)
 
-val put : t -> int -> string -> unit
-(** stage a payload for [oid] in the current transaction (last staging of
-    an OID wins); durable only after {!commit} *)
-
-val commit : ?root:int -> t -> int
-(** [commit ?root t] appends all staged records and a sealing commit
-    record, then (by default) fsyncs.  [root] updates the distinguished
+val commit : ?root:int -> t -> (int * string) list -> int
+(** [commit ?root t batch] appends one record per [(oid, payload)] pair of
+    [batch] (each OID at most once) and a sealing commit record, then (by
+    default) fsyncs.  [root] updates the distinguished
     root OID stored in the seal (it is sticky across commits).  Returns
-    the number of object records written; a commit with nothing staged
-    and an unchanged root writes nothing and returns 0. *)
-
-val staged_count : t -> int
+    the number of object records written; an empty batch with an
+    unchanged root writes nothing and returns 0.
+    @raise Store_error on a negative OID *)
 
 (** {1 Reads} *)
 
 val find : t -> int -> string option
-(** [find t oid] — the current payload: a staged one if present, else the
-    last sealed one, read back from the file. *)
-
-val mem : t -> int -> bool
+(** [find t oid] — the last sealed payload, read back from the file *)
 
 val root : t -> int option
 (** the root OID recorded by the last seal — the entry point a client
     faults first on reopen (e.g. the session manifest) *)
 
-val iter_live : (int -> string -> unit) -> t -> unit
-(** iterate the sealed directory in ascending OID order *)
-
 (** {1 Snapshots (MVCC read views)}
 
     A snapshot pins the store at its current committed epoch
     ({!seq}): reads through it resolve every OID to the newest version
-    sealed {e at or before} that epoch, never to a staged put and never
-    to a later commit.  Superseded versions are retained while any
+    sealed {e at or before} that epoch, never to a later commit.  Superseded versions are retained while any
     snapshot that can see them is pinned and pruned on {!release}.
 
     While any snapshot is pinned, each commit also records the OIDs it
@@ -121,16 +111,13 @@ val latest_seq : t -> int -> int option
     first-committer-wins conflict check compares this against a writer's
     pinned epoch *)
 
-val pinned_count : t -> int
-(** number of active snapshots *)
-
 (** {1 Introspection} *)
 
 val path : t -> string
 val stats : t -> Store_stats.t
 
 val max_oid : t -> int
-(** highest OID present (staged or sealed); -1 when empty *)
+(** highest sealed OID; -1 when empty *)
 
 val object_count : t -> int
 
@@ -147,16 +134,9 @@ val live_bytes : t -> int
 (** payload bytes reachable from the directory (excludes superseded
     versions — the gap to {!file_bytes} is what {!compact} reclaims) *)
 
-val set_fsync : t -> bool -> unit
-
-val fsync_enabled : t -> bool
-(** whether commits currently flush to stable storage — surfaced (with
-    {!staged_count} and {!seq}) so server group-commit batching behaviour
-    is inspectable *)
-
 val register_metrics : ?name:string -> t -> unit
 (** register a live metrics source (default name ["store.log"]) exposing
-    [staged_count], [seq] (the epoch), [fsync], [snapshots_pinned],
+    [seq] (the epoch), [fsync], [snapshots_pinned],
     [objects] and [file_bytes] in the {!Tml_obs.Metrics} registry — the
     values [tmlsh :stats] and the server's [stat] frame report *)
 
@@ -165,6 +145,6 @@ val register_metrics : ?name:string -> t -> unit
 val compact : t -> unit
 (** Rewrite only the live objects into a fresh file and atomically rename
     it over the store (offline: the caller must be the only user, with no
-    staged puts and no pinned snapshots).  Directory offsets, sequence
+    pinned snapshots).  Directory offsets, sequence
     number and root carry over.
     @raise Store_error while snapshots are pinned *)

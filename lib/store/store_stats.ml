@@ -5,7 +5,6 @@ type t = {
   mutable faults : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable evictions : int;
   mutable recovery_truncations : int;
   mutable truncated_bytes : int;
   mutable compactions : int;
@@ -19,7 +18,6 @@ let create () =
     faults = 0;
     cache_hits = 0;
     cache_misses = 0;
-    evictions = 0;
     recovery_truncations = 0;
     truncated_bytes = 0;
     compactions = 0;
@@ -32,7 +30,6 @@ let reset t =
   t.faults <- 0;
   t.cache_hits <- 0;
   t.cache_misses <- 0;
-  t.evictions <- 0;
   t.recovery_truncations <- 0;
   t.truncated_bytes <- 0;
   t.compactions <- 0
@@ -49,7 +46,6 @@ let fields t =
     "faults", t.faults;
     "cache_hits", t.cache_hits;
     "cache_misses", t.cache_misses;
-    "evictions", t.evictions;
     "recovery_truncations", t.recovery_truncations;
     "truncated_bytes", t.truncated_bytes;
     "compactions", t.compactions;

@@ -1,8 +1,8 @@
 (** Instrumentation counters for the durable object store: one record
     shared by the log layer ({!Log_store}: commits, bytes, recovery
     truncations) and the object layer ([Tml_vm.Pstore]: faults, cache
-    hits/misses, evictions).  Printable from [tmlsh] ([:stats]) and
-    emitted by the store benchmark. *)
+    hits/misses).  Printable from [tmlsh] ([:stats]) and emitted by the
+    store benchmark. *)
 
 type t = {
   mutable commits : int;  (** sealed transactions *)
@@ -11,7 +11,6 @@ type t = {
   mutable faults : int;  (** objects decoded on demand from the log *)
   mutable cache_hits : int;  (** accesses served by a materialized object *)
   mutable cache_misses : int;  (** accesses that had to fault *)
-  mutable evictions : int;  (** clean objects dropped by the LRU cache *)
   mutable recovery_truncations : int;  (** torn tails cut off on open *)
   mutable truncated_bytes : int;  (** bytes discarded by those cuts *)
   mutable compactions : int;

@@ -1,6 +1,5 @@
 open Tml_core
 module Ls = Tml_store.Log_store
-module Lru = Tml_store.Lru
 module Stats = Tml_store.Store_stats
 
 exception Store_error of string
@@ -10,15 +9,13 @@ let fail fmt = Format.kasprintf (fun s -> raise (Store_error s)) fmt
 type t = {
   store : Ls.t;
   heap : Value.Heap.heap;
-  capacity : int;  (* max clean cached objects; <= 0 means unbounded *)
-  lru : Lru.t;  (* recency of clean objects, kept only under a capacity *)
   dirty : (int, unit) Hashtbl.t;
   mutable watermark : int;  (* OIDs >= watermark have never been committed *)
   mutable in_fault : int;  (* depth of nested faults; suppresses hook bookkeeping *)
   mutable closed : bool;
   owns_log : bool;  (* snapshot sessions share the server's log; closing
                        them must not close it *)
-  mutable snap : Ls.snapshot option;  (* pinned read view, when snapshot-backed *)
+  mutable snap : Ls.snapshot;  (* the pinned read view every fault reads *)
   mutable batch_oids : int list;  (* the OIDs of the last collect's batch *)
 }
 
@@ -27,19 +24,9 @@ let log t = t.store
 let stats t = Ls.stats t.store
 let path t = Ls.path t.store
 
-let root t =
-  match t.snap with
-  | Some sn -> Option.map Oid.of_int (Ls.snapshot_root sn)
-  | None -> Option.map Oid.of_int (Ls.root t.store)
-
-let epoch t =
-  match t.snap with
-  | Some sn -> Ls.snapshot_seq sn
-  | None -> Ls.seq t.store
-
+let root t = Option.map Oid.of_int (Ls.snapshot_root t.snap)
+let epoch t = Ls.snapshot_seq t.snap
 let snapshot t = t.snap
-let dirty_count t = Hashtbl.length t.dirty
-let set_fsync t b = Ls.set_fsync t.store b
 let check_open t = if t.closed then fail "persistent store %s is closed" (path t)
 
 (* Past the watermark sit this session's fresh objects but also, on a
@@ -58,37 +45,17 @@ let uncommitted_count t =
 
 (* Mutable objects observed through an access may be updated in place
    behind the heap's back, so any access dirties them; immutable kinds
-   stay clean and evictable. Relations, indexes and stats are mutable
+   stay clean. Relations, indexes and stats are mutable
    records but every mutation goes through [Tml_query.Rel], which
    re-[Heap.set]s the object afterwards — so reads leave them clean
-   (and big relations evictable) and the update hook catches writes. *)
+   and the update hook catches writes. *)
 let mutable_kind = function
   | Value.Array _ | Value.Bytes _ | Value.Func _ -> true
   | Value.Vector _ | Value.Tuple _ | Value.Module _ | Value.Relation _ | Value.Index _
   | Value.Stats _ ->
     false
 
-let mark_dirty t ix =
-  if not (Hashtbl.mem t.dirty ix) then begin
-    Hashtbl.replace t.dirty ix ();
-    if t.capacity > 0 then Lru.remove t.lru ix
-  end
-
-(* The LRU is only a capacity policy: without a capacity, a clean object
-   stays cached until a repin learns that another commit sealed it. *)
-let touch t ix =
-  if t.capacity > 0 then begin
-    Lru.touch t.lru ix;
-    let continue_ = ref true in
-    while !continue_ && Lru.length t.lru > t.capacity do
-      match Lru.pop_lru t.lru with
-      | None -> continue_ := false
-      | Some ix ->
-        Value.Heap.evict t.heap (Oid.of_int ix);
-        let st = stats t in
-        st.Stats.evictions <- st.Stats.evictions + 1
-    done
-  end
+let mark_dirty t ix = Hashtbl.replace t.dirty ix ()
 
 (* --- heap hooks --------------------------------------------------- *)
 
@@ -99,9 +66,7 @@ let note_access t oid obj =
       let st = stats t in
       st.Stats.cache_hits <- st.Stats.cache_hits + 1
     end;
-    if Hashtbl.mem t.dirty ix then ()
-    else if mutable_kind obj then mark_dirty t ix
-    else if ix < t.watermark then touch t ix
+    if mutable_kind obj then mark_dirty t ix
   end
 
 let note_update t oid _obj =
@@ -113,10 +78,7 @@ let object_faults = Tml_obs.Metrics.counter "store.object_faults"
 
 let cache_invalidations = Tml_obs.Metrics.counter "store.cache_invalidations"
 
-let backing_read t ix =
-  match t.snap with
-  | Some sn -> Ls.find_at t.store sn ix
-  | None -> Ls.find t.store ix
+let backing_read t ix = Ls.find_at t.store t.snap ix
 
 let fault t oid =
   if t.closed then None
@@ -149,19 +111,19 @@ let fault t oid =
          rebuilt as fresh [Index] objects: dirty the header so the next
          commit rewrites it as REL1 referencing them (otherwise every
          reopen would orphan another generation of index objects). *)
-      if mutable_kind obj || indexed <> [] then mark_dirty t ix else touch t ix;
+      if mutable_kind obj || indexed <> [] then mark_dirty t ix;
       Some obj
   end
 
 (* --- lifecycle ---------------------------------------------------- *)
 
-let make ?(owns_log = true) ?snap ~store ~heap ~capacity ~watermark () =
+(* Every store pins its log: faults and [collect]'s comparisons read the
+   pinned epoch, and a commit moves the pin. *)
+let make ?(owns_log = true) ~snap ~store ~heap ~watermark () =
   let t =
     {
       store;
       heap;
-      capacity;
-      lru = Lru.create ();
       dirty = Hashtbl.create 64;
       watermark;
       in_fault = 0;
@@ -176,20 +138,19 @@ let make ?(owns_log = true) ?snap ~store ~heap ~capacity ~watermark () =
   Value.Heap.set_update_hook heap (note_update t);
   t
 
-let create ?(cache_capacity = 0) ?fsync path =
-  make
-    ~store:(Ls.create ?fsync path)
-    ~heap:(Value.Heap.create ()) ~capacity:cache_capacity ~watermark:0 ()
+let attach ?fsync path heap =
+  let store = Ls.create ?fsync path in
+  make ~snap:(Ls.pin store) ~store ~heap ~watermark:0 ()
 
-let attach ?(cache_capacity = 0) ?fsync path heap =
-  make ~store:(Ls.create ?fsync path) ~heap ~capacity:cache_capacity ~watermark:0 ()
+let create ?fsync path = attach ?fsync path (Value.Heap.create ())
 
-let open_ ?(cache_capacity = 0) ?fsync path =
+let open_ ?fsync path =
   let store = Ls.open_ ?fsync path in
+  let sn = Ls.pin store in
   let heap = Value.Heap.create () in
-  let watermark = Ls.max_oid store + 1 in
+  let watermark = Ls.snapshot_max_oid sn + 1 in
   Value.Heap.reserve heap watermark;
-  make ~store ~heap ~capacity:cache_capacity ~watermark ()
+  make ~snap:sn ~store ~heap ~watermark ()
 
 let open_snapshot store ~alloc_base =
   let sn = Ls.pin store in
@@ -201,17 +162,13 @@ let open_snapshot store ~alloc_base =
   end;
   let heap = Value.Heap.create () in
   Value.Heap.reserve heap alloc_base;
-  make ~owns_log:false ~snap:sn ~store ~heap ~capacity:0 ~watermark:alloc_base ()
+  make ~owns_log:false ~snap:sn ~store ~heap ~watermark:alloc_base ()
 
 let close t =
   if not t.closed then begin
     t.closed <- true;
     Value.Heap.clear_hooks t.heap;
-    (match t.snap with
-    | Some sn ->
-      Ls.release t.store sn;
-      t.snap <- None
-    | None -> ());
+    Ls.release t.store t.snap;
     if t.owns_log then Ls.close t.store
   end
 
@@ -233,38 +190,10 @@ let encode_at t ix =
     | payload -> Some payload
     | exception Obj_codec.Codec_error msg -> fail "cannot commit object %d: %s" ix msg)
 
-let pending t =
-  List.filter_map
-    (fun ix ->
-      let oid = Oid.of_int ix in
-      if Value.Heap.is_loaded t.heap oid then Some oid else None)
-    (to_write_oids t)
-
-let commit ?root t =
-  check_open t;
-  if t.snap <> None then
-    fail "snapshot-backed store %s: commits go through the server's group committer"
-      (path t);
-  let oids = to_write_oids t in
-  List.iter
-    (fun ix ->
-      match encode_at t ix with
-      | None -> ()
-      | Some payload -> Ls.put t.store ix payload)
-    oids;
-  let n = Ls.commit ?root:(Option.map Oid.to_int root) t.store in
-  List.iter
-    (fun ix ->
-      Hashtbl.remove t.dirty ix;
-      if Value.Heap.is_loaded t.heap (Oid.of_int ix) then touch t ix)
-    oids;
-  t.watermark <- max t.watermark (Value.Heap.size t.heap);
-  n
-
-(* Encode everything a commit would write, without staging or sealing:
-   the server enqueues the batch with the group committer instead.
-   Objects whose encoding equals the version this session faulted them
-   from were only {e read} (mutable kinds are conservatively dirtied on
+(* Encode everything a commit would write, without sealing: [commit]
+   seals the batch itself, the server enqueues it with the group
+   committer.  Objects whose encoding equals their version at the pinned
+   epoch were only {e read} (mutable kinds are conservatively dirtied on
    access) — they are dropped from the batch.  That holds at any OID: on
    a shared log, objects other sessions sealed can sit past this
    session's watermark. *)
@@ -292,15 +221,9 @@ let mark_committed t sn =
   (* what other commits sealed since the old pin is stale here; this
      session's own batch is the sealed version at [sn]'s epoch, and
      everything else it holds is still current *)
-  let stale =
-    match t.snap with
-    | Some old ->
-      let oids = Ls.written_after t.store old in
-      Ls.release t.store old;
-      oids
-    | None -> []
-  in
-  t.snap <- Some sn;
+  let stale = Ls.written_after t.store t.snap in
+  Ls.release t.store t.snap;
+  t.snap <- sn;
   let own = Hashtbl.create 64 in
   List.iter (fun ix -> Hashtbl.replace own ix ()) t.batch_oids;
   List.iter
@@ -338,7 +261,19 @@ let discard_from t lo =
   t.batch_oids <- [];
   Value.Heap.truncate t.heap lo
 
-let compact t =
+(* The same steps the server's group committer runs for each winner. *)
+let commit ?root t =
   check_open t;
+  if not t.owns_log then
+    fail "snapshot-backed store %s: commits go through the server's group committer"
+      (path t);
+  let n = Ls.commit ?root:(Option.map Oid.to_int root) t.store (collect t) in
+  mark_committed t (Ls.pin t.store);
+  n
+
+(* [Log_store.compact] refuses while a pin exists: drop this store's own
+   pin around it and re-pin the compacted epoch, whatever happens. *)
+let compact t =
   ignore (commit t);
-  Ls.compact t.store
+  Ls.release t.store t.snap;
+  Fun.protect ~finally:(fun () -> t.snap <- Ls.pin t.store) (fun () -> Ls.compact t.store)

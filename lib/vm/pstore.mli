@@ -1,30 +1,28 @@
 (** The persistent heap: a [Value.Heap.heap] backed by the durable log
     store ([Tml_store.Log_store]), with on-demand object faulting.
 
-    Opening a store materializes {e nothing}: the heap's address space is
-    reserved and every object is faulted in — decoded from its log
-    record — on first dereference.  Accesses are tracked through the
-    heap hooks:
+    Every store pins a {!Tml_store.Log_store.snapshot} and faults every
+    object from that epoch: {!create}, {!attach} and {!open_} pin the log
+    they own, {!open_snapshot} pins a shared one.  Opening a store
+    materializes {e nothing}: the heap's address space is reserved and
+    every object is faulted in — decoded from its log record — on first
+    dereference.  Accesses are tracked through the heap hooks:
 
     - an access to a {e mutable-kind} object (arrays, byte arrays,
-      functions) marks it dirty, pinning it in memory until the next
-      {!commit} writes it back;
-    - a clean object stays cached.  Only a [cache_capacity] bounds the
-      cache: then clean objects sit in an LRU and the least recently
-      used are silently evicted — the next dereference faults them back
-      in;
-    - objects allocated since the last commit are new and always
-      committed.
+      functions) marks it dirty, since it may change in place;
+    - objects allocated since the last commit are new;
+    - a clean object stays cached.  It goes stale only when another
+      session seals a newer version of it, and {!mark_committed} drops
+      exactly those.
 
-    A snapshot-backed session ({!open_snapshot}) has no capacity.  Its
-    cache goes stale only when another session seals a newer version of
-    a cached object, and {!mark_committed} drops exactly those.
-
-    {!commit} encodes every dirty and new object, stages the records and
-    seals them with one write-ahead commit record — after a crash the
-    store recovers exactly the last sealed state.  All counters (faults,
-    hits, misses, evictions, commits, recovery truncations) are exposed
-    via {!stats}. *)
+    There is one write path.  {!collect} encodes every dirty and new
+    object and keeps those whose encoding differs from the pinned
+    version; {!commit} seals that batch with one write-ahead commit
+    record ({!Tml_store.Log_store.commit}), pins the new epoch and hands
+    it to {!mark_committed} — the steps the server's group committer
+    runs for each winner.  After a crash the store recovers exactly the
+    last sealed state.  All counters (faults, hits, misses, commits,
+    recovery truncations) are exposed via {!stats}. *)
 
 exception Store_error of string
 
@@ -32,16 +30,15 @@ type t
 
 (** {1 Lifecycle} *)
 
-val create : ?cache_capacity:int -> ?fsync:bool -> string -> t
-(** fresh store file with a fresh, empty heap.  [cache_capacity] bounds
-    the number of clean cached objects ([<= 0], the default, means
-    unbounded); [fsync] as in {!Tml_store.Log_store.create}. *)
+val create : ?fsync:bool -> string -> t
+(** fresh store file with a fresh, empty heap; [fsync] as in
+    {!Tml_store.Log_store.create} *)
 
-val attach : ?cache_capacity:int -> ?fsync:bool -> string -> Value.Heap.heap -> t
+val attach : ?fsync:bool -> string -> Value.Heap.heap -> t
 (** fresh store file adopting an existing in-memory heap; every object
     in it is treated as new and written by the first {!commit} *)
 
-val open_ : ?cache_capacity:int -> ?fsync:bool -> string -> t
+val open_ : ?fsync:bool -> string -> t
 (** recover an existing store (torn tail truncated, directory rebuilt)
     and hand back a lazy heap: no object is decoded until dereferenced.
     @raise Tml_store.Log_store.Store_error as {!Tml_store.Log_store.open_} *)
@@ -59,41 +56,37 @@ val open_snapshot : Tml_store.Log_store.t -> alloc_base:int -> t
     @raise Store_error if [alloc_base] overlaps already-sealed OIDs *)
 
 val close : t -> unit
-(** detach the hooks and close the file (a snapshot-backed store releases
-    its pin but leaves the shared log open).  The heap survives with
-    whatever was materialized, as a plain in-memory heap. *)
+(** detach the hooks, release the pin and close the file (a
+    snapshot-backed store leaves the shared log open).  The heap survives
+    with whatever was materialized, as a plain in-memory heap. *)
 
 (** {1 Transactions} *)
 
 val commit : ?root:Tml_core.Oid.t -> t -> int
-(** write back every dirty and new object and seal the transaction;
-    returns the number of objects written (0 when there is nothing to
-    do).  [root] updates the store's sticky root OID — the entry point
-    {!root} reports after reopening.
-    @raise Store_error if an object holds a live closure *)
-
-val pending : t -> Tml_core.Oid.t list
-(** the objects the next {!commit} writes — every dirty and new object —
-    in ascending OID order *)
+(** {!collect}, seal the batch, pin the new epoch and {!mark_committed}
+    it; returns the number of objects written (0 when nothing changed).
+    [root] updates the store's sticky root OID — the entry point {!root}
+    reports after reopening.
+    @raise Store_error if an object holds a live closure, or on a
+    snapshot-backed store (its commits go through a group committer) *)
 
 val compact : t -> unit
 (** commit, then rewrite the file keeping only live objects (see
-    {!Tml_store.Log_store.compact}) *)
-
-(** {1 Group-commit staging (snapshot-backed stores)} *)
+    {!Tml_store.Log_store.compact}); the store's own pin is dropped for
+    the rewrite and re-taken at the compacted epoch *)
 
 val collect : t -> (int * string) list
 (** encode every dirty and new object into an [(oid, payload)] batch
-    without staging or sealing anything — the material a server session
-    hands to the group committer.  Pre-existing objects whose encoding is
-    byte-identical to the version visible at this session's snapshot were
-    only read (mutable kinds are conservatively dirtied on access) and
-    are dropped from the batch.
+    without sealing anything — what {!commit} seals, and what a server
+    session hands to the group committer.  Pre-existing objects whose
+    encoding is byte-identical to the version visible at this store's
+    pinned epoch were only read (mutable kinds are conservatively
+    dirtied on access) and are dropped from the batch.
     @raise Store_error if an object holds a live closure *)
 
 val mark_committed : t -> Tml_store.Log_store.snapshot -> unit
-(** after the group committer sealed this session's last {!collect} (or
-    found nothing to seal): adopt [snapshot] (pinned at the sealing
+(** after this session's last {!collect} was sealed (or nothing was to
+    seal): adopt [snapshot] (pinned at the sealing
     epoch) as the new read view, release the old one, clear dirty
     tracking and advance the watermark.  The cache keeps every object
     the session read, updated or created, with two exceptions.  An
@@ -115,12 +108,11 @@ val discard_from : t -> int -> unit
     @raise Invalid_argument if [lo] is below the watermark, or the last
     batch holds an OID below [lo] *)
 
-val snapshot : t -> Tml_store.Log_store.snapshot option
-(** the pinned read view, when snapshot-backed *)
+val snapshot : t -> Tml_store.Log_store.snapshot
+(** the pinned read view *)
 
 val epoch : t -> int
-(** the epoch reads observe: the pinned snapshot's epoch, or the log's
-    current committed sequence number *)
+(** the epoch reads observe: the pinned snapshot's *)
 
 (** {1 Access} *)
 
@@ -132,9 +124,6 @@ val log : t -> Tml_store.Log_store.t
 
 val stats : t -> Tml_store.Store_stats.t
 val path : t -> string
-
-val dirty_count : t -> int
-(** objects pinned for the next commit *)
 
 val uncommitted_count : t -> int
 (** dirty objects plus loaded objects past the watermark that have no
@@ -150,5 +139,3 @@ val cache_invalidations : Tml_obs.Metrics.counter
 (** the registry counter [store.cache_invalidations]: cached objects a
     {!mark_committed} dropped because another commit sealed them after
     the session's old pin, summed over every store in the process *)
-
-val set_fsync : t -> bool -> unit

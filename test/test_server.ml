@@ -187,6 +187,16 @@ let test_first_committer_wins () =
       let probe = Client.connect addr in
       check tint "only the winner's insert landed" 2 (int_result (eval_ok probe "count(r)"));
       Client.close probe;
+      (* the conflict aborted the loser: its insert is gone and it reads
+         the winner's epoch, so a retry can win *)
+      check tint "the loser's insert is gone" 2 (int_result (eval_ok b "count(r)"));
+      check tint "the loser reads the winner's row" 1
+        (int_result (eval_ok b "count(select x from x in r where x.1 == 2 end)"));
+      ignore (eval_ok b "do insert(r, tuple(3, 30)) end");
+      ignore (commit_ok b);
+      let probe = Client.connect addr in
+      check tint "the retry landed" 3 (int_result (eval_ok probe "count(r)"));
+      Client.close probe;
       Client.close a;
       Client.close b)
 

@@ -11,8 +11,8 @@
      E8     rewrite-engine micro-benchmarks (Bechamel)
      E9     integrated program + query optimization ablation
      E10    static-analysis overhead
-     E11    incremental rewrite engine + persistent specialization cache
-            (reduce-pass throughput, cache hit rate, cold-reopen latency)
+     E11    persistent specialization cache (hit rate, cold-reopen
+            latency)
      E12    observability overhead: tracing disabled / enabled (null
             sink) / provenance recording (docs/OBS.md)
      E14    tiered execution: bytecode machine vs compiled closure tier
@@ -615,91 +615,8 @@ let e10 () =
       [ "bank.tl"; "inventory.tl"; "queens.tl" ]
 
 (* ------------------------------------------------------------------ *)
-(* E11: incremental rewrite engine + specialization cache               *)
+(* E11: persistent specialization cache                                 *)
 (* ------------------------------------------------------------------ *)
-
-(* E11a — reduce-pass throughput.  The workload is the one the optimizer
-   driver (and any repeated-specialization session) actually runs: the
-   same term is re-reduced pass after pass, with most of the tree already
-   in normal form.  The legacy engine re-sweeps the whole term every
-   pass; the incremental engine answers from the hash-consed normal-form
-   memo.  The terms are the E8 micro-benchmark generator's (same seed). *)
-let e11_throughput ~budget =
-  let rng = Random.State.make [| 2025 |] in
-  let small = Gen.proc2 rng ~size:20 in
-  let medium = Gen.proc2 rng ~size:80 in
-  let large = Gen.proc2 rng ~size:300 in
-  Printf.printf "\nE11a — reduce-pass throughput on re-reduced terms (E8 terms):\n";
-  Printf.printf "%-10s %14s %14s %9s\n" "term" "legacy ns" "incr ns" "speedup";
-  let ratios =
-    List.map
-      (fun (name, v) ->
-        let legacy_ns =
-          time_ns ~metric:("bench.reduce_legacy_ns." ^ name) ~budget (fun () ->
-              Rewrite.reduce_value v)
-        in
-        let memo = Rewrite.fresh_memo () in
-        ignore (Rewrite.reduce_value ~memo v);
-        let incr_ns =
-          time_ns ~metric:("bench.reduce_incremental_ns." ^ name) ~budget (fun () ->
-              Rewrite.reduce_value ~memo v)
-        in
-        let speedup = legacy_ns /. incr_ns in
-        Printf.printf "%-10s %14.1f %14.1f %8.2fx\n%!" name legacy_ns incr_ns speedup;
-        json_add
-          "{\"experiment\":\"E11\",\"metric\":\"reduce-throughput\",\"term\":\"%s\",\"legacy_ns\":%.1f,\"incremental_ns\":%.1f,\"speedup\":%.2f}"
-          name legacy_ns incr_ns speedup;
-        speedup)
-      [ "small", small; "medium", medium; "large", large ]
-  in
-  (* the memo size gate: small roots skip the memo, so the small-term row
-     above stays at legacy speed.  This row pins the crossover by timing
-     the same warm-memo re-reduce with the gate disabled (threshold 0) —
-     the pre-gate behavior, and the small-term regression the gate fixes. *)
-  let memo = Rewrite.fresh_memo () in
-  ignore (Rewrite.reduce_value ~memo small);
-  let gated_ns =
-    time_ns ~metric:"bench.reduce_gated_ns.small" ~budget (fun () ->
-        Rewrite.reduce_value ~memo small)
-  in
-  let saved_threshold = !Rewrite.memo_size_threshold in
-  Rewrite.memo_size_threshold := 0;
-  let memo0 = Rewrite.fresh_memo () in
-  ignore (Rewrite.reduce_value ~memo:memo0 small);
-  let ungated_ns =
-    time_ns ~metric:"bench.reduce_ungated_ns.small" ~budget (fun () ->
-        Rewrite.reduce_value ~memo:memo0 small)
-  in
-  Rewrite.memo_size_threshold := saved_threshold;
-  Printf.printf "%-10s %14.1f %14.1f %8.2fx   (size gate on vs off, warm memo)\n%!" "small"
-    ungated_ns gated_ns (ungated_ns /. gated_ns);
-  json_add
-    "{\"experiment\":\"E11\",\"metric\":\"memo-size-gate\",\"term\":\"small\",\"threshold\":%d,\"gated_ns\":%.1f,\"ungated_ns\":%.1f,\"speedup\":%.2f}"
-    saved_threshold gated_ns ungated_ns (ungated_ns /. gated_ns);
-  (* the same comparison at the optimizer-driver level: a full O3
-     optimize of an already-optimized term (rounds 2..n of any fixpoint
-     loop look exactly like this); the legacy arm raises the size gate
-     past every root, so every pass re-sweeps memo-free.  Its runs still
-     intern every freshly stamped term for the size/cost accounting;
-     clearing the hash-cons tables afterwards keeps that growth from
-     slowing the memo arm and the experiments after it. *)
-  let config = Optimizer.o3 in
-  Rewrite.memo_size_threshold := max_int;
-  let legacy_ns = time_ns ~budget (fun () -> Optimizer.optimize_value ~config medium) in
-  Rewrite.memo_size_threshold := saved_threshold;
-  Hashcons.clear ();
-  let memo = Rewrite.fresh_memo () in
-  ignore (Optimizer.optimize_value ~config ~memo medium);
-  let incr_ns = time_ns ~budget (fun () -> Optimizer.optimize_value ~config ~memo medium) in
-  Printf.printf "%-10s %14.1f %14.1f %8.2fx   (optimize -O3, warm memo)\n%!" "medium"
-    legacy_ns incr_ns (legacy_ns /. incr_ns);
-  json_add
-    "{\"experiment\":\"E11\",\"metric\":\"optimize-o3-warm\",\"term\":\"medium\",\"legacy_ns\":%.1f,\"incremental_ns\":%.1f,\"speedup\":%.2f}"
-    legacy_ns incr_ns (legacy_ns /. incr_ns);
-  let g = geomean ratios in
-  Printf.printf "reduce-pass throughput geomean: %.2fx %s\n" g
-    (if g >= 3.0 then "(>= 3x: PASS)" else "(< 3x: FAIL)");
-  json_add "{\"experiment\":\"E11\",\"metric\":\"reduce-throughput-geomean\",\"speedup\":%.2f}" g
 
 (* E11b — specialization-cache hit rate on a repeated-Reflect.optimize
    workload (the paper's 'repeated optimizations of (shared) functions'). *)
@@ -1041,10 +958,7 @@ let e15 ~budget () =
     ss.Tml_rules.Index.s_generic_rules;
   (* end-to-end: a whole reduction pass (rule firing included) over the
      fusable pipeline — the optimizer's hot loop with each dispatcher.
-     Informational: dispatch is one slice of a reduction pass.  (A full
-     [Optimizer.optimize_value] is deliberately not timed here: repeated
-     optimizations grow the global hash-consing tables, so its wall time
-     drifts across measurements regardless of the rule dispatcher.) *)
+     Informational: dispatch is one slice of a reduction pass. *)
   let fused =
     Sexp.parse_app
       (Printf.sprintf "(select %s r ce! cont(tmp) (select %s tmp ce! k!))"
@@ -1068,13 +982,10 @@ let e15 ~budget () =
 let e11 ~quick () =
   section
     (if quick then
-       "E11 — incremental engine + specialization cache (smoke mode)"
-     else
-       "E11 — incremental rewrite engine (hash-consed memo) and persistent\n\
-        specialization cache: throughput, hit rate, cold-reopen latency");
+       "E11 — specialization cache (smoke mode)"
+     else "E11 — persistent specialization cache: hit rate, cold-reopen latency");
   Runtime.install ();
   Tml_query.Qprims.install ();
-  e11_throughput ~budget:(if quick then 0.005 else 0.05);
   e11_hit_rate ~reps:(if quick then 12 else 25);
   e11_reopen ()
 

@@ -115,8 +115,8 @@ let profile_arg =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Print per-pass optimizer wall-clock timings, rule-fire counters \
-           and memo/hash-consing statistics after the command.")
+          "Print per-pass optimizer wall-clock timings and rule-fire \
+           counters after the command.")
 
 let dynamic_arg =
   Arg.(

@@ -375,9 +375,9 @@ let remote_line c line =
       Printf.printf "committed %d objects at epoch %d (group of %d)\n" objects epoch group
     | Ok (C.Conflicted { oid }) ->
       Printf.printf
-        "commit conflict on oid %d (first committer won; transaction aborted, now at the \
-         latest epoch)\n"
-        oid
+        "commit conflict on oid %d (first committer won; transaction aborted, now at epoch \
+         %d)\n"
+        oid (C.epoch c)
     | Error msg -> print_endline msg)
   | [ ":stats" ] | [ ":stats"; "json" ] -> print_endline (C.stats c)
   | [ ":stats"; "prom" ] -> print_string (C.stats_prom c)

@@ -91,9 +91,8 @@ let expand_app cfg (root : app) =
     in
     let func' = go_value env func in
     let args' = Term.map_sharing (go_value env) a.args in
-    (* preserve physical identity when nothing was inlined below: unchanged
-       subtrees stay shared, so the next reduction round's memo checks and
-       the validator's skip marks see them as O(1) "already done" *)
+    (* preserve physical identity when nothing was inlined below:
+       unchanged subtrees stay shared instead of being copied *)
     if func' == a.func && args' == a.args then a else { func = func'; args = args' }
   and go_value env v =
     match v with

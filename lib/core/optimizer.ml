@@ -109,18 +109,6 @@ let with_fire_hook prov f =
     Fun.protect ~finally:(fun () -> Rewrite.fire_hook := saved) f
   end
 
-(* Physical-identity table of application nodes that were part of a tree
-   that passed validation earlier in this optimizer invocation.  Terms are
-   immutable, so a node recognized here is exactly the subtree previously
-   checked; only its boundary obligations need re-verification (Wf's
-   [skip]). *)
-module Pa = Hashtbl.Make (struct
-  type t = Term.app
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
 (* Translation validation of one optimizer pass (enabled by
    [config.validate]): the rewritten tree must still be well-formed, must
    not acquire free identifiers the input did not have, and the pass's own
@@ -133,13 +121,9 @@ let validation_failed ~phase ~round fmt =
       raise (Validation_error (Printf.sprintf "round %d, %s pass: %s" round phase msg)))
     fmt
 
-let validate_pass ~config ~frees0 ~validated ~phase ~round ~before ~after ~growth =
-  let tbl = Lazy.force validated in
+let validate_pass ~config ~frees0 ~phase ~round ~before ~after ~growth =
   (match
-     Wf.check_app
-       ~skip:(fun a -> Pa.mem tbl a)
-       ~free_allowed:(fun id -> Ident.Set.mem id (Lazy.force frees0))
-       after
+     Wf.check_app ~free_allowed:(fun id -> Ident.Set.mem id (Lazy.force frees0)) after
    with
   | Ok () -> ()
   | Error errs ->
@@ -153,7 +137,7 @@ let validate_pass ~config ~frees0 ~validated ~phase ~round ~before ~after ~growt
   | Some (g, expansions) ->
     (* the expansion pass replaces one [Var] node per expansion by a copy
        whose size it adds to [growth], so its accounting is exact *)
-    let actual = Hashcons.size_app after - Hashcons.size_app before in
+    let actual = Term.size_app after - Term.size_app before in
     if actual <> g - expansions then
       validation_failed ~phase ~round
         "growth accounting mismatch: reported %d over %d expansions, actual size delta %d" g
@@ -164,32 +148,18 @@ let validate_pass ~config ~frees0 ~validated ~phase ~round ~before ~after ~growt
        legitimately trade size for speed, so the accounting check only
        applies to the pure-core configuration *)
     if config.rules = [] then begin
-      if Hashcons.size_app after > Hashcons.size_app before then
+      if Term.size_app after > Term.size_app before then
         validation_failed ~phase ~round "reduction grew the tree: %d -> %d"
-          (Hashcons.size_app before) (Hashcons.size_app after);
-      if Hashcons.cost_app after > Hashcons.cost_app before then
+          (Term.size_app before) (Term.size_app after);
+      if Cost.app_cost after > Cost.app_cost before then
         validation_failed ~phase ~round "reduction increased static cost: %d -> %d"
-          (Hashcons.cost_app before) (Hashcons.cost_app after)
-    end);
-  (* The tree passed: mark every node as validated for later passes.  The
-     walk stops at already-marked nodes (their subtrees are marked too), so
-     its cost is proportional to the changed region, not the whole term. *)
-  let rec mark_app a =
-    if not (Pa.mem tbl a) then begin
-      Pa.add tbl a ();
-      mark_value a.Term.func;
-      List.iter mark_value a.Term.args
-    end
-  and mark_value = function
-    | Term.Abs f -> mark_app f.Term.body
-    | Term.Lit _ | Term.Var _ | Term.Prim _ -> ()
-  in
-  mark_app after
+          (Cost.app_cost before) (Cost.app_cost after)
+    end)
 
-let optimize_app ?(config = default) ?memo (a : Term.app) =
+let optimize_app ?(config = default) (a : Term.app) =
   let stats = Rewrite.fresh_stats () in
-  let size_before = Hashcons.size_app a in
-  let cost_before = Hashcons.cost_app a in
+  let size_before = Term.size_app a in
+  let cost_before = Cost.app_cost a in
   let expansions = ref 0 in
   let prov = if !Tml_obs.Provenance.enabled then Some (Tml_obs.Provenance.create ()) else None in
   let prov_add rule site fact size_delta cost_delta =
@@ -206,14 +176,11 @@ let optimize_app ?(config = default) ?memo (a : Term.app) =
     | None -> ()
   in
   let frees0 = lazy (Term.free_vars_app a) in
-  let memo = match memo with Some m -> m | None -> Rewrite.fresh_memo () in
-  let memo_seen_hits = Rewrite.memo_hits memo in
-  let memo_seen_misses = Rewrite.memo_misses memo in
-  let validate = validate_pass ~config ~frees0 ~validated:(lazy (Pa.create 256)) in
+  let validate = validate_pass ~config ~frees0 in
   let reduce a =
     Tml_obs.Trace.with_span ~cat:"optimizer" "reduce" (fun () ->
         Profile.timed Profile.Reduce (fun () ->
-            Rewrite.reduce_app ~stats ~rules:config.rules ~max_steps:config.max_steps ~memo a))
+            Rewrite.reduce_app ~stats ~rules:config.rules ~max_steps:config.max_steps a))
   in
   (* The penalty budget bounds cumulative expansion growth.  Running out
      used to be silent — the loop just stopped expanding — which made
@@ -252,8 +219,8 @@ let optimize_app ?(config = default) ?memo (a : Term.app) =
         prov_add "expand"
           (Printf.sprintf "%d call sites" r.expansions)
           ""
-          (Hashcons.size_app r.term - Hashcons.size_app a)
-          (Hashcons.cost_app r.term - Hashcons.cost_app a);
+          (Term.size_app r.term - Term.size_app a)
+          (Cost.app_cost r.term - Cost.app_cost a);
         (* each round of the reduction/expansion phases accumulates a
            penalty proportional to the growth it caused *)
         loop (round + 1) (penalty + r.growth + r.expansions) r.term
@@ -263,10 +230,7 @@ let optimize_app ?(config = default) ?memo (a : Term.app) =
   let a', rounds, penalty = with_fire_hook prov (fun () -> loop 1 0 a) in
   if !Profile.enabled then begin
     Profile.record_call ();
-    Profile.record_fires stats;
-    Profile.record_memo
-      ~hits:(Rewrite.memo_hits memo - memo_seen_hits)
-      ~misses:(Rewrite.memo_misses memo - memo_seen_misses)
+    Profile.record_fires stats
   end;
   let report =
     {
@@ -275,18 +239,18 @@ let optimize_app ?(config = default) ?memo (a : Term.app) =
       stats;
       expansions = !expansions;
       size_before;
-      size_after = Hashcons.size_app a';
+      size_after = Term.size_app a';
       cost_before;
-      cost_after = Hashcons.cost_app a';
+      cost_after = Cost.app_cost a';
       prov = (match prov with Some p -> Tml_obs.Provenance.contents p | None -> []);
     }
   in
   a', report
 
-let optimize_value ?(config = default) ?memo (v : Term.value) =
+let optimize_value ?(config = default) (v : Term.value) =
   match v with
   | Term.Abs f ->
-    let body, report = optimize_app ~config ?memo f.body in
+    let body, report = optimize_app ~config f.body in
     (* η-reduction may apply to the rebuilt abstraction itself *)
     let v' = Term.Abs { f with body } in
     let v', report =

@@ -29,9 +29,7 @@ type config = {
           free identifiers), and the pass's size/cost accounting.  A
           violation raises {!Validation_error}.  Intended for the
           differential test harness ([Tml_check]) and for debugging domain
-          rules.  Validation is delta validation: subtrees that passed an
-          earlier pass of the same run get boundary checks only ({!Wf}'s
-          [skip]). *)
+          rules.  Each pass checks the whole tree. *)
 }
 
 (** Raised (only when [validate] is on) when a pass produces an ill-formed
@@ -69,25 +67,14 @@ type report = {
 
 val pp_report : Format.formatter -> report -> unit
 
-(** [optimize_app ?config ?memo a] optimizes a TML application to fixpoint
-    (or penalty exhaustion) and reports what happened.  Reduction passes
-    memoize normal forms by hash-consed handle ({!Rewrite.memo}) and keep
-    the physical identity of unchanged subtrees, so later rounds skip
-    already-normalized regions in O(1); roots below
-    {!Rewrite.memo_size_threshold} take the memo-free path.  Size and cost
-    accounting uses the memoized {!Hashcons} measures.
+(** [optimize_app ?config a] optimizes a TML application to fixpoint
+    (or penalty exhaustion) and reports what happened.  Size and cost
+    accounting walks the tree ({!Term.size_app}, {!Cost.app_cost}). *)
+val optimize_app : ?config:config -> Term.app -> Term.app * report
 
-    [memo] supplies an external normal-form memo instead of the fresh
-    per-call one; pass it to share work across repeated optimizations of
-    overlapping terms.  Only sound while
-    the rule set stays a pure function of the term — with the empty or a
-    pure [config.rules], not with store-aware rules over a heap that
-    mutates between calls. *)
-val optimize_app : ?config:config -> ?memo:Rewrite.memo -> Term.app -> Term.app * report
-
-(** [optimize_value ?config ?memo v] optimizes an abstraction (its body) or
-    any other value. *)
-val optimize_value : ?config:config -> ?memo:Rewrite.memo -> Term.value -> Term.value * report
+(** [optimize_value ?config v] optimizes an abstraction (its body) or any
+    other value. *)
+val optimize_value : ?config:config -> Term.value -> Term.value * report
 
 (** [replay ?config pre log] re-optimizes [pre] under [config] with
     provenance recording forced on and checks the resulting derivation

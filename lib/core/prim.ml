@@ -87,17 +87,9 @@ let make ~name ?(value_arity = Some 0) ?(cont_arity = Some 1) ?(attrs = worst_at
 
 let registry : (string, t) Hashtbl.t = Hashtbl.create 64
 
-(* The epoch moves whenever the registry changes, so caches derived from
-   primitive metadata (e.g. memoized static costs in [Hashcons]) can
-   detect that a domain library installed or overrode primitives after
-   they were populated. *)
-let epoch_ = ref 0
-let epoch () = !epoch_
-
 let register ?(override = false) t =
   if (not override) && Hashtbl.mem registry t.name then
     invalid_arg (Printf.sprintf "Prim.register: %S already registered" t.name);
-  incr epoch_;
   Hashtbl.replace registry t.name t
 
 let find name = Hashtbl.find_opt registry name

@@ -91,11 +91,6 @@ val is_cont_arg : Term.value -> bool
 val register : ?override:bool -> t -> unit
 
 val find : string -> t option
-
-(** [epoch ()] counts registry mutations.  Caches that memoize data derived
-    from primitive descriptors (such as [Hashcons] static costs) tag entries
-    with the epoch and recompute when it has moved. *)
-val epoch : unit -> int
 val find_exn : string -> t
 val mem : string -> bool
 val all : unit -> t list

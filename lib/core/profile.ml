@@ -5,8 +5,6 @@ type t = {
   mutable reduce_passes : int;
   mutable expand_passes : int;
   mutable validate_passes : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
   mutable optimize_calls : int;
   mutable budget_exhausted : int;
   fires : Rewrite.stats;
@@ -20,8 +18,6 @@ let fresh () =
     reduce_passes = 0;
     expand_passes = 0;
     validate_passes = 0;
-    memo_hits = 0;
-    memo_misses = 0;
     optimize_calls = 0;
     budget_exhausted = 0;
     fires = Rewrite.fresh_stats ();
@@ -42,8 +38,6 @@ let reset () =
   global.reduce_passes <- 0;
   global.expand_passes <- 0;
   global.validate_passes <- 0;
-  global.memo_hits <- 0;
-  global.memo_misses <- 0;
   global.optimize_calls <- 0;
   global.budget_exhausted <- 0;
   let f = global.fires in
@@ -88,10 +82,6 @@ let timed pass f =
       raise e
   end
 
-let record_memo ~hits ~misses =
-  global.memo_hits <- global.memo_hits + hits;
-  global.memo_misses <- global.memo_misses + misses
-
 let record_fires s = Rewrite.add_stats global.fires s
 let record_call () = global.optimize_calls <- global.optimize_calls + 1
 let record_budget_exhausted () = global.budget_exhausted <- global.budget_exhausted + 1
@@ -115,21 +105,14 @@ let pp ppf t =
     List.iter
       (fun (name, n) -> Format.fprintf ppf "    %-28s %8d@," name n)
       counts);
-  Format.fprintf ppf "  budget exhausted: %d optimize calls truncated by penalty limit@,"
-    t.budget_exhausted;
-  let lookups = t.memo_hits + t.memo_misses in
-  let rate = if lookups > 0 then 100. *. float_of_int t.memo_hits /. float_of_int lookups else 0. in
-  Format.fprintf ppf "  rewrite memo: %d hits / %d lookups (%.1f%%)@," t.memo_hits lookups rate;
-  let h = Hashcons.stats () in
-  Format.fprintf ppf "  hashcons: %d interned, %d phys hits, %d struct hits, table %d@]"
-    h.Hashcons.interned h.Hashcons.phys_hits h.Hashcons.struct_hits (Hashcons.table_size ())
+  Format.fprintf ppf "  budget exhausted: %d optimize calls truncated by penalty limit@]"
+    t.budget_exhausted
 
-(* Expose the global profile (plus hashcons table stats) as a metrics
-   source so [tmlsh :stats] prints one merged report. *)
+(* Expose the global profile as a metrics source so [tmlsh :stats]
+   prints one merged report. *)
 let metrics_snapshot () =
   let t = global in
   let f = t.fires in
-  let h = Hashcons.stats () in
   Tml_obs.Metrics.
     [
       ("optimize_calls", I t.optimize_calls);
@@ -149,12 +132,6 @@ let metrics_snapshot () =
       ("fires.y_reduce", I f.Rewrite.y_reduce);
       ("fires.domain", I f.Rewrite.domain);
       ("budget_exhausted", I t.budget_exhausted);
-      ("memo_hits", I t.memo_hits);
-      ("memo_misses", I t.memo_misses);
-      ("hashcons.interned", I h.Hashcons.interned);
-      ("hashcons.phys_hits", I h.Hashcons.phys_hits);
-      ("hashcons.struct_hits", I h.Hashcons.struct_hits);
-      ("hashcons.table", I (Hashcons.table_size ()));
     ]
 
 let register_metrics () =

@@ -1,8 +1,7 @@
 (** Optimizer pass profiling.
 
     A global accumulator of per-pass wall-clock time (reduce vs expand vs
-    validate), rule-fire counters, rewrite-memo effectiveness and
-    hash-consing table statistics.  Off by default — the optimizer only
+    validate) and rule-fire counters.  Off by default — the optimizer only
     touches the clock when [enabled] is set, so the hot path pays a single
     ref read otherwise.  [tmlc --profile] and [tmlsh :stats] render the
     summary table. *)
@@ -14,8 +13,6 @@ type t = {
   mutable reduce_passes : int;
   mutable expand_passes : int;
   mutable validate_passes : int;
-  mutable memo_hits : int;
-  mutable memo_misses : int;
   mutable optimize_calls : int;
   mutable budget_exhausted : int;
       (** optimize calls whose expansion phase was truncated by the
@@ -45,16 +42,14 @@ type pass =
 val timed : pass -> (unit -> 'a) -> 'a
 
 val record_pass : pass -> float -> unit
-val record_memo : hits:int -> misses:int -> unit
 val record_fires : Rewrite.stats -> unit
 val record_call : unit -> unit
 val record_budget_exhausted : unit -> unit
 
-(** Render the summary table (pass times, rule fires, memo hit rate,
-    hash-consing stats). *)
+(** Render the summary table (pass times, rule fires, budget
+    exhaustions). *)
 val pp : Format.formatter -> t -> unit
 
-(** Register the global profile (plus hashcons stats) as the
-    ["optimizer"] source in the metrics registry; resetting the
+(** Register the global profile as the ["optimizer"] source in the metrics registry; resetting the
     registry then resets the profile too. *)
 val register_metrics : unit -> unit

@@ -302,56 +302,7 @@ exception Out_of_fuel
 
 let default_max_steps = 200_000
 
-(* Normal-form memo, keyed by hash-consed handle.  Reduction is local —
-   the normal form of a subtree depends only on the subtree and the rule
-   set, never on the surrounding context — so within one optimization
-   (rules fixed, heap frozen for any store-aware domain rules) a subtree
-   seen again, whether physically shared across rounds or structurally
-   duplicated by substitution, is already done.  η-full and η-free value
-   normalization are distinct functions and get distinct tables. *)
-type memo = {
-  m_app : (int, Term.app) Hashtbl.t;
-  m_value : (int, Term.value) Hashtbl.t;
-  m_value_no_eta : (int, Term.value) Hashtbl.t;
-  mutable m_hits : int;
-  mutable m_misses : int;
-}
-
-let fresh_memo () =
-  {
-    m_app = Hashtbl.create 256;
-    m_value = Hashtbl.create 256;
-    m_value_no_eta = Hashtbl.create 256;
-    m_hits = 0;
-    m_misses = 0;
-  }
-
-let memo_hits m = m.m_hits
-let memo_misses m = m.m_misses
-
-(* Roots below this node count take the memo-free path even when a memo
-   is supplied: for a term a few dozen nodes big, one intern + table
-   lookup per node costs more than just re-reducing it (the E11
-   small-term regression).  The probe below is budget-bounded, so large
-   already-normal roots keep their O(1) memo fast path. *)
-let memo_size_threshold = ref 48
-
-(* counts nodes as [Term.size_*] but stops once the budget is spent;
-   returns the remaining budget (0 = at least [budget] nodes) *)
-let rec size_capped_value budget = function
-  | Lit _ | Var _ | Prim _ -> budget - 1
-  | Abs a ->
-    let budget = budget - 1 - List.length a.params in
-    if budget <= 0 then 0 else size_capped_app budget a.body
-
-and size_capped_app budget a =
-  let budget = size_capped_value (budget - 1) a.func in
-  List.fold_left (fun b v -> if b <= 0 then 0 else size_capped_value b v) budget a.args
-
-let value_below ~limit v = size_capped_value limit v > 0
-let app_below ~limit a = size_capped_app limit a > 0
-
-let reduce ?(stats = dummy_stats) ?(rules = []) ?(max_steps = default_max_steps) ?memo () =
+let reduce ?(stats = dummy_stats) ?(rules = []) ?(max_steps = default_max_steps) () =
   let fuel = ref max_steps in
   let spend () =
     decr fuel;
@@ -402,35 +353,7 @@ let reduce ?(stats = dummy_stats) ?(rules = []) ?(max_steps = default_max_steps)
             Some a'
           | None -> try_domain a)))
   in
-  (* Memo plumbing: look up / record normal forms by hash-consed handle.
-     A recorded normal form is also its own normal form, so both the input
-     and the output handle map to it — re-reducing an already-normal tree
-     (the common case in later optimizer rounds) is then a single lookup. *)
-  let find tbl key v m =
-    match Hashtbl.find_opt tbl (key v) with
-    | Some _ as r ->
-      m.m_hits <- m.m_hits + 1;
-      r
-    | None ->
-      m.m_misses <- m.m_misses + 1;
-      None
-  in
-  let record tbl key v r =
-    Hashtbl.replace tbl (key v) r;
-    if not (r == v) then Hashtbl.replace tbl (key r) r
-  in
-  let make memo =
   let rec norm_app a =
-    match memo with
-    | None -> norm_app_fresh a
-    | Some m -> (
-      match find m.m_app Hashcons.id_app a m with
-      | Some r -> r
-      | None ->
-        let r = norm_app_fresh a in
-        record m.m_app Hashcons.id_app a r;
-        r)
-  and norm_app_fresh a =
     match step a with
     | Some a' ->
       spend ();
@@ -463,65 +386,30 @@ let reduce ?(stats = dummy_stats) ?(rules = []) ?(max_steps = default_max_steps)
   and norm_value_no_eta v =
     match v with
     | Lit _ | Var _ | Prim _ -> v
-    | Abs a -> (
-      match memo with
-      | None -> norm_value_no_eta_fresh v a
-      | Some m -> (
-        match find m.m_value_no_eta Hashcons.id_value v m with
-        | Some r -> r
-        | None ->
-          let r = norm_value_no_eta_fresh v a in
-          record m.m_value_no_eta Hashcons.id_value v r;
-          r))
-  and norm_value_no_eta_fresh v a =
-    let body = norm_app a.body in
-    if body == a.body then v else Abs { a with body }
+    | Abs a ->
+      let body = norm_app a.body in
+      if body == a.body then v else Abs { a with body }
   and norm_value v =
     match v with
     | Lit _ | Var _ | Prim _ -> v
     | Abs a -> (
-      match memo with
-      | None -> norm_value_fresh v a
-      | Some m -> (
-        match find m.m_value Hashcons.id_value v m with
-        | Some r -> r
-        | None ->
-          let r = norm_value_fresh v a in
-          record m.m_value Hashcons.id_value v r;
-          r))
-  and norm_value_fresh v a =
-    let body = norm_app a.body in
-    let v' = if body == a.body then v else Abs { a with body } in
-    match try_eta ~stats v' with
-    | Some v'' ->
-      (match !fire_hook with
-      | Some f -> f ~rule:"eta" ~fact:"" (Rvalue (v', v''))
-      | None -> ());
-      spend ();
-      v''
-    | None -> v'
+      let body = norm_app a.body in
+      let v' = if body == a.body then v else Abs { a with body } in
+      match try_eta ~stats v' with
+      | Some v'' ->
+        (match !fire_hook with
+        | Some f -> f ~rule:"eta" ~fact:"" (Rvalue (v', v''))
+        | None -> ());
+        spend ();
+        v''
+      | None -> v')
   in
   norm_app, norm_value
-  in
-  match memo with
-  | None -> make None
-  | Some _ ->
-    (* per-root gate: small roots skip the memo entirely (recursion
-       included); both variants share the fuel and stats *)
-    let memo_app, memo_value = make memo in
-    let plain_app, plain_value = make None in
-    let norm_app a =
-      if app_below ~limit:!memo_size_threshold a then plain_app a else memo_app a
-    in
-    let norm_value v =
-      if value_below ~limit:!memo_size_threshold v then plain_value v else memo_value v
-    in
-    norm_app, norm_value
 
-let reduce_app ?stats ?rules ?max_steps ?memo a =
-  let norm_app, _ = reduce ?stats ?rules ?max_steps ?memo () in
+let reduce_app ?stats ?rules ?max_steps a =
+  let norm_app, _ = reduce ?stats ?rules ?max_steps () in
   norm_app a
 
-let reduce_value ?stats ?rules ?max_steps ?memo v =
-  let _, norm_value = reduce ?stats ?rules ?max_steps ?memo () in
+let reduce_value ?stats ?rules ?max_steps v =
+  let _, norm_value = reduce ?stats ?rules ?max_steps () in
   norm_value v

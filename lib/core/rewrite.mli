@@ -118,42 +118,12 @@ val try_eta : ?stats:stats -> Term.value -> Term.value option
     non-size-reducing domain rules; the core rules always terminate. *)
 exception Out_of_fuel
 
-(** Normal-form memo keyed by hash-consed handles ([Hashcons]).  Reduction
-    is context-free — a subtree's normal form depends only on the subtree
-    and the rule set — so memoized results are reusable for any subtree
-    seen again: physically shared across optimizer rounds or structurally
-    duplicated by substitution.  A memo is sound for as long as the rule
-    set behaves as a pure function of the term; scope it to one optimizer
-    invocation when domain rules consult mutable state (the store rules
-    do), and reuse it across invocations only for pure rule sets. *)
-type memo
-
-val fresh_memo : unit -> memo
-
-(** [memo_hits m] / [memo_misses m] count lookups that were answered from /
-    had to be computed into [m]. *)
-val memo_hits : memo -> int
-
-val memo_misses : memo -> int
-
-(** Roots whose node count ([Term.size_*]) is below this take the
-    memo-free path even when a memo is supplied: on a term a few dozen
-    nodes big, one intern + table lookup per node costs more than simply
-    re-reducing it.  The size probe is budget-bounded, so large
-    already-normal roots keep their O(1) memo fast path.  Set to [0] to
-    memoize unconditionally; set to [max_int] to reduce every root
-    memo-free, the reference the optimizer equivalence tests and
-    experiment E11 compare the memo against. *)
-val memo_size_threshold : int ref
-
-(** [reduce_app ?stats ?rules ?max_steps ?memo app] normalizes [app]:
+(** [reduce_app ?stats ?rules ?max_steps app] normalizes [app]:
     applies the core rules (plus the domain [rules]) bottom-up to fixpoint.
     [max_steps] (default 200_000) bounds the number of rule applications as
-    a safety net for non-size-reducing domain rules.  With [memo],
-    already-normalized subtrees are skipped in O(1); unchanged siblings
-    keep their physical identity, so later rounds' checks stay O(1). *)
-val reduce_app :
-  ?stats:stats -> ?rules:rule list -> ?max_steps:int -> ?memo:memo -> Term.app -> Term.app
+    a safety net for non-size-reducing domain rules.  Unchanged subtrees
+    keep their physical identity ([Term.map_sharing]), so an
+    already-normal term comes back [==] to the input. *)
+val reduce_app : ?stats:stats -> ?rules:rule list -> ?max_steps:int -> Term.app -> Term.app
 
-val reduce_value :
-  ?stats:stats -> ?rules:rule list -> ?max_steps:int -> ?memo:memo -> Term.value -> Term.value
+val reduce_value : ?stats:stats -> ?rules:rule list -> ?max_steps:int -> Term.value -> Term.value

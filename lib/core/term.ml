@@ -48,8 +48,8 @@ let is_trivial = function
 
 (* Identity-preserving map: returns the original list (physically) when no
    element changed, so rebuilding passes keep unchanged subtrees shared —
-   the property the incremental optimizer's O(1) "did this change?" checks
-   rely on. *)
+   the property the reduction and expansion passes' O(1) "did this
+   change?" checks rely on. *)
 let map_sharing f l =
   let changed = ref false in
   let l' =

@@ -63,7 +63,7 @@ val is_trivial : value -> bool
 (** [map_sharing f l] maps [f] over [l] but returns [l] itself (physically)
     when every element mapped to itself.  Rebuilding passes use it so
     unchanged subtrees stay physically shared, which is what makes the
-    incremental optimizer's "did this change?" checks O(1). *)
+    reduction and expansion passes' "did this change?" checks O(1). *)
 val map_sharing : ('a -> 'a) -> 'a list -> 'a list
 
 (** {1 Measures} *)

@@ -11,16 +11,6 @@ type state = {
   mutable errors : error list;
   bound : unit Ident.Tbl.t;
   free_allowed : Ident.t -> bool;
-  skip : Term.app -> bool;
-      (* Delta validation: [skip a] promises that the subtree rooted at [a]
-         already passed a full check in an earlier pass (callers key the
-         promise on physical identity — immutable trees make it stable).
-         The walk then performs only the boundary obligations that depend
-         on the surrounding context: its binders join the global
-         unique-binding table and its free variables are checked against
-         the enclosing scope, both from memoized [Hashcons] summaries.  A
-         skipped subtree whose binders are not internally unique is checked
-         in full — the cheap summary cannot vouch for it. *)
 }
 
 let add_error st message context_pp =
@@ -123,31 +113,7 @@ and check_arg st ~what ~cont_expected arg ctx =
     check_value_at st As_value arg
   end
 
-and skip_app_node st (a : app) =
-  (* Boundary obligations of a subtree vouched for by [st.skip]: the
-     binder inventory must be internally unique (else fall back to the
-     full walk) and must not collide with binders elsewhere in the term. *)
-  let binders, unique = Hashcons.binders_app a in
-  if not unique then false
-  else begin
-    let ctx = app_ctx a in
-    Ident.Set.iter
-      (fun p ->
-        if Ident.Tbl.mem st.bound p then
-          add_error st
-            (Format.asprintf "identifier %a is bound more than once (unique binding rule)"
-               Ident.pp p)
-            ctx
-        else Ident.Tbl.add st.bound p ())
-      binders;
-    true
-  end
-
 and check_app_node st (a : app) =
-  if st.skip a && skip_app_node st a then ()
-  else check_app_node_full st a
-
-and check_app_node_full st (a : app) =
   let ctx = app_ctx a in
   match a.func with
   | Prim name -> (
@@ -234,27 +200,13 @@ let check_scoping st (a : app) =
       let env = List.fold_left (fun e p -> Ident.Set.add p e) env abs.params in
       go_app env abs.body
   and go_app env (node : app) =
-    if st.skip node then
-      (* memoized free set against the enclosing scope; the subtree's
-         internal scoping was established when it was first validated *)
-      Ident.Set.iter
-        (fun id ->
-          if not (Ident.Set.mem id env || st.free_allowed id) then
-            add_error st
-              (Format.asprintf "unbound identifier %a" Ident.pp id)
-              (app_ctx node))
-        (Hashcons.free_vars_app node)
-    else begin
-      go_value env node.func;
-      List.iter (go_value env) node.args
-    end
+    go_value env node.func;
+    List.iter (go_value env) node.args
   in
   go_app Ident.Set.empty a
 
-let no_skip = fun _ -> false
-
-let run ?(skip = no_skip) free_allowed checker =
-  let st = { errors = []; bound = Ident.Tbl.create 64; free_allowed; skip } in
+let run free_allowed checker =
+  let st = { errors = []; bound = Ident.Tbl.create 64; free_allowed } in
   checker st;
   match st.errors with
   | [] -> Ok ()
@@ -262,8 +214,8 @@ let run ?(skip = no_skip) free_allowed checker =
 
 let default_free = fun _ -> true
 
-let check_app ?(free_allowed = default_free) ?skip a =
-  run ?skip free_allowed (fun st ->
+let check_app ?(free_allowed = default_free) a =
+  run free_allowed (fun st ->
       check_app_node st a;
       check_scoping st a)
 

@@ -28,24 +28,11 @@ type error = {
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [check_app ?free_allowed ?skip app] checks a complete TML program body.
+(** [check_app ?free_allowed app] checks a complete TML program body.
     [free_allowed] (default: accept any) restricts which identifiers may
     occur free — compilation units legitimately have free variables (their
-    imports), fully linked terms have none.
-
-    [skip] (default: never) enables delta validation: when [skip a] holds,
-    the caller vouches that the subtree rooted at [a] — typically
-    recognized by physical identity — already passed a full check in an
-    earlier pass, and only its context-dependent boundary obligations are
-    re-verified from memoized [Hashcons] summaries: binder disjointness
-    against the rest of the term, and free variables against the enclosing
-    scope.  A vouched subtree whose binders are not internally unique is
-    still checked in full. *)
-val check_app :
-  ?free_allowed:(Ident.t -> bool) ->
-  ?skip:(Term.app -> bool) ->
-  Term.app ->
-  (unit, error list) result
+    imports), fully linked terms have none. *)
+val check_app : ?free_allowed:(Ident.t -> bool) -> Term.app -> (unit, error list) result
 
 (** [check_value ?free_allowed v] checks a value (typically a [proc]
     abstraction). *)

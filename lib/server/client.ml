@@ -96,7 +96,9 @@ let commit t =
   | Wire.Committed { epoch; objects; group } ->
     t.epoch <- epoch;
     Ok (Committed { epoch; objects; group })
-  | Wire.Conflict { oid } -> Ok (Conflicted { oid })
+  | Wire.Conflict { oid; epoch } ->
+    Option.iter (fun e -> t.epoch <- e) epoch;
+    Ok (Conflicted { oid })
   | Wire.Busy msg -> Error ("busy: " ^ msg)
   | Wire.Error msg -> Error msg
   | _ -> fail "unexpected reply to commit"

@@ -23,7 +23,8 @@ val last_trace_id : t -> int
 val session_id : t -> int
 
 val epoch : t -> int
-(** the session's pinned epoch as of the last handshake or commit *)
+(** the session's pinned epoch as of the last handshake, commit or
+    conflict (a conflict loser reopens at the current epoch) *)
 
 val close : t -> unit
 (** send [Bye], wait for the ack, close the socket; idempotent *)
@@ -41,7 +42,8 @@ type commit_outcome =
   | Conflicted of { oid : int }
 
 val commit : t -> (commit_outcome, string) result
-(** on [Committed], {!epoch} advances to the new epoch *)
+(** on [Committed], {!epoch} advances to the new epoch; on [Conflicted],
+    to the epoch the aborted session reopened at *)
 
 val stats : t -> string
 (** the server's stats JSON. @raise Client_error *)

@@ -536,7 +536,7 @@ let handle_commit t ss ?trace () =
     Wire.Committed { epoch; objects; group }
   | Cr_conflict oid ->
     abort t ss;
-    Wire.Conflict { oid }
+    Wire.Conflict { oid; epoch = Some (Pstore.epoch ss.ss_pstore) }
 
 let handle_stat ss =
   Wire.Stats

@@ -18,8 +18,8 @@
     it is applied.
 
     Evaluation is serialized by one process-wide lock — the language
-    runtime's global caches (hash-consing, specialization cache, analysis
-    cache, identifier stamps) are shared mutable state, and OCaml's
+    runtime's global caches (specialization cache, analysis cache,
+    identifier stamps) are shared mutable state, and OCaml's
     threads interleave rather than run in parallel anyway.  The lock is
     {e not} held across the committer's [fsync], which is where the real
     concurrency win lives; warm specializations made by one session serve

@@ -101,7 +101,7 @@ type resp =
   | Hello_ok of { session : int; epoch : int; server : string }
   | Result of string
   | Committed of { epoch : int; objects : int; group : int }
-  | Conflict of { oid : int }
+  | Conflict of { oid : int; epoch : int option }
   | Busy of string
   | Error of string
   | Stats of string
@@ -162,9 +162,10 @@ let encode_resp resp =
         Codec.W.varint w epoch;
         Codec.W.varint w objects;
         Codec.W.varint w group
-      | Conflict { oid } ->
+      | Conflict { oid; epoch } ->
         Codec.W.u8 w 0x84;
-        Codec.W.varint w oid
+        Codec.W.varint w oid;
+        Option.iter (Codec.W.varint w) epoch
       | Busy msg ->
         Codec.W.u8 w 0x85;
         Codec.W.str w msg
@@ -231,7 +232,10 @@ let decode_resp payload =
         let objects = Codec.R.varint r in
         let group = Codec.R.varint r in
         Committed { epoch; objects; group }
-      | 0x84 -> Conflict { oid = Codec.R.varint r }
+      | 0x84 ->
+        let oid = Codec.R.varint r in
+        let epoch = if Codec.R.at_end r then None else Some (Codec.R.varint r) in
+        Conflict { oid; epoch }
       | 0x85 -> Busy (Codec.R.str r)
       | 0x86 -> Error (Codec.R.str r)
       | 0x87 -> Stats (Codec.R.str r)

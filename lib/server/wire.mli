@@ -41,9 +41,11 @@ type resp =
   | Result of string  (** rendered evaluation output *)
   | Committed of { epoch : int; objects : int; group : int }
       (** [group] = how many sessions' commits shared the seal/fsync *)
-  | Conflict of { oid : int }
+  | Conflict of { oid : int; epoch : int option }
       (** first-committer-wins: [oid] was committed past this session's
-          pinned epoch; nothing of the batch was applied *)
+          pinned epoch; nothing of the batch was applied, and the session
+          now reads [epoch].  [None] decodes a frame from an older server,
+          which ends after the OID. *)
   | Busy of string  (** admission control / load shed; try again later *)
   | Error of string
   | Stats of string  (** JSON *)

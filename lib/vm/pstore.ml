@@ -11,6 +11,8 @@ type t = {
   heap : Value.Heap.heap;
   dirty : (int, unit) Hashtbl.t;
   mutable watermark : int;  (* OIDs >= watermark have never been committed *)
+  mutable txn_base : int;  (* OIDs >= txn_base were allocated by the open
+                              transaction; an adopted heap's objects sit below *)
   mutable in_fault : int;  (* depth of nested faults; suppresses hook bookkeeping *)
   mutable closed : bool;
   owns_log : bool;  (* snapshot sessions share the server's log; closing
@@ -126,6 +128,7 @@ let make ?(owns_log = true) ~snap ~store ~heap ~watermark () =
       heap;
       dirty = Hashtbl.create 64;
       watermark;
+      txn_base = Value.Heap.size heap;
       in_fault = 0;
       closed = false;
       owns_log;
@@ -240,12 +243,13 @@ let mark_committed t sn =
     (fun ix ->
       let oid = Oid.of_int ix in
       match Value.Heap.peek t.heap oid with
-      | Some (Value.Func _) when ix >= t.watermark -> Value.Heap.evict t.heap oid
+      | Some (Value.Func _) when ix >= t.txn_base -> Value.Heap.evict t.heap oid
       | _ -> ())
     t.batch_oids;
   t.batch_oids <- [];
   Hashtbl.reset t.dirty;
-  t.watermark <- max t.watermark (Value.Heap.size t.heap)
+  t.watermark <- max t.watermark (Value.Heap.size t.heap);
+  t.txn_base <- Value.Heap.size t.heap
 
 let discard_from t lo =
   check_open t;

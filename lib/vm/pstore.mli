@@ -36,7 +36,8 @@ val create : ?fsync:bool -> string -> t
 
 val attach : ?fsync:bool -> string -> Value.Heap.heap -> t
 (** fresh store file adopting an existing in-memory heap; every object
-    in it is treated as new and written by the first {!commit} *)
+    in it is treated as new and written by the first {!commit}, but was
+    not created by that transaction (see {!mark_committed}) *)
 
 val open_ : ?fsync:bool -> string -> t
 (** recover an existing store (torn tail truncated, directory rebuilt)
@@ -93,8 +94,9 @@ val mark_committed : t -> Tml_store.Log_store.snapshot -> unit
     object that another commit sealed after the old pin
     ({!Tml_store.Log_store.written_after}) is evicted and re-faults at
     the new epoch; each one counts in {!cache_invalidations}.  A function
-    object this transaction created is evicted too: most are one-shot
-    expression functions, and a call faults it back. *)
+    object this transaction created (allocated past the heap's size at
+    the last commit, or when the store adopted the heap) is evicted too:
+    most are one-shot expression functions, and a call faults it back. *)
 
 val discard_from : t -> int -> unit
 (** [discard_from t lo] drops every object allocated at OID [lo] or

@@ -118,6 +118,34 @@ let test_prims_used () =
   let a = Sexp.parse_app "(+ 1 2 ce! cont(t) (* t t ce2! cont(u) (k! u)))" in
   check Alcotest.(list string) "prims" [ "*"; "+" ] (Term.prims_used a)
 
+(* a structurally equal but physically distinct copy: same identifiers and
+   literals, fresh interior nodes (a print/parse round trip would not do —
+   [Sexp.parse_value] mints fresh stamps) *)
+let rec copy_value v =
+  match v with
+  | Term.Abs a -> Term.abs a.Term.params (copy_app a.Term.body)
+  | Term.Lit _ | Term.Var _ | Term.Prim _ -> v
+
+and copy_app a = Term.app (copy_value a.Term.func) (List.map copy_value a.Term.args)
+
+(* structural equality compares identifiers by stamp, never by node
+   identity: a distinct copy is equal, a reparse is only α-equal *)
+let test_equal_distinct_copies () =
+  for seed = 0 to 40 do
+    let v = Gen.proc2 (Random.State.make [| seed |]) ~size:(15 + seed) in
+    let c = copy_value v in
+    check tbool "copy is physically distinct" true (c != v);
+    check tbool "copy is structurally equal" true (Term.equal_value v c);
+    check tbool "copy is alpha equal" true (Term.alpha_equal_value v c);
+    let r = Sexp.parse_value (Sexp.print_value v) in
+    check tbool "reparse is alpha equal" true (Term.alpha_equal_value v r);
+    check tbool "reparse has fresh stamps" false (Term.equal_value v r);
+    let w = Gen.proc2 (Random.State.make [| seed + 1000 |]) ~size:20 in
+    check tbool "equality is symmetric" (Term.equal_value v w) (Term.equal_value w v);
+    check tbool "alpha equality is symmetric" (Term.alpha_equal_value v w)
+      (Term.alpha_equal_value w v)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Occurs — the |E|_v function                                          *)
 (* ------------------------------------------------------------------ *)
@@ -146,6 +174,25 @@ let test_occurs_all () =
   check tint "y once" 1 (by_name "y");
   check tint "t three times" 3 (by_name "t");
   check tint "ce twice" 2 (by_name "ce")
+
+(* the three walkers answer the same question three ways: on a closed,
+   alphatized term a parameter occurs in the body exactly when it is
+   counted there and exactly when it is free there *)
+let test_occurs_agrees_with_free_vars () =
+  for seed = 0 to 40 do
+    let v = Gen.proc2 (Random.State.make [| seed; 7 |]) ~size:(10 + (3 * seed)) in
+    check tbool "generated term is closed" true (Ident.Set.is_empty (Term.free_vars_value v));
+    match v with
+    | Term.Abs a ->
+      let free = Term.free_vars_app a.Term.body in
+      List.iter
+        (fun id ->
+          let n = Occurs.count_app id a.Term.body in
+          check tbool "occurs iff counted" (n > 0) (Occurs.occurs_app id a.Term.body);
+          check tbool "free in the body iff counted" (n > 0) (Ident.Set.mem id free))
+        a.Term.params
+    | _ -> Alcotest.fail "generator did not produce an abstraction"
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Subst                                                                *)
@@ -390,84 +437,6 @@ let test_sexp_comments_and_oids () =
   check tbool "flat form single line" true
     (not (String.contains (Format.asprintf "%a" Pp.pp_value_flat v) '\n'))
 
-(* ------------------------------------------------------------------ *)
-(* Hashcons: handle equality must coincide with structural equality,   *)
-(* and every memoized measure must agree with its walking counterpart. *)
-(* ------------------------------------------------------------------ *)
-
-(* a structurally equal but physically distinct copy: same identifiers and
-   literals, fresh interior nodes (a print/parse round trip would not do —
-   [Sexp.parse_value] mints fresh stamps) *)
-let rec copy_value v =
-  match v with
-  | Term.Abs a -> Term.abs a.Term.params (copy_app a.Term.body)
-  | Term.Lit _ | Term.Var _ | Term.Prim _ -> v
-
-and copy_app a = Term.app (copy_value a.Term.func) (List.map copy_value a.Term.args)
-
-let test_hashcons_equal_iff () =
-  for seed = 0 to 40 do
-    let v = Gen.proc2 (Random.State.make [| seed |]) ~size:(15 + seed) in
-    let w = Gen.proc2 (Random.State.make [| seed + 1000 |]) ~size:20 in
-    let c = copy_value v in
-    check tbool "copy is structurally equal" true (Term.equal_value v c);
-    check tbool "hashcons equal on the copy" true (Hashcons.equal_value v c);
-    check tint "equal copies share a handle" (Hashcons.id_value v) (Hashcons.id_value c);
-    check tbool "hashcons agrees with Term.equal" (Term.equal_value v w)
-      (Hashcons.equal_value v w);
-    check tbool "same handle iff structurally equal" (Term.equal_value v w)
-      (Hashcons.id_value v = Hashcons.id_value w)
-  done
-
-let test_hashcons_measures_agree () =
-  for seed = 0 to 40 do
-    let v = Gen.proc2 (Random.State.make [| seed; 7 |]) ~size:(10 + (3 * seed)) in
-    check tint "size" (Term.size_value v) (Hashcons.size_value v);
-    check tint "cost" (Cost.value_cost v) (Hashcons.cost_value v);
-    check tbool "free vars" true
-      (Ident.Set.equal (Term.free_vars_value v) (Hashcons.free_vars_value v));
-    match v with
-    | Term.Abs a ->
-      List.iter
-        (fun id ->
-          check tbool "occurs"
-            (Occurs.occurs_app id a.Term.body)
-            (Hashcons.occurs_app id a.Term.body);
-          check tint "count" (Occurs.count_app id a.Term.body)
-            (Hashcons.count_app id a.Term.body))
-        a.Term.params
-    | _ -> Alcotest.fail "generator did not produce an abstraction"
-  done
-
-let test_hashcons_hash_stable () =
-  let v = Gen.proc2 (Random.State.make [| 11 |]) ~size:60 in
-  let h = Hashcons.hash_value v in
-  check tint "hash equal on a distinct copy" h (Hashcons.hash_value (copy_value v));
-  (* the hash is a pure function of the structure: dropping every intern
-     table (handles are not reused) must not change it, and equality keeps
-     working across the reset *)
-  Hashcons.clear ();
-  check tint "hash survives a table reset" h (Hashcons.hash_value v);
-  check tbool "equality survives a table reset" true
-    (Hashcons.equal_value v (copy_value v))
-
-let test_hashcons_binders () =
-  let v = Sexp.parse_value "proc(a ce! cc!) (+ a 1 ce! cont(t) (cc! t))" in
-  let set, unique = Hashcons.binders_value v in
-  check tbool "binders found" true
-    (match v with
-    | Term.Abs a -> List.for_all (fun id -> Ident.Set.mem id set) a.Term.params
-    | _ -> false);
-  check tbool "fresh parse is internally unique" true unique;
-  (* rebinding the same identifier inside its own scope must clear the
-     internal-uniqueness flag — the incremental validator falls back to
-     the full unique-binding walk there *)
-  let x = Ident.fresh "x" in
-  let inner = Term.abs [ x ] (Term.app (Term.var x) []) in
-  let dup = Term.abs [ x ] (Term.app inner [ Term.var x ]) in
-  let _, unique' = Hashcons.binders_value dup in
-  check tbool "duplicate binder detected" false unique'
-
 let () =
   Primitives.install ();
   Alcotest.run "tml_core"
@@ -491,20 +460,13 @@ let () =
           Alcotest.test_case "proc/cont kinds" `Quick test_term_kind;
           Alcotest.test_case "alpha equality" `Quick test_alpha_equal;
           Alcotest.test_case "prims used" `Quick test_prims_used;
-        ] );
-      ( "hashcons",
-        [
-          Alcotest.test_case "equal iff structurally equal" `Quick test_hashcons_equal_iff;
-          Alcotest.test_case "measures agree with walkers" `Quick
-            test_hashcons_measures_agree;
-          Alcotest.test_case "hash is structural and stable" `Quick
-            test_hashcons_hash_stable;
-          Alcotest.test_case "binder summaries" `Quick test_hashcons_binders;
+          Alcotest.test_case "equality on distinct copies" `Quick test_equal_distinct_copies;
         ] );
       ( "occurs",
         [
           Alcotest.test_case "paper definition" `Quick test_occurs_basic;
           Alcotest.test_case "count all" `Quick test_occurs_all;
+          Alcotest.test_case "agrees with free vars" `Quick test_occurs_agrees_with_free_vars;
         ] );
       ( "subst",
         [

@@ -137,105 +137,70 @@ let test_with_rules () =
   check tbool "domain rule consulted" true (!hits >= 1)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental engine                                                   *)
+(* Validation and sharing                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* the incremental engine (normal-form memo + physical sharing + delta
-   validation) must be a pure performance change: same results as the
-   memo-free full-re-sweep reducer, which the size gate forced to
-   [max_int] selects for every root, modulo the stamps freshened by
-   inlining *)
-let test_incremental_matches_legacy () =
+(* whole-tree translation validation on every pass of an aggressive run
+   accepts what the optimizer makes of generated terms, and the result is
+   well-formed *)
+let test_validated_o3 () =
   let rng = Random.State.make [| 31 |] in
   let config = { Optimizer.o3 with Optimizer.validate = true } in
-  let memo_free f =
-    let saved = !Rewrite.memo_size_threshold in
-    Rewrite.memo_size_threshold := max_int;
-    Fun.protect ~finally:(fun () -> Rewrite.memo_size_threshold := saved) f
-  in
   for _ = 1 to 60 do
     let v = Gen.proc2 rng ~size:30 in
-    let vi, ri = Optimizer.optimize_value ~config v in
-    let vl, rl = memo_free (fun () -> Optimizer.optimize_value ~config v) in
-    check tbool "same optimized term" true (Term.alpha_equal_by_name_value vi vl);
-    check tint "same final cost" rl.Optimizer.cost_after ri.Optimizer.cost_after;
-    check tint "same final size" rl.Optimizer.size_after ri.Optimizer.size_after
+    let v', _ = Optimizer.optimize_value ~config v in
+    check tbool "well-formed result" true (Wf.well_formed_value v')
   done
 
 let test_normal_forms_shared () =
-  (* a term already in normal form must come back physically unchanged:
-     that identity is what lets later rounds skip unchanged siblings O(1) *)
+  (* a term already in normal form must come back physically unchanged,
+     and so must a tree the expansion pass leaves alone *)
   let a = Sexp.parse_app "(+ x y ce! cc!)" in
   check tbool "normal form returned physically" true (Rewrite.reduce_app a == a);
   let r = Expand.expand_app Expand.default a in
   check tbool "expansion shares an unchanged tree" true (r.Expand.term == a)
 
-(* run [f] with the size gate off: these tests exercise the memo
-   machinery itself, on fixtures small enough to be gated otherwise *)
-let without_size_gate f =
-  let saved = !Rewrite.memo_size_threshold in
-  Rewrite.memo_size_threshold := 0;
-  Fun.protect ~finally:(fun () -> Rewrite.memo_size_threshold := saved) f
-
-let test_reduce_memo_reuse () =
-  without_size_gate (fun () ->
-      let memo = Rewrite.fresh_memo () in
-      let a = multi_use_term () in
-      let r1 = Rewrite.reduce_app ~memo a in
-      let misses_after_first = Rewrite.memo_misses memo in
-      let r2 = Rewrite.reduce_app ~memo a in
-      check tbool "memoized result identical" true (r1 == r2);
-      check tbool "second run hits the memo" true (Rewrite.memo_hits memo > 0);
-      check tint "second run recomputes nothing" misses_after_first
-        (Rewrite.memo_misses memo);
-      (* the memo also short-circuits normal forms: reducing the result again
-         through the same memo is a single lookup *)
-      check tbool "normal form maps to itself" true (Rewrite.reduce_app ~memo r1 == r1))
-
-(* the E11 small-term fix: roots below [memo_size_threshold] skip the
-   memo entirely (interning + lookups cost more than re-reducing them),
-   larger roots still use it, and the crossover follows the knob *)
-let test_memo_size_gate () =
-  let small = multi_use_term () in
-  check tbool "fixture is below the default threshold" true
-    (Term.size_app small < !Rewrite.memo_size_threshold);
-  let memo = Rewrite.fresh_memo () in
-  let r1 = Rewrite.reduce_app ~memo small in
-  let r2 = Rewrite.reduce_app ~memo small in
-  check tint "small root never touches the memo" 0
-    (Rewrite.memo_hits memo + Rewrite.memo_misses memo);
-  let legacy = Rewrite.reduce_app small in
-  check tbool "gated path equals the legacy result" true
-    (Term.alpha_equal_by_name_app r1 legacy && Term.alpha_equal_by_name_app r2 legacy);
-  (* a root past the threshold populates and then hits the memo *)
+(* the reducer rebuilds only what a rule changed: a normal form comes
+   back physically, and so does a sibling that a rewrite left alone *)
+let test_reduction_shares_unchanged () =
   let rng = Random.State.make [| 2025 |] in
-  let rec gen_large () =
-    let v = Gen.proc2 rng ~size:120 in
-    if Term.size_value v >= !Rewrite.memo_size_threshold then v else gen_large ()
+  for _ = 1 to 60 do
+    let nf = Rewrite.reduce_value (Gen.proc2 rng ~size:40) in
+    check tbool "a normal form is a fixed point" true (Rewrite.reduce_value nf == nf)
+  done;
+  let a =
+    Sexp.parse_app
+      "(g proc(x ce2! cc2!) (+ 1 2 ce2! cont(t) (cc2! t)) proc(y ce3! cc3!) (+ y z ce3! \
+       cc3!) ce! cc!)"
   in
-  let large = gen_large () in
-  let memo = Rewrite.fresh_memo () in
-  let l1 = Rewrite.reduce_value ~memo large in
-  check tbool "large root populates the memo" true (Rewrite.memo_misses memo > 0);
-  let l2 = Rewrite.reduce_value ~memo large in
-  check tbool "large root answered from the memo" true
-    (l1 == l2 && Rewrite.memo_hits memo > 0);
-  (* crossover is pinned by the knob: raise it past this root and the
-     same reduce goes legacy *)
-  let saved = !Rewrite.memo_size_threshold in
-  Rewrite.memo_size_threshold := Term.size_value large + 1;
-  Fun.protect
-    ~finally:(fun () -> Rewrite.memo_size_threshold := saved)
-    (fun () ->
-      let memo = Rewrite.fresh_memo () in
-      ignore (Rewrite.reduce_value ~memo large);
-      check tint "raised threshold sends it down the legacy path" 0
-        (Rewrite.memo_hits memo + Rewrite.memo_misses memo))
+  let a' = Rewrite.reduce_app a in
+  match a.Term.args, a'.Term.args with
+  | [ p; q; _; _ ], [ p'; q'; _; _ ] ->
+    check tbool "the redex was rewritten" true (p' != p);
+    check tbool "its normal-form sibling is shared" true (q' == q)
+  | _ -> Alcotest.fail "reduction changed the call's arity"
 
-let test_delta_validation_catches_breakage () =
-  (* delta validation must still reject a rule that breaks scoping, even
-     when most of the tree is skippable: the broken region is new, so it
-     is never marked validated *)
+(* a report's sizes and costs are the walking measures of the trees it
+   went between, at every optimization level *)
+let test_report_measures () =
+  let rng = Random.State.make [| 37 |] in
+  List.iter
+    (fun config ->
+      for _ = 1 to 20 do
+        match Gen.proc2 rng ~size:30 with
+        | Term.Abs abs ->
+          let body = abs.Term.body in
+          let body', r = Optimizer.optimize_app ~config body in
+          check tint "size before" (Term.size_app body) r.Optimizer.size_before;
+          check tint "size after" (Term.size_app body') r.Optimizer.size_after;
+          check tint "cost before" (Cost.app_cost body) r.Optimizer.cost_before;
+          check tint "cost after" (Cost.app_cost body') r.Optimizer.cost_after
+        | _ -> Alcotest.fail "generator did not produce an abstraction"
+      done)
+    [ Optimizer.o1; Optimizer.o2; Optimizer.o3 ]
+
+let test_validation_catches_breakage () =
+  (* validation must reject a rule that breaks scoping *)
   let rogue (a : Term.app) =
     match a.Term.func, a.Term.args with
     | Term.Prim "+", _ ->
@@ -249,7 +214,7 @@ let test_delta_validation_catches_breakage () =
   let v = parse_v "proc(x ce! cc!) (+ x 1 ce! cont(t) (cc! t))" in
   match Optimizer.optimize_value ~config v with
   | exception Optimizer.Validation_error _ -> ()
-  | _ -> Alcotest.fail "delta validation accepted an out-of-scope reference"
+  | _ -> Alcotest.fail "validation accepted an out-of-scope reference"
 
 let test_profile_records () =
   Profile.reset ();
@@ -291,13 +256,13 @@ let () =
         ] );
       ( "incremental",
         [
-          Alcotest.test_case "matches the legacy engine" `Quick
-            test_incremental_matches_legacy;
+          Alcotest.test_case "validated o3 on generated terms" `Quick test_validated_o3;
           Alcotest.test_case "normal forms are shared" `Quick test_normal_forms_shared;
-          Alcotest.test_case "reduction memo reuse" `Quick test_reduce_memo_reuse;
-          Alcotest.test_case "memo size gate crossover" `Quick test_memo_size_gate;
-          Alcotest.test_case "delta validation still catches breakage" `Quick
-            test_delta_validation_catches_breakage;
+          Alcotest.test_case "reduction shares unchanged subtrees" `Quick
+            test_reduction_shares_unchanged;
+          Alcotest.test_case "reports measure the trees" `Quick test_report_measures;
+          Alcotest.test_case "validation catches an out-of-scope rewrite" `Quick
+            test_validation_catches_breakage;
           Alcotest.test_case "profile records passes" `Quick test_profile_records;
         ] );
     ]

@@ -183,6 +183,11 @@ let test_first_committer_wins () =
       | Ok (Client.Conflicted _) -> ()
       | Ok (Client.Committed _) -> Alcotest.fail "stale writer must conflict"
       | Error msg -> Alcotest.failf "commit failed: %s" msg);
+      (* the loser's client follows its session to the reopened epoch *)
+      let stat_epoch =
+        Scanf.sscanf (Client.stats b) "{\"session\":{\"id\":%d,\"epoch\":%d" (fun _ e -> e)
+      in
+      check tint "the loser's client epoch is its session's" stat_epoch (Client.epoch b);
       (* first committer's row is in, the loser's is not *)
       let probe = Client.connect addr in
       check tint "only the winner's insert landed" 2 (int_result (eval_ok probe "count(r)"));
@@ -199,6 +204,46 @@ let test_first_committer_wins () =
       Client.close probe;
       Client.close a;
       Client.close b)
+
+(* A server from before conflicts carried the loser's epoch ends the
+   frame after the OID: the client still reports the conflict, and keeps
+   the epoch it had. *)
+let test_old_server_conflict () =
+  let sock = temp_path ".sock" in
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close lfd;
+      if Sys.file_exists sock then Sys.remove sock)
+    (fun () ->
+      Unix.bind lfd (Unix.ADDR_UNIX sock);
+      Unix.listen lfd 1;
+      let old_server () =
+        let fd, _ = Unix.accept lfd in
+        let reply resp = Wire.write_frame fd (Wire.encode_resp resp) in
+        let rec serve () =
+          match Wire.read_frame fd with
+          | None -> ()
+          | Some frame ->
+            (match fst (Wire.decode_req frame) with
+            | Wire.Hello _ -> reply (Wire.Hello_ok { session = 1; epoch = 4; server = "old" })
+            | Wire.Commit -> Wire.write_frame fd "\x84\x0c"
+            | Wire.Bye -> reply Wire.Bye_ok
+            | _ -> reply (Wire.Error "unsupported"));
+            serve ()
+        in
+        Fun.protect ~finally:(fun () -> Unix.close fd) serve
+      in
+      let th = Thread.create old_server () in
+      let c = Client.connect (Wire.Unix_path sock) in
+      check tint "handshake epoch" 4 (Client.epoch c);
+      (match Client.commit c with
+      | Ok (Client.Conflicted { oid }) -> check tint "conflicting OID" 12 oid
+      | Ok (Client.Committed _) -> Alcotest.fail "expected a conflict"
+      | Error msg -> Alcotest.failf "commit failed: %s" msg);
+      check tint "the client keeps its epoch" 4 (Client.epoch c);
+      Client.close c;
+      Thread.join th)
 
 let test_conflict_within_one_group () =
   with_server ~window:0.15 (fun addr _t ->
@@ -350,7 +395,8 @@ let test_wire_roundtrip () =
       Wire.Hello_ok { session = 3; epoch = 9; server = "tmld" };
       Wire.Result "- : 42\n";
       Wire.Committed { epoch = 4; objects = 7; group = 3 };
-      Wire.Conflict { oid = 12 };
+      Wire.Conflict { oid = 12; epoch = Some 5 };
+      Wire.Conflict { oid = 12; epoch = None };
       Wire.Busy "b";
       Wire.Error "e";
       Wire.Stats "{}";
@@ -384,6 +430,12 @@ let test_trace_ctx_roundtrip () =
   (match Wire.decode_req framed with
   | Wire.Commit, None -> ()
   | _ -> Alcotest.fail "unknown trailer must be tolerated");
+  (* a conflict carries the loser's new epoch after the OID; an old
+     server's frame ends after the OID and decodes with no epoch *)
+  check tbool "old server's conflict decodes without an epoch" true
+    (Wire.decode_resp "\x84\x0c" = Wire.Conflict { oid = 12; epoch = None });
+  check tbool "the epoch follows the OID" true
+    (Wire.encode_resp (Wire.Conflict { oid = 12; epoch = Some 5 }) = "\x84\x0c\x05");
   (* ~trace:false clients advertise no id *)
   with_server (fun addr _t ->
       let c = Client.connect ~trace:false addr in
@@ -819,6 +871,8 @@ let () =
           Alcotest.test_case "snapshot isolation across epochs" `Quick test_snapshot_isolation;
           Alcotest.test_case "first committer wins" `Quick test_first_committer_wins;
           Alcotest.test_case "conflict within one group" `Quick test_conflict_within_one_group;
+          Alcotest.test_case "an old server's conflict keeps the epoch" `Quick
+            test_old_server_conflict;
         ] );
       ( "group-commit",
         [

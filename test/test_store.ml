@@ -353,6 +353,68 @@ let test_pstore_read_only_commit () =
       check tint "no record appended" 0 (Pstore.stats ps).Stats.records_written;
       Pstore.close ps)
 
+(* [attach] adopts a heap whose objects the first commit writes but did
+   not create: a function the heap already held stays cached through that
+   commit, so calling it faults nothing. *)
+let test_pstore_attach_keeps_functions () =
+  with_store (fun path ->
+      let heap = Value.Heap.create () in
+      let sq =
+        Value.Heap.alloc_func heap ~name:"square"
+          (Sexp.parse_value "proc(x ce! cc!) (* x x ce! cc!)")
+      in
+      let ps = Pstore.attach ~fsync:false path heap in
+      ignore (Pstore.commit ps);
+      let faults = Tml_obs.Metrics.counter "store.object_faults" in
+      let before = Tml_obs.Metrics.counter_value faults in
+      (match Machine.run_proc (Runtime.create heap) (Value.Oidv sq) [ Value.Int 7 ] with
+      | Eval.Done (Value.Int 49) -> ()
+      | o -> Alcotest.failf "adopted function broken: %a" Eval.pp_outcome o);
+      check tint "the call faults nothing" before (Tml_obs.Metrics.counter_value faults);
+      Pstore.close ps)
+
+(* The functions a transaction allocated are evicted when it commits (most
+   are one-shot expression functions) and fault back on a call; the
+   boundary moves with every commit, so a function the heap held before
+   the transaction, adopted or faulted in, stays cached. *)
+let test_pstore_commit_evicts_new_functions () =
+  let faults = Tml_obs.Metrics.counter "store.object_faults" in
+  let call heap f arg expect =
+    match Machine.run_proc (Runtime.create heap) (Value.Oidv f) [ Value.Int arg ] with
+    | Eval.Done (Value.Int n) when n = expect -> ()
+    | o -> Alcotest.failf "stored function broken: %a" Eval.pp_outcome o
+  in
+  with_store (fun path ->
+      let heap = Value.Heap.create () in
+      let sq =
+        Value.Heap.alloc_func heap ~name:"square"
+          (Sexp.parse_value "proc(x ce! cc!) (* x x ce! cc!)")
+      in
+      let ps = Pstore.attach ~fsync:false path heap in
+      ignore (Pstore.commit ps);
+      let cube =
+        Value.Heap.alloc_func heap ~name:"cube"
+          (Sexp.parse_value "proc(x ce! cc!) (* x x ce! cont(t) (* t x ce! cc!))")
+      in
+      ignore (Pstore.commit ps);
+      check tbool "the transaction's function is evicted" false
+        (Value.Heap.is_loaded heap cube);
+      check tbool "the adopted function stays" true (Value.Heap.is_loaded heap sq);
+      let before = Tml_obs.Metrics.counter_value faults in
+      call heap cube 3 27;
+      check tint "the call faults it back" (before + 1) (Tml_obs.Metrics.counter_value faults);
+      Pstore.close ps;
+      let ps = Pstore.open_ ~fsync:false path in
+      let heap = Pstore.heap ps in
+      call heap cube 2 8;
+      ignore (Value.Heap.alloc heap (Value.Vector [| Value.Int 1 |]));
+      check tbool "the commit writes the new object" true (Pstore.commit ps >= 1);
+      check tbool "a faulted-in function stays" true (Value.Heap.is_loaded heap cube);
+      let before = Tml_obs.Metrics.counter_value faults in
+      call heap cube 4 64;
+      check tint "calling it again faults nothing" before (Tml_obs.Metrics.counter_value faults);
+      Pstore.close ps)
+
 let test_pstore_relation_refault () =
   with_store (fun path ->
       let ps = Pstore.create ~fsync:false path in
@@ -463,5 +525,9 @@ let () =
             test_pstore_relation_refault;
           Alcotest.test_case "optimizer commits durably" `Quick test_optimize_commits_durably;
           Alcotest.test_case "crash recovery" `Quick test_pstore_crash_recovery;
+          Alcotest.test_case "attach keeps the heap's functions cached" `Quick
+            test_pstore_attach_keeps_functions;
+          Alcotest.test_case "a commit evicts the functions it allocated" `Quick
+            test_pstore_commit_evicts_new_functions;
         ] );
     ]

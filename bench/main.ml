@@ -731,6 +731,10 @@ let e12 ~budget () =
      io.print_int(fib(10)) end"
   in
   let fib_program = Link.load fib_src in
+  (* the machine row times the interpreter's hooks: with the tier on,
+     fib's unit would heat up and run compiled mid-measurement *)
+  let saved_tier = !Tierup.enabled in
+  Tierup.enabled := false;
   let workloads =
     [
       "optimize-o2/medium", (fun () -> ignore (Optimizer.optimize_value medium));
@@ -761,6 +765,7 @@ let e12 ~budget () =
         "{\"experiment\":\"E12\",\"workload\":\"%s\",\"base_ns\":%.1f,\"disabled_ratio\":%.3f,\"enabled_null_sink_ratio\":%.3f,\"provenance_ratio\":%.3f}"
         name base (r disabled) (r enabled) (r prov))
     workloads;
+  Tierup.enabled := saved_tier;
   Printf.printf
     "\ndisabled hooks are a single ref read; the enabled ratio buys every\n\
      rule-fire, cache and store event of the run (see docs/OBS.md).\n"
@@ -791,14 +796,10 @@ let e14 () =
   let ratios = ref [] in
   List.iter
     (fun name ->
-      Tierup.clear ();
       (* One fresh instance per engine, treated identically except for
          promotion, so any state drift across repeated runs is the same
-         on both sides.  Both heaps allocate the same OID ints, and a
-         promotion is scoped to one heap — running the machine instance
-         would evict the tiered instance's entries through the
-         heap-identity check — so the machine baseline runs before
-         promotion and is timed after the tiered instance is done. *)
+         on both sides.  Tier state lives on each instance's own code
+         units, so the two instances cannot disturb each other. *)
       let prog_m = Suite.load name Suite.Dynamic in
       let prog_t = Suite.load name Suite.Dynamic in
       let rm = Suite.run_loaded ~engine:`Machine prog_m in
@@ -824,10 +825,6 @@ let e14 () =
         time_ns ~metric:("bench.tier_jit_ns." ^ name) ~budget (fun () ->
             Suite.run_loaded ~engine:`Machine prog_t)
       in
-      (* the tiered timing is banked; drop the promotions so the machine
-         loop runs with the tier's one-branch early exit, not per-call
-         table misses *)
-      Tierup.clear ();
       let machine_ns =
         time_ns ~metric:("bench.tier_machine_ns." ^ name) ~budget (fun () ->
             Suite.run_loaded ~engine:`Machine prog_m)
@@ -846,8 +843,7 @@ let e14 () =
   Printf.printf "%d/%d benchmarks at >= 5x %s\n" over5 (List.length !ratios)
     (if over5 >= 2 then "(target >= 2: PASS)" else "(target >= 2: FAIL)");
   json_add "{\"experiment\":\"E14\",\"metric\":\"geomean\",\"speedup\":%.2f,\"over_5x\":%d}" g
-    over5;
-  Tierup.clear ()
+    over5
 
 (* ------------------------------------------------------------------ *)
 (* E15: rule dispatch — linear scan vs head-indexed matcher             *)

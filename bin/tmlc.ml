@@ -44,10 +44,8 @@ let options_of ?(no_analysis = false) ~direct ~static_opt () =
 let print_tier_stats () =
   let s = Tierup.stats () in
   if s.Tierup.promotions + s.Tierup.runs + s.Tierup.rejections + s.Tierup.deopts > 0 then
-    Format.printf
-      "tier: %d promotions, %d deopts, %d compiled runs, %d rejections (%d live)@."
+    Format.printf "tier: %d promotions, %d deopts, %d compiled runs, %d rejections@."
       s.Tierup.promotions s.Tierup.deopts s.Tierup.runs s.Tierup.rejections
-      (Tierup.promoted_count ())
 
 let with_profile profile f =
   if not profile then f ()

@@ -91,14 +91,12 @@ let pp_verdict ppf = function
 
 let fresh_ctx () =
   Lazy.force installed;
-  (* OIDs restart in a fresh heap: drop the per-OID analysis summaries,
-     cached specializations and tier promotions or stale entries would
-     resolve for unrelated procedures.  (Tierup would also catch the
-     stale heap at dispatch, but a clean slate keeps call counts and
-     stats per observation.) *)
+  (* OIDs restart in a fresh heap: drop the per-OID analysis summaries
+     and cached specializations or stale entries would resolve for
+     unrelated procedures.  (Tier state lives on the fresh heap's code
+     units, which start cold.) *)
   Tml_analysis.Cache.clear ();
   Tml_vm.Speccache.clear ();
-  Tml_vm.Tierup.clear ();
   let heap = Value.Heap.create () in
   Runtime.create ~fuel heap
 

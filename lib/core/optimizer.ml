@@ -216,11 +216,14 @@ let optimize_app ?(config = default) (a : Term.app) =
               validate ~phase:"expansion" ~round ~before:a ~after:r.term
                 ~growth:(Some (r.growth, r.expansions)));
         expansions := !expansions + r.expansions;
-        prov_add "expand"
-          (Printf.sprintf "%d call sites" r.expansions)
-          ""
-          (Term.size_app r.term - Term.size_app a)
-          (Cost.app_cost r.term - Cost.app_cost a);
+        (* the deltas walk both terms twice: only pay for them when a
+           derivation is being recorded *)
+        if prov <> None then
+          prov_add "expand"
+            (Printf.sprintf "%d call sites" r.expansions)
+            ""
+            (Term.size_app r.term - Term.size_app a)
+            (Cost.app_cost r.term - Cost.app_cost a);
         (* each round of the reduction/expansion phases accumulates a
            penalty proportional to the growth it caused *)
         loop (round + 1) (penalty + r.growth + r.expansions) r.term

@@ -98,7 +98,7 @@ let vm_run ~engine ~steps =
 
 (* tiered execution *)
 
-let tier kind ~oid =
+let tier kind ~name =
   if !enabled then begin
     let k =
       match kind with
@@ -106,5 +106,5 @@ let tier kind ~oid =
       | `Deopt -> "deopt"
       | `Run -> "run"
     in
-    instant ~cat:"tier" ("tier_" ^ k) ~args:[ ("oid", Int oid) ]
+    instant ~cat:"tier" ("tier_" ^ k) ~args:[ ("function", Str name) ]
   end

@@ -42,7 +42,7 @@ val store_compact : live:int -> dropped:int -> unit
     power-of-two bucket label; always observes [vm.run_steps]. *)
 val vm_run : engine:string -> steps:int -> unit
 
-(** Tiered-execution lifecycle, keyed by function OID: promotion to the
-    compiled closure tier, deoptimization back to the bytecode machine,
-    and entries into compiled code from the machine. *)
-val tier : [ `Promote | `Deopt | `Run ] -> oid:int -> unit
+(** Tiered-execution lifecycle, named by function: a code unit
+    compiled to the closure tier, compiled code dropped with replaced
+    function code, and entries into compiled code from the machine. *)
+val tier : [ `Promote | `Deopt | `Run ] -> name:string -> unit

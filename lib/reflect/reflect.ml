@@ -444,9 +444,9 @@ let optimize_inplace ?(config = default) ctx oid =
      content (or inlining it into callers) are stale; its summary too *)
   Speccache.invalidate oid;
   cache_summary oid optimized;
-  (* the invalidation above deoptimized any compiled-tier entry; rebuild
-     it from the freshly optimized code so hot functions stay promoted *)
-  Tierup.repromote ctx oid;
+  (* the new code is a new, cold unit: if the old one ran compiled,
+     compile the new one now so hot functions stay on the tier *)
+  Tierup.repromote ctx ~was:fo oid;
   (match ctx.Runtime.durable_commit with
   | Some commit -> commit ()
   | None -> ());

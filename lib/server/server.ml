@@ -207,26 +207,21 @@ let session_locked t ss f =
       Fun.protect ~finally:(fun () -> t.next_oid <- Value.Heap.size heap) f)
 
 (* Taken before a TL Eval that may turn out to define no names: the heap
-   size, and the two process-wide tables that could take one of the
-   Eval's fresh OIDs (a specialization stored for it, a promotion). *)
-type eval_mark = { em_lo : int; em_stores : int; em_promotions : int }
+   size, and the process-wide table that could take one of the Eval's
+   fresh OIDs (a specialization stored for it). *)
+type eval_mark = { em_lo : int; em_stores : int }
 
 let mark_eval ss =
-  {
-    em_lo = Value.Heap.size (heap_of ss);
-    em_stores = (Speccache.stats ()).Speccache.stores;
-    em_promotions = (Tierup.stats ()).Tierup.promotions;
-  }
+  { em_lo = Value.Heap.size (heap_of ss); em_stores = (Speccache.stats ()).Speccache.stores }
 
 (* A read-only Eval's fresh objects are garbage once its reply is
    rendered.  When the batch a commit would write holds only OIDs at or
    past [em_lo], no older object changed (so none refers to a fresh
-   one) and no earlier Eval left fresh objects staged; if no
-   process-wide table took a fresh OID either, nothing that outlives
+   one) and no earlier Eval left fresh objects staged; if the
+   specialization cache took no fresh OID either, nothing that outlives
    the Eval can reach them. *)
 let reclaimable mark batch =
   (Speccache.stats ()).Speccache.stores = mark.em_stores
-  && (Tierup.stats ()).Tierup.promotions = mark.em_promotions
   && List.for_all (fun (ix, _) -> ix >= mark.em_lo) batch
 
 (* After an eval: reclaim a read-only Eval's fresh objects ([mark] is
@@ -239,7 +234,6 @@ let after_eval t ss ?mark () =
     match mark with
     | Some m when reclaimable m (Lazy.force batch) ->
       Pstore.discard_from ss.ss_pstore m.em_lo;
-      Tierup.forget ~lo:m.em_lo ~hi:size;
       Speccache.forget ~lo:m.em_lo ~hi:size;
       Metrics.inc t.m_evals_reclaimed;
       Metrics.add t.m_objects_reclaimed (size - m.em_lo);

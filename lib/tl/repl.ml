@@ -39,6 +39,7 @@ let resolve_bindings session oid (fo : Value.func_obj) =
         | Some v -> id, v
         | None -> Runtime.fault "session: unresolved global %s" id.Ident.name)
       frees;
+  ignore (Tierup.retire fo);
   fo.Value.fo_tree_impl <- None;
   fo.Value.fo_mach_impl <- None;
   fo.Value.fo_code <- None;

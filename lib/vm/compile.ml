@@ -212,7 +212,7 @@ let compile_abs ~name (abs : Term.abs) : Instr.unit_code * Ident.t list =
         | Some f -> f
         | None -> fail "Compile: unfinished function slot %d" i)
   in
-  { Instr.funcs; entry }, frees
+  Instr.make_unit funcs entry, frees
 
 let compile_func _ctx (fo : Value.func_obj) : Value.t =
   match fo.Value.fo_mach_impl with

@@ -30,10 +30,17 @@ type func = {
   body : code;
 }
 
+type compiled = ..
+type compiled += Interpreted
+
 type unit_code = {
   funcs : func array;
   entry : int;
+  mutable heat : int;
+  mutable compiled : compiled;
 }
+
+let make_unit funcs entry = { funcs; entry; heat = 0; compiled = Interpreted }
 
 let rec code_instructions = function
   | Tailcall _ -> 1
@@ -211,7 +218,7 @@ let decode_unit s =
         { fn_name; arity; nregs; body })
   in
   let entry = Codec.R.varint r in
-  { funcs; entry }
+  make_unit funcs entry
 
 (* ------------------------------------------------------------------ *)
 (* Disassembler                                                         *)

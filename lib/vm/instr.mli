@@ -49,10 +49,24 @@ type func = {
   body : code;
 }
 
+(** A unit's compiled form; {!Jit} adds its constructor. *)
+type compiled = ..
+
+type compiled += Interpreted  (** not compiled (yet) *)
+
+(** One unit per function nest.  Besides its bytecode a unit carries its
+    own tier state, so the state lives and dies with the code: a fresh
+    heap's units start cold, and a dropped heap takes their compiled
+    forms with it (see {!Tierup}). *)
 type unit_code = {
   funcs : func array;
   entry : int;  (** index of the entry function *)
+  mutable heat : int;  (** closure entries the machine counted *)
+  mutable compiled : compiled;
 }
+
+(** [make_unit funcs entry] is a cold, uncompiled unit. *)
+val make_unit : func array -> int -> unit_code
 
 (** {1 Measures and serialization} *)
 

@@ -40,9 +40,9 @@ open Tml_core
    Caches are validated by physical equality plus two generation
    counters — {!Value.Heap.generation} (bumped on any slot replacement,
    eviction or hook change) and {!site_gen} (bumped by {!Tierup} on any
-   promotion, deoptimization or invalidation) — and are never filled
-   while a heap access hook is installed, so a store's recency/dirty
-   tracking observes every dereference. *)
+   speccache invalidation) — and are never filled while a heap access
+   hook is installed, so a store's recency/dirty tracking observes every
+   dereference. *)
 
 type ccode = Runtime.ctx -> Value.t array -> Value.t array -> Eval.outcome
 
@@ -70,19 +70,17 @@ type csink =
 let escape_apply : (Runtime.ctx -> Value.t -> Value.t list -> Eval.outcome) ref =
   ref (fun _ _ _ -> Runtime.fault "jit: no machine escape installed")
 
-(* Installed by {!Tierup}: consulted on [Oidv] application so calls into
-   promoted functions stay on the compiled tier. *)
-let oid_entry :
-    (Runtime.ctx ->
-    Oid.t ->
-    Value.func_obj ->
-    (Runtime.ctx -> Value.t list -> Eval.outcome) option)
-    ref =
-  ref (fun _ _ _ -> None)
+(* the compiled form lives in the unit's own slot *)
+type Instr.compiled += Compiled of cunit
+
+let is_compiled (u : Instr.unit_code) =
+  match u.Instr.compiled with
+  | Compiled _ -> true
+  | _ -> false
 
 (* Bumped whenever the meaning of a stored function may have changed
-   (promotion, deoptimization, speccache invalidation, registry clear):
-   every per-site [Oidv] inline cache keys on it. *)
+   without a heap slot replacement (speccache invalidation): every
+   per-site [Oidv] inline cache keys on it. *)
 let site_gen = ref 0
 let invalidate_sites () = incr site_gen
 
@@ -121,43 +119,10 @@ let alloc_frame = function
 let dummy_code = Instr.Tailcall (Instr.Reg 0, [])
 let dummy_ccode : ccode = fun _ _ _ -> assert false
 let dummy_heap = Value.Heap.create ()
-let dummy_unit : Instr.unit_code = { Instr.funcs = [||]; entry = 0 }
+let dummy_unit = Instr.make_unit [||] 0
 
 let dummy_centry : centry =
   { c_name = ""; c_arity = -1; c_nregs = 1; c_body = dummy_ccode }
-
-(* ------------------------------------------------------------------ *)
-(* Unit registry                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Compiled units are cached per physical [unit_code] so cross-unit
-   calls compile each callee once.  The registry is a bounded assoc
-   list: unit counts are small (one per linked function nest), and the
-   cap only guards pathological churn (a fuzz campaign allocating
-   thousands of programs) — on overflow everything is dropped and
-   recompiled on demand. *)
-let registry_cap = 512
-let registry : cunit list ref = ref []
-let last_hit : cunit option ref = ref None
-
-let find_unit u =
-  match !last_hit with
-  | Some cu when cu.src == u -> Some cu
-  | _ ->
-    let rec scan = function
-      | [] -> None
-      | cu :: rest -> if cu.src == u then Some cu else scan rest
-    in
-    (match scan !registry with
-    | Some cu ->
-      last_hit := Some cu;
-      Some cu
-    | None -> None)
-
-let clear () =
-  registry := [];
-  last_hit := None;
-  invalidate_sites ()
 
 let prim_cost name =
   match Prim.find name with
@@ -276,14 +241,15 @@ let rec all_good0 = function
 (* Compiler                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Compiled at most once per physical unit, into the unit's own slot:
+   cross-unit calls compile each callee once, and the compiled form is
+   collected with the unit. *)
 let rec compile_unit (u : Instr.unit_code) : cunit =
-  match find_unit u with
-  | Some cu -> cu
-  | None ->
-    if List.length !registry >= registry_cap then clear ();
+  match u.Instr.compiled with
+  | Compiled cu -> cu
+  | _ ->
     let cu = { src = u; funcs = [||]; blocks = [] } in
-    registry := cu :: !registry;
-    last_hit := Some cu;
+    u.Instr.compiled <- Compiled cu;
     cu.funcs <-
       Array.map
         (fun (f : Instr.func) ->
@@ -1159,10 +1125,7 @@ and call_value cu ctx (fv : Value.t) (args : Value.t list) : Eval.outcome =
     | None -> Runtime.fault "%s: cannot be applied as a first-class value" name)
   | Value.Oidv oid -> (
     match Value.Heap.get_opt ctx.Runtime.heap oid with
-    | Some (Value.Func fo) -> (
-      match !oid_entry ctx oid fo with
-      | Some entry -> entry ctx args
-      | None -> call_value cu ctx (Compile.compile_func ctx fo) args)
+    | Some (Value.Func fo) -> call_value cu ctx (Compile.compile_func ctx fo) args
     | Some _ -> Runtime.fault "%s is not applicable" (Oid.to_string oid)
     | None -> Runtime.fault "dangling function reference %s" (Oid.to_string oid))
   | Value.Halt ok -> (
@@ -1171,6 +1134,6 @@ and call_value cu ctx (fv : Value.t) (args : Value.t list) : Eval.outcome =
     | vs -> Runtime.fault "halt continuation received %d values" (List.length vs))
   | v -> !escape_apply ctx v args
 
-(* entry used by {!Tierup}: apply function [fn] of a compiled unit with
-   a pre-resolved environment, charging like an [Mclosure] application *)
+(* entry used by {!Tierup}: apply function [fn] of a compiled unit under
+   environment [env], charging like an [Mclosure] application *)
 let apply_func cu ~fn ~env ctx args = apply_centry cu.funcs.(fn) ctx env args

@@ -12,11 +12,14 @@
     See docs/TIERS.md. *)
 
 type cunit
-(** a compiled unit, cached per physical {!Instr.unit_code} *)
+(** a compiled unit, kept in its {!Instr.unit_code}'s [compiled] slot *)
 
 (** [compile_unit u] returns the compiled form of [u], compiling at most
-    once per physical unit (a bounded global cache). *)
+    once per physical unit and storing it in [u]'s slot. *)
 val compile_unit : Instr.unit_code -> cunit
+
+(** [is_compiled u] — [u]'s slot holds its compiled form *)
+val is_compiled : Instr.unit_code -> bool
 
 (** [apply_func cu ~fn ~env ctx args] applies function [fn] of the
     compiled unit under environment [env] — the compiled tier's
@@ -32,25 +35,11 @@ val call_value : cunit -> Runtime.ctx -> Value.t -> Value.t list -> Eval.outcome
     {!Machine} at load time. *)
 val escape_apply : (Runtime.ctx -> Value.t -> Value.t list -> Eval.outcome) ref
 
-(** Consulted when compiled code applies an [Oidv]: returns the
-    compiled entry for a promoted function, or [None] to dispatch
-    through {!Compile.compile_func} as the machine would.  Installed by
-    {!Tierup}. *)
-val oid_entry :
-  (Runtime.ctx ->
-  Tml_core.Oid.t ->
-  Value.func_obj ->
-  (Runtime.ctx -> Value.t list -> Eval.outcome) option)
-  ref
-
 (** number of units compiled since process start (monotonic) *)
 val compiled_units : unit -> int
 
-(** drop the compiled-unit cache (units recompile on demand) *)
-val clear : unit -> unit
-
 (** Invalidate every per-site inline cache of resolved [Oidv] callees.
-    {!Tierup} calls this on promotion, deoptimization and speccache
-    invalidation so a cached compiled entry can never outlive the
-    binding it was resolved from. *)
+    {!Tierup} calls this on speccache invalidation, which may change a
+    function's code without replacing its heap slot, so a cached
+    compiled entry can never outlive the binding it was resolved from. *)
 val invalidate_sites : unit -> unit

@@ -73,6 +73,7 @@ let rec exec ctx st (code : Instr.code) : Eval.outcome =
 
 and apply ctx (f : Value.t) (args : Value.t list) : Eval.outcome =
   match f with
+  | Value.Mclosure c when Tierup.hot c.Value.m_unit -> Tierup.run ctx c args
   | Value.Mclosure c ->
     Runtime.charge ctx (1 + List.length args);
     let func = c.Value.m_unit.Instr.funcs.(c.Value.m_fn) in
@@ -114,18 +115,19 @@ and apply ctx (f : Value.t) (args : Value.t list) : Eval.outcome =
     | None -> Runtime.fault "%s: cannot be applied as a first-class value" name)
   | Value.Oidv oid -> (
     match Value.Heap.get_opt ctx.Runtime.heap oid with
-    | Some (Value.Func fo) -> (
-      (* call-into-tier hook: hot functions run on the compiled closure
-         tier; the tier charges identically, so step counts don't move *)
-      match Tierup.dispatch ctx oid fo with
-      | Some entry ->
-        if !Vmprof.enabled then
-          Vmprof.note_apply ctx ~tier:"tiered" ~name:fo.Value.fo_name ~oid:(Oid.to_int oid);
-        entry ctx args
-      | None ->
-        if !Vmprof.enabled then
-          Vmprof.note_apply ctx ~tier:"machine" ~name:fo.Value.fo_name ~oid:(Oid.to_int oid);
-        apply ctx (Compile.compile_func ctx fo) args)
+    | Some (Value.Func fo) ->
+      (* a hot unit runs on the compiled closure tier (the [Mclosure]
+         case); the tier charges identically, so step counts don't move *)
+      let impl = Compile.compile_func ctx fo in
+      if !Vmprof.enabled then begin
+        let tier =
+          match impl with
+          | Value.Mclosure c when Jit.is_compiled c.Value.m_unit -> "tiered"
+          | _ -> "machine"
+        in
+        Vmprof.note_apply ctx ~tier ~name:fo.Value.fo_name ~oid:(Oid.to_int oid)
+      end;
+      apply ctx impl args
     | Some _ -> Runtime.fault "%s is not applicable" (Oid.to_string oid)
     | None -> Runtime.fault "dangling function reference %s" (Oid.to_string oid))
   | Value.Halt ok -> (

@@ -1,39 +1,35 @@
-open Tml_core
+(* Profile-guided promotion of hot code units to the compiled closure
+   tier ({!Jit}).
 
-(* Profile-guided promotion of hot stored functions to the compiled
-   closure tier ({!Jit}).
+   Tier state lives on the code unit ({!Instr.unit_code}, one per
+   function nest), not in tables keyed by OID: the unit's heat (closure
+   entries the machine counted) and its compiled form, which {!Jit}
+   keeps in the unit's own slot.  The machine's [Mclosure] case asks
+   {!hot}: a compiled unit answers at once; otherwise, while the policy
+   is [enabled], the entry heats the unit, and the entry that brings it
+   to [call_threshold] compiles it.  In CPS every loop iteration is a
+   closure application, so a loop heats its unit even inside a function
+   called once; a stored-function call reaches the same case through
+   {!Compile.compile_func}.
 
-   The machine consults {!dispatch} on every [Oidv] application.  A
-   promoted function answers with its compiled entry; an unpromoted one
-   is call-counted, and once it crosses [call_threshold] while the
-   process shows enough interpreter work ([hot_enough]), its current
-   bytecode image is compiled and installed.  Promotion never changes
-   semantics — the compiled tier charges the same abstract instruction
-   costs at the same points as the machine — so the only policy risk is
-   staleness, handled by deoptimization:
+   Promotion never changes semantics — the compiled tier charges the
+   same abstract instruction costs at the same points as the machine —
+   and compiled code is a function of the unit's immutable bytecode
+   only.  A rebinding or re-optimization installs a new unit, which
+   starts cold; the per-site inline caches inside compiled code
+   revalidate against the heap's generation and {!Jit.invalidate_sites}.
+   So a fresh heap's units start cold, a dropped heap takes its
+   compiled code with it, and nothing has to be cleared by hand.
 
-   - {!Speccache.invalidate} notifications (rebinding in the REPL,
-     in-place reflective re-optimization, and any store update the
-     mutator reports) deoptimize the function and everything that
-     depends on it;
-   - a heap update hook, chained at promotion time in front of whatever
-     the backing store installed, deoptimizes on [Heap.set] of the
-     function or one of its R-value binding dependencies;
-   - {!dispatch} itself re-validates on every entry: the entry's heap
-     must be physically the caller's heap (a durable reopen builds a
-     fresh heap with overlapping OIDs) and the function object's
-     compiled unit must be physically the one promoted against — any
-     mismatch deoptimizes on the spot and falls back to the machine.
-
-   After an in-place re-optimization, {!repromote} immediately rebuilds
-   the entry from the new code so hot functions do not re-heat from
-   zero. *)
+   A deopt is a function's code being replaced while its unit runs
+   compiled ({!retire}); {!repromote} compiles the re-optimized code at
+   once, so a hot function does not re-heat from zero. *)
 
 type stats = {
   mutable promotions : int;
   mutable deopts : int;
-  mutable runs : int;  (** entries into compiled code from the machine *)
-  mutable rejections : int;  (** promotion attempts that failed to compile *)
+  mutable runs : int;
+  mutable rejections : int;
 }
 
 let stats_ = { promotions = 0; deopts = 0; runs = 0; rejections = 0 }
@@ -48,264 +44,57 @@ let reset_stats () =
 (* policy knobs; see docs/TIERS.md *)
 let enabled = ref false
 let call_threshold = ref 32
-let min_run_steps = ref 10_000
 
-type entry = {
-  e_heap : Value.Heap.heap;  (** promotion is scoped to this heap *)
-  e_unit : Instr.unit_code;  (** the bytecode image compiled, physical *)
-  e_entry : Runtime.ctx -> Value.t list -> Eval.outcome;
-  e_deps : int list;  (** R-value binding OIDs watched for deopt *)
-}
+let promote (u : Instr.unit_code) =
+  ignore (Jit.compile_unit u);
+  stats_.promotions <- stats_.promotions + 1;
+  Tml_obs.Events.tier `Promote ~name:u.Instr.funcs.(u.Instr.entry).Instr.fn_name
 
-let promoted : (int, entry) Hashtbl.t = Hashtbl.create 16
-let dep_watch : (int, int) Hashtbl.t = Hashtbl.create 16  (* dep oid -> promoted oid *)
-let calls : (int, int ref) Hashtbl.t = Hashtbl.create 64
-let rejected : (int, unit) Hashtbl.t = Hashtbl.create 16
-let sticky : (int, unit) Hashtbl.t = Hashtbl.create 16  (* ever promoted *)
-
-let promoted_count () = Hashtbl.length promoted
-
-(* ------------------------------------------------------------------ *)
-(* Deoptimization                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let remove_dep_binding dep p =
-  let rest = List.filter (fun x -> x <> p) (Hashtbl.find_all dep_watch dep) in
-  let rec purge () =
-    if Hashtbl.mem dep_watch dep then begin
-      Hashtbl.remove dep_watch dep;
-      purge ()
-    end
-  in
-  purge ();
-  List.iter (fun x -> Hashtbl.add dep_watch dep x) rest
-
-let deopt o =
-  match Hashtbl.find_opt promoted o with
-  | None -> ()
-  | Some e ->
-    Hashtbl.remove promoted o;
-    List.iter (fun d -> remove_dep_binding d o) e.e_deps;
-    Jit.invalidate_sites ();
-    stats_.deopts <- stats_.deopts + 1;
-    Tml_obs.Events.tier `Deopt ~oid:o
-
-(* a store update touched [o]: deoptimize it and everything watching it *)
-let note_update o =
-  if Hashtbl.mem promoted o then deopt o;
-  match Hashtbl.find_all dep_watch o with
-  | [] -> ()
-  | dependents -> List.iter deopt dependents
-
-let note_invalidate oid =
-  let o = Oid.to_int oid in
-  Hashtbl.remove rejected o;  (* redefinition may make it promotable *)
-  (* the binding's meaning may have changed even if nothing was
-     promoted: drop every resolved-callee inline cache in the tier *)
-  Jit.invalidate_sites ();
-  note_update o
-
-let () = Speccache.subscribe_invalidate note_invalidate
-
-(* ------------------------------------------------------------------ *)
-(* Heap update-hook chaining                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Chained in front of whatever the backing store installed, preserved
-   per heap.  If someone replaced the hook since (a store attached after
-   promotion), the next promotion re-chains in front of the new one. *)
-let watched : (Value.Heap.heap * (Oid.t -> Value.obj -> unit)) list ref = ref []
-
-let watch_heap heap =
-  let ours =
-    let rec find = function
-      | [] -> None
-      | (h, f) :: rest -> if h == heap then Some f else find rest
-    in
-    find !watched
-  in
-  let installed_is_ours =
-    match ours, Value.Heap.update_hook heap with
-    | Some f, Some g -> f == g
-    | _ -> false
-  in
-  if not installed_is_ours then begin
-    let prev = Value.Heap.update_hook heap in
-    let hook oid obj =
-      note_update (Oid.to_int oid);
-      match prev with
-      | Some f -> f oid obj
-      | None -> ()
-    in
-    Value.Heap.set_update_hook heap hook;
-    watched := (heap, hook) :: List.filter (fun (h, _) -> h != heap) !watched
+let hot (u : Instr.unit_code) =
+  if Jit.is_compiled u then true
+  else if not !enabled then false
+  else begin
+    u.Instr.heat <- u.Instr.heat + 1;
+    u.Instr.heat >= !call_threshold && (promote u; true)
   end
 
-(* ------------------------------------------------------------------ *)
-(* Promotion                                                           *)
-(* ------------------------------------------------------------------ *)
+let run ctx (c : Value.mclosure) args =
+  let u = c.Value.m_unit in
+  stats_.runs <- stats_.runs + 1;
+  Tml_obs.Events.tier `Run ~name:u.Instr.funcs.(c.Value.m_fn).Instr.fn_name;
+  Jit.apply_func (Jit.compile_unit u) ~fn:c.Value.m_fn ~env:c.Value.m_env ctx args
 
-let promote ctx oid =
-  let o = Oid.to_int oid in
+let force_promote ctx oid =
+  let reject () =
+    stats_.rejections <- stats_.rejections + 1;
+    false
+  in
   match Value.Heap.get_opt ctx.Runtime.heap oid with
   | Some (Value.Func fo) -> (
     match Compile.compile_func ctx fo with
     | Value.Mclosure c ->
-      let cu = Jit.compile_unit c.Value.m_unit in
-      let fn = c.Value.m_fn and env = c.Value.m_env in
-      let deps =
-        List.filter_map
-          (fun (_, v) ->
-            match v with
-            | Value.Oidv d when Oid.to_int d <> o -> Some (Oid.to_int d)
-            | _ -> None)
-          fo.Value.fo_bindings
-      in
-      deopt o;  (* replace any stale entry *)
-      let e =
-        {
-          e_heap = ctx.Runtime.heap;
-          e_unit = c.Value.m_unit;
-          e_entry = Jit.apply_func cu ~fn ~env;
-          e_deps = deps;
-        }
-      in
-      Hashtbl.replace promoted o e;
-      List.iter (fun d -> Hashtbl.add dep_watch d o) deps;
-      Hashtbl.replace sticky o ();
-      Jit.invalidate_sites ();
-      watch_heap ctx.Runtime.heap;
-      stats_.promotions <- stats_.promotions + 1;
-      Tml_obs.Events.tier `Promote ~oid:o;
+      if not (Jit.is_compiled c.Value.m_unit) then promote c.Value.m_unit;
       true
     | _ ->
       (* η-reduced to a primitive or literal: nothing to compile *)
-      stats_.rejections <- stats_.rejections + 1;
-      false
-    | exception Runtime.Fault _ ->
-      stats_.rejections <- stats_.rejections + 1;
-      false)
+      reject ()
+    | exception Runtime.Fault _ -> reject ())
   | _ -> false
 
-let force_promote = promote
+let retire (fo : Value.func_obj) =
+  match fo.Value.fo_code with
+  | Some u when Jit.is_compiled u ->
+    stats_.deopts <- stats_.deopts + 1;
+    Tml_obs.Events.tier `Deopt ~name:fo.Value.fo_name;
+    true
+  | _ -> false
 
-let repromote ctx oid =
-  let o = Oid.to_int oid in
-  let hot =
-    match Hashtbl.find_opt calls o with
-    | Some r -> !r >= !call_threshold
-    | None -> false
-  in
-  if Hashtbl.mem sticky o || hot then ignore (promote ctx oid)
+let repromote ctx ~was oid = if retire was then ignore (force_promote ctx oid)
 
-(* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let entry_for ctx o (fo : Value.func_obj) (e : entry) =
-  if e.e_heap != ctx.Runtime.heap then begin
-    (* a different heap reuses the OID space: durable reopen, fresh
-       oracle context — the entry is for another world, drop it *)
-    deopt o;
-    None
-  end
-  else
-    match fo.Value.fo_code with
-    | Some u when u == e.e_unit -> Some e.e_entry
-    | _ ->
-      (* the function was relinked or re-optimized under us *)
-      deopt o;
-      None
-
-(* cross-run interpreter-work signal: total machine steps observed by
-   the always-on vm.run_steps histogram (many short REPL runs add up),
-   or enough steps inside the current run, or a warm speccache (a
-   reopened image replaying a known-hot workload) *)
-let vm_steps_hist = lazy (Tml_obs.Metrics.histogram "vm.run_steps")
-
-let hot_enough ctx =
-  ctx.Runtime.steps >= !min_run_steps
-  || Tml_obs.Metrics.histogram_sum (Lazy.force vm_steps_hist) >= float_of_int !min_run_steps
-  || (Speccache.stats ()).Speccache.hits > 0
-
-let count_call o =
-  match Hashtbl.find_opt calls o with
-  | Some r ->
-    incr r;
-    !r
-  | None ->
-    Hashtbl.replace calls o (ref 1);
-    1
-
-let dispatch ctx oid (fo : Value.func_obj) =
-  if Hashtbl.length promoted = 0 && not !enabled then None
-  else begin
-    let o = Oid.to_int oid in
-    match Hashtbl.find_opt promoted o with
-    | Some e -> (
-      match entry_for ctx o fo e with
-      | Some entry ->
-        stats_.runs <- stats_.runs + 1;
-        Tml_obs.Events.tier `Run ~oid:o;
-        Some entry
-      | None -> None)
-    | None ->
-      if
-        !enabled
-        && count_call o >= !call_threshold
-        && (not (Hashtbl.mem rejected o))
-        && hot_enough ctx
-      then
-        if promote ctx oid then (
-          match Hashtbl.find_opt promoted o with
-          | Some e ->
-            stats_.runs <- stats_.runs + 1;
-            Tml_obs.Events.tier `Run ~oid:o;
-            Some e.e_entry
-          | None -> None)
-        else begin
-          Hashtbl.replace rejected o ();
-          None
-        end
-      else None
-  end
-
-(* compiled code applying an Oidv stays on the tier when the callee is
-   promoted and still valid; no run counting or promotion policy here —
-   runs count entries from the machine, and policy decisions happen at
-   that boundary *)
-let jit_entry ctx oid fo =
-  if Hashtbl.length promoted = 0 then None
-  else
-    let o = Oid.to_int oid in
-    match Hashtbl.find_opt promoted o with
-    | Some e -> entry_for ctx o fo e
-    | None -> None
-
-let () = Jit.oid_entry := jit_entry
-
-(* ------------------------------------------------------------------ *)
-(* Lifecycle                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let clear () =
-  Hashtbl.reset promoted;
-  Hashtbl.reset dep_watch;
-  Hashtbl.reset calls;
-  Hashtbl.reset rejected;
-  Hashtbl.reset sticky;
-  watched := [];
-  Jit.invalidate_sites ()
-
-let forget ~lo ~hi =
-  let in_range o = o >= lo && o < hi in
-  Hashtbl.fold (fun o _ acc -> if in_range o then o :: acc else acc) promoted []
-  |> List.iter deopt;
-  let drop tbl = Hashtbl.filter_map_inplace (fun o v -> if in_range o then None else Some v) tbl in
-  drop calls;
-  drop rejected;
-  drop sticky;
-  drop dep_watch
+(* a speccache invalidation may change what a stored function means
+   without replacing its heap slot: drop every resolved-callee inline
+   cache in the tier *)
+let () = Speccache.subscribe_invalidate (fun _ -> Jit.invalidate_sites ())
 
 let register_metrics () =
   Tml_obs.Metrics.register_source ~name:"tier"
@@ -316,7 +105,6 @@ let register_metrics () =
           ("deopts", I stats_.deopts);
           ("runs", I stats_.runs);
           ("rejections", I stats_.rejections);
-          ("promoted", I (Hashtbl.length promoted));
           ("compiled_units", I (Jit.compiled_units ()));
         ])
     ~reset:reset_stats

@@ -125,32 +125,27 @@ let prop_tiered_matches_machine_query =
       verdict_ok (Oracle.check_query ~engines:tiered_pair_engines c))
 
 (* Policy promotion (not force_promote): with the threshold forced down
-   to one call and the work gate off, the machine's tier hook promotes
-   mid-workload.  Run every generated program twice with and without the
+   to one closure entry, the machine's tier hook promotes mid-workload.  Run every generated program twice with and without the
    tier and require identical outcomes, output AND step counts — the
    compiled tier charges exactly like the machine, a stronger claim than
    the oracle battery makes (it ignores steps). *)
 let run_case_with_policy ~tier (c : Tgen.case) =
   Tml_analysis.Cache.clear ();
   Speccache.clear ();
-  Tierup.clear ();
   let heap = Value.Heap.create () in
   let ctx = Runtime.create ~fuel:3_000_000 heap in
   let oid = Value.Heap.alloc_func heap ~name:"fuzz" c.Tgen.proc in
-  let saved = !Tierup.enabled, !Tierup.call_threshold, !Tierup.min_run_steps in
+  let saved = !Tierup.enabled, !Tierup.call_threshold in
   if tier then begin
     Tierup.enabled := true;
-    Tierup.call_threshold := 1;
-    Tierup.min_run_steps := 0
+    Tierup.call_threshold := 1
   end
   else Tierup.enabled := false;
   Fun.protect
     ~finally:(fun () ->
-      let e, t, m = saved in
+      let e, t = saved in
       Tierup.enabled := e;
-      Tierup.call_threshold := t;
-      Tierup.min_run_steps := m;
-      Tierup.clear ())
+      Tierup.call_threshold := t)
     (fun () ->
       let args = [ Value.Int c.Tgen.a; Value.Int c.Tgen.b ] in
       let o1 = Machine.run_proc ctx (Value.Oidv oid) args in

@@ -368,17 +368,24 @@ let tier_call ctx oid i =
   | Eval.Done v -> v
   | o -> Alcotest.failf "tier call: expected Done, got %a" Eval.pp_outcome o
 
-(* Promote a hot function, mutate the store object it depends on
-   mid-loop, and require: the update hook deoptimizes it (tier_deopt
-   increments, the tier run counter freezes), execution falls back to
-   the machine, and the whole observed sequence is identical to an
-   unpromoted run. *)
+let tier_stats () =
+  let s = Tierup.stats () in
+  s.Tierup.promotions, s.Tierup.deopts, s.Tierup.runs
+
+let func_unit heap oid =
+  match Value.Heap.get heap oid with
+  | Value.Func { Value.fo_code = Some u; _ } -> u
+  | _ -> Alcotest.fail "expected a compiled function object"
+
+(* Promote a function, mutate the store object it reads mid-loop, and
+   require: the compiled code stays valid (its array read revalidates
+   against the heap), sees the new value, drops nothing (no deopt), and
+   the whole observed sequence is identical to an unpromoted run. *)
 let test_tier_deopt_on_mutation () =
   Runtime.install ();
   let proc = tier_reader_proc () in
   let data_id = tier_free_ident proc in
   let run_sequence ~tier =
-    Tierup.clear ();
     let heap = Value.Heap.create () in
     let ctx = Runtime.create ~fuel:1_000_000 heap in
     let arr, oid = tier_store_reader heap proc data_id in
@@ -387,39 +394,34 @@ let test_tier_deopt_on_mutation () =
     (* mid-loop mutation of the dependency through the heap *)
     Value.Heap.set heap arr (Value.Array [| Value.Int 100; Value.Int 200 |]);
     let after = [ tier_call ctx oid 0; tier_call ctx oid 1 ] in
+    if tier then
+      check tbool "the reader's unit stays compiled" true (Jit.is_compiled (func_unit heap oid));
     before @ after
   in
-  let s0 = Tierup.stats () in
-  let d0 = s0.Tierup.deopts and r0 = s0.Tierup.runs in
+  let _, d0, r0 = tier_stats () in
   let tiered = run_sequence ~tier:true in
-  let s1 = Tierup.stats () in
-  check tint "mutation deoptimized the reader" (d0 + 1) s1.Tierup.deopts;
-  check tint "tier ran only before the mutation" (r0 + 3) s1.Tierup.runs;
-  check tint "nothing stays promoted" 0 (Tierup.promoted_count ());
+  let _, d1, r1 = tier_stats () in
+  check tint "a data mutation drops no compiled code" d0 d1;
+  check tint "tier ran before and after the mutation" (r0 + 5) r1;
   let plain = run_sequence ~tier:false in
-  let s2 = Tierup.stats () in
-  check tint "unpromoted run never enters the tier" s1.Tierup.runs s2.Tierup.runs;
+  let _, _, r2 = tier_stats () in
+  check tint "unpromoted run never enters the tier" r1 r2;
   check tbool "tiered sequence identical to the unpromoted run" true
     (List.for_all2 Value.identical tiered plain);
-  check tbool "mutation visible through the fallback" true
-    (List.nth tiered 3 = Value.Int 100 && List.nth tiered 4 = Value.Int 200);
-  Tierup.clear ()
+  check tbool "mutation visible on the tier" true
+    (List.nth tiered 3 = Value.Int 100 && List.nth tiered 4 = Value.Int 200)
 
-(* The stale-promotion defense across a durable reopen: a fresh heap
-   reuses the same OID space, so a surviving tier entry must fail the
-   heap-identity check, deoptimize, and fall back to the machine with
-   identical results. *)
+(* A durable reopen builds a fresh heap that reuses the same OIDs: its
+   code units are new, so it starts cold and runs on the machine with
+   identical results — nothing from the closed heap carries over. *)
 let test_tier_deopt_on_durable_reopen () =
   Runtime.install ();
-  Tierup.clear ();
   let proc = tier_reader_proc () in
   let data_id = tier_free_ident proc in
   let path = Filename.temp_file "tml_tier" ".tmlstore" in
   Sys.remove path;
   Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists path then Sys.remove path;
-      Tierup.clear ())
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
     (fun () ->
       let ps = Pstore.create ~fsync:false path in
       let heap = Pstore.heap ps in
@@ -430,22 +432,149 @@ let test_tier_deopt_on_durable_reopen () =
       check tbool "tiered read" true (Value.identical first (Value.Int 8));
       ignore (Pstore.commit ~root:oid ps);
       Pstore.close ps;
-      (* the stale promotion is still installed; reopen builds a new heap *)
-      check tbool "entry survives close" true (Tierup.promoted_count () > 0);
       let ps2 = Pstore.open_ ~fsync:false path in
       Fun.protect
         ~finally:(fun () -> Pstore.close ps2)
         (fun () ->
           let ctx2 = Runtime.create ~fuel:1_000_000 (Pstore.heap ps2) in
-          let s0 = Tierup.stats () in
-          let d0 = s0.Tierup.deopts and r0 = s0.Tierup.runs in
+          let _, d0, r0 = tier_stats () in
           let again = tier_call ctx2 oid 1 in
           check tbool "identical result after reopen" true
             (Value.identical again (Value.Int 8));
-          let s1 = Tierup.stats () in
-          check tint "heap-identity deopt fired" (d0 + 1) s1.Tierup.deopts;
-          check tint "no tier runs in the reopened world" r0 s1.Tierup.runs;
-          check tint "stale entry dropped" 0 (Tierup.promoted_count ())))
+          let _, d1, r1 = tier_stats () in
+          check tint "no deopt: the reopened heap has its own units" d0 d1;
+          check tint "no tier runs in the reopened world" r0 r1;
+          check tbool "the reopened function starts cold" false
+            (Jit.is_compiled (func_unit (Pstore.heap ps2) oid))))
+
+(* with the policy on at its default threshold *)
+let with_tier f =
+  let saved = !Tierup.enabled in
+  Tierup.enabled := true;
+  Fun.protect ~finally:(fun () -> Tierup.enabled := saved) f
+
+(* Bubble's shape: a loop inside a function called once.  Every
+   iteration is a closure entry, so the loop's unit heats up and the
+   rest of the loop runs compiled, charging exactly like the machine. *)
+let test_tier_loop_in_single_call () =
+  let src =
+    "proc(n z ce! cc!) (Y lambda(c0! loop! c!) (c! cont() (loop! n 0) cont(i acc) (<= i 0 \
+     cont() (cc! acc) cont() (ccall \"print_int\" i ce! cont(u) (+ acc i ce! cont(a2) (- i \
+     1 ce! cont(i2) (loop! i2 a2)))))))"
+  in
+  let args = [ Value.Int 200; Value.Unit ] in
+  let m_out, m_ctx = run_src `Machine src args in
+  let _, _, r0 = tier_stats () in
+  let t_out, t_ctx = with_tier (fun () -> run_src `Machine src args) in
+  let _, _, r1 = tier_stats () in
+  check tbool "the loop entered the compiled tier" true (r1 > r0);
+  check tbool "same outcome" true (Eval.outcome_equal m_out t_out);
+  check tstring "same output" (Buffer.contents m_ctx.Runtime.out)
+    (Buffer.contents t_ctx.Runtime.out);
+  check tint "same steps" m_ctx.Runtime.steps t_ctx.Runtime.steps
+
+(* Two heaps allocate one OID for different functions.  Heap B runs its
+   own code, compiles only on its own heat, and A's hot history neither
+   leaks into B nor costs a deopt. *)
+let test_tier_two_heaps_one_oid () =
+  Runtime.install ();
+  let load src =
+    let heap = Value.Heap.create () in
+    let ctx = Runtime.create ~fuel:1_000_000 heap in
+    ctx, Value.Heap.alloc_func heap ~name:"f" (Sexp.parse_value src)
+  in
+  let call ctx oid =
+    match Machine.run_proc ctx (Value.Oidv oid) [ Value.Int 5 ] with
+    | Eval.Done v -> v
+    | o -> Alcotest.failf "expected Done, got %a" Eval.pp_outcome o
+  in
+  let ctx_a, oid_a = load "proc(x ce! cc!) (+ x 1 ce! cc!)" in
+  let ctx_b, oid_b = load "proc(x ce! cc!) (* x 10 ce! cc!)" in
+  check tint "one OID in both heaps" (Oid.to_int oid_a) (Oid.to_int oid_b);
+  with_tier (fun () ->
+      for _ = 1 to !Tierup.call_threshold + 5 do
+        check tbool "A runs its code" true (Value.identical (call ctx_a oid_a) (Value.Int 6))
+      done;
+      check tbool "A is compiled" true (Jit.is_compiled (func_unit ctx_a.Runtime.heap oid_a));
+      (* already compiled by its heat: forcing it changes nothing *)
+      check tbool "A promoted" true (Tierup.force_promote ctx_a oid_a);
+      let p0, d0, r0 = tier_stats () in
+      check tbool "B runs its own code" true (Value.identical (call ctx_b oid_b) (Value.Int 50));
+      let p1, d1, r1 = tier_stats () in
+      check tint "B starts cold: no promotion" p0 p1;
+      check tint "B starts cold: no compiled run" r0 r1;
+      check tint "no foreign-heap deopt" d0 d1;
+      for _ = 2 to !Tierup.call_threshold - 1 do
+        ignore (call ctx_b oid_b)
+      done;
+      let p2, _, r2 = tier_stats () in
+      check tint "still below B's own threshold" p0 p2;
+      check tint "still on the machine" r0 r2;
+      check tbool "B runs its own code, compiled" true
+        (Value.identical (call ctx_b oid_b) (Value.Int 50));
+      let p3, d3, r3 = tier_stats () in
+      check tint "B compiled on its own heat" (p0 + 1) p3;
+      check tint "B entered its compiled code" (r0 + 1) r3;
+      check tint "still no deopt" d0 d3)
+
+(* A loop heats its function's unit onto the tier; an in-place
+   re-optimization then replaces the function's code with a new, cold
+   unit.  The old compiled code is dropped (one deopt) and the new unit
+   is compiled at once (one promotion), so the next call starts on the
+   tier. *)
+let test_tier_reoptimize_keeps_hot () =
+  Runtime.install ();
+  let heap = Value.Heap.create () in
+  let ctx = Runtime.create ~fuel:1_000_000 heap in
+  let oid =
+    Value.Heap.alloc_func heap ~name:"sum"
+      (Sexp.parse_value
+         "proc(n ce! cc!) (Y lambda(c0! loop! c!) (c! cont() (loop! n 0) cont(i acc) (<= i 0 \
+          cont() (cc! acc) cont() (+ acc i ce! cont(a2) (- i 1 ce! cont(i2) (loop! i2 \
+          a2))))))")
+  in
+  let call () =
+    match Machine.run_proc ctx (Value.Oidv oid) [ Value.Int 100 ] with
+    | Eval.Done v -> v
+    | o -> Alcotest.failf "expected Done, got %a" Eval.pp_outcome o
+  in
+  with_tier (fun () ->
+      let before = call () in
+      check tbool "the loop compiled its unit" true (Jit.is_compiled (func_unit heap oid));
+      let p0, d0, r0 = tier_stats () in
+      ignore (Tml_reflect.Reflect.optimize_inplace ctx oid);
+      let p1, d1, _ = tier_stats () in
+      check tint "the old compiled code was dropped" (d0 + 1) d1;
+      check tint "the new code was compiled" (p0 + 1) p1;
+      check tbool "the new unit is compiled" true (Jit.is_compiled (func_unit heap oid));
+      check tbool "same result" true (Value.identical before (call ()));
+      let p2, _, r2 = tier_stats () in
+      check tint "no second promotion" p1 p2;
+      check tint "the first entry ran compiled" (r0 + 1) r2)
+
+(* Tier state lives on the heap's code units: once the program and its
+   heap are dropped, nothing process-wide keeps them alive. *)
+let test_tier_dropped_heap_collected () =
+  Runtime.install ();
+  let weak = Weak.create 1 in
+  let run () =
+    let proc = tier_reader_proc () in
+    let heap = Value.Heap.create () in
+    let ctx = Runtime.create ~fuel:1_000_000 heap in
+    let _, oid = tier_store_reader heap proc (tier_free_ident proc) in
+    Weak.set weak 0 (Some heap);
+    check tbool "promoted" true (Tierup.force_promote ctx oid);
+    with_tier (fun () ->
+        for i = 1 to !Tierup.call_threshold do
+          ignore (tier_call ctx oid (i land 1))
+        done)
+  in
+  let _, _, r0 = tier_stats () in
+  run ();
+  let _, _, r1 = tier_stats () in
+  check tbool "the run was tiered" true (r1 > r0);
+  Gc.full_major ();
+  check tbool "the dropped heap was collected" false (Weak.check weak 0)
 
 let test_identical () =
   check tbool "ints" true (Value.identical (Value.Int 3) (Value.Int 3));
@@ -506,5 +635,12 @@ let () =
           Alcotest.test_case "deopt on store mutation" `Quick test_tier_deopt_on_mutation;
           Alcotest.test_case "deopt across durable reopen" `Quick
             test_tier_deopt_on_durable_reopen;
+          Alcotest.test_case "loop in a function called once" `Quick
+            test_tier_loop_in_single_call;
+          Alcotest.test_case "two heaps, one OID" `Quick test_tier_two_heaps_one_oid;
+          Alcotest.test_case "dropped heap is collected" `Quick
+            test_tier_dropped_heap_collected;
+          Alcotest.test_case "re-optimization keeps a hot function compiled" `Quick
+            test_tier_reoptimize_keeps_hot;
         ] );
     ]

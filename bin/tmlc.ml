@@ -38,25 +38,20 @@ let options_of ?(no_analysis = false) ~direct ~static_opt () =
       | _ -> Some (tune Optimizer.o3));
   }
 
-(* [--profile]: run [f] with the optimizer profiler on and print the
-   per-pass summary table afterwards (also on error), plus the tiered
-   execution counters when the tier saw any action *)
-let print_tier_stats () =
-  let s = Tierup.stats () in
-  if s.Tierup.promotions + s.Tierup.runs + s.Tierup.rejections + s.Tierup.deopts > 0 then
-    Format.printf "tier: %d promotions, %d deopts, %d compiled runs, %d rejections@."
-      s.Tierup.promotions s.Tierup.deopts s.Tierup.runs s.Tierup.rejections
-
+(* [--profile]: run [f] with the optimizer profiler on, then print the
+   metrics registry's report, as tmlsh :stats does (also on error): the
+   optimizer's pass timings, its per-rule fires and the tier's counters *)
 let with_profile profile f =
   if not profile then f ()
   else begin
-    Profile.reset ();
+    Profile.register_metrics ();
+    Tierup.register_metrics ();
+    Tml_obs.Metrics.reset_all ();
     Profile.enabled := true;
     Fun.protect
       ~finally:(fun () ->
         Profile.enabled := false;
-        Format.printf "%a@." Profile.pp Profile.global;
-        print_tier_stats ())
+        Format.printf "%a@?" Tml_obs.Metrics.pp_report ())
       f
   end
 
@@ -113,8 +108,8 @@ let profile_arg =
     value & flag
     & info [ "profile" ]
         ~doc:
-          "Print per-pass optimizer wall-clock timings and rule-fire \
-           counters after the command.")
+          "Print the metrics report after the command: per-pass optimizer \
+           wall-clock timings, rule-fire counters and the tier's counters.")
 
 let dynamic_arg =
   Arg.(

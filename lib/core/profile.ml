@@ -86,28 +86,6 @@ let record_fires s = Rewrite.add_stats global.fires s
 let record_call () = global.optimize_calls <- global.optimize_calls + 1
 let record_budget_exhausted () = global.budget_exhausted <- global.budget_exhausted + 1
 
-let pp ppf t =
-  let total = t.reduce_s +. t.expand_s +. t.validate_s in
-  let pct s = if total > 0. then 100. *. s /. total else 0. in
-  Format.fprintf ppf "@[<v>optimizer profile (%d optimize calls)@," t.optimize_calls;
-  Format.fprintf ppf "  %-10s %8s %12s %7s@," "pass" "runs" "seconds" "%";
-  Format.fprintf ppf "  %-10s %8d %12.6f %6.1f%%@," "reduce" t.reduce_passes t.reduce_s
-    (pct t.reduce_s);
-  Format.fprintf ppf "  %-10s %8d %12.6f %6.1f%%@," "expand" t.expand_passes t.expand_s
-    (pct t.expand_s);
-  Format.fprintf ppf "  %-10s %8d %12.6f %6.1f%%@," "validate" t.validate_passes t.validate_s
-    (pct t.validate_s);
-  Format.fprintf ppf "  rule fires: %a@," Rewrite.pp_stats t.fires;
-  (match Rewrite.fire_counts () with
-  | [] -> ()
-  | counts ->
-    Format.fprintf ppf "  domain rule fires:@,";
-    List.iter
-      (fun (name, n) -> Format.fprintf ppf "    %-28s %8d@," name n)
-      counts);
-  Format.fprintf ppf "  budget exhausted: %d optimize calls truncated by penalty limit@]"
-    t.budget_exhausted
-
 (* Expose the global profile as a metrics source so [tmlsh :stats]
    prints one merged report. *)
 let metrics_snapshot () =

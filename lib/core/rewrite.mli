@@ -81,7 +81,7 @@ val fire_counts : unit -> (string * int) list
 
 val reset_fire_counts : unit -> unit
 
-(** {1 Individual rules} (exposed for unit tests and ablation benches) *)
+(** {1 Individual rules} (exposed for unit tests) *)
 
 (** [try_beta app] applies the combined [subst] / [remove] / [reduce] rules
     to a direct application of an abstraction: trivial values (literals,

@@ -146,8 +146,6 @@ let jsonl_of_events evs = String.concat "" (List.map (fun ev -> event_to_json ev
 
 (* Built-in sinks *)
 
-let null_sink () = { sk_emit = ignore; sk_close = ignore }
-
 let memory_sink ?(limit = 262144) () =
   let q = Queue.create () in
   (* Wrapping used to overwrite silently; losing spans without a signal

@@ -49,9 +49,6 @@ val remove_sink : int -> unit
 (** Close and drop every registered sink. *)
 val clear_sinks : unit -> unit
 
-(** Sink that discards events (for overhead measurement). *)
-val null_sink : unit -> sink
-
 (** Bounded in-memory ring; returns the sink and a function producing
     the buffered events oldest-first.  [limit] defaults to 262144. *)
 val memory_sink : ?limit:int -> unit -> sink * (unit -> event list)

@@ -292,7 +292,3 @@ let full_plan ctx =
 let optimize ?(config = Optimizer.default) ctx a =
   install ();
   Optimizer.optimize_app ~config:(Optimizer.with_rules config (full_plan ctx)) a
-
-let optimize_static ?(config = Optimizer.default) a =
-  install ();
-  Optimizer.optimize_app ~config:(Optimizer.with_rules config (static_plan ())) a

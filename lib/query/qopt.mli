@@ -48,7 +48,3 @@ val declarative_runtime_rules : Tml_vm.Runtime.ctx -> Tml_rules.Dsl.rule list
     both the static and the runtime query rules. *)
 val optimize :
   ?config:Optimizer.config -> Tml_vm.Runtime.ctx -> Term.app -> Term.app * Optimizer.report
-
-(** [optimize_static ?config a] — the compile-time variant: algebraic rules
-    only. *)
-val optimize_static : ?config:Optimizer.config -> Term.app -> Term.app * Optimizer.report

@@ -7,7 +7,6 @@ type config = {
   inline_budget : int;
   use_ptml : bool;
   use_query_rules : bool;
-  use_speccache : bool;
 }
 
 let default =
@@ -17,7 +16,6 @@ let default =
     inline_budget = 96;
     use_ptml = true;
     use_query_rules = true;
-    use_speccache = true;
   }
 
 type result = {
@@ -272,13 +270,10 @@ let specialize ~config ctx oid (fo : Value.func_obj) =
     if config.use_ptml then Tml_store.Ptml.decode_value fo.Value.fo_ptml else fo.Value.fo_tml
   in
   let fp =
-    if config.use_speccache then
-      Speccache.fingerprint ~ptml:fo.Value.fo_ptml ~bindings:fo.Value.fo_bindings
-        ~config:(config_token config)
-    else ""
+    Speccache.fingerprint ~ptml:fo.Value.fo_ptml ~bindings:fo.Value.fo_bindings
+      ~config:(config_token config)
   in
-  let cached = if config.use_speccache then Speccache.find heap ~callee:oid ~fp else None in
-  match cached with
+  match Speccache.find heap ~callee:oid ~fp with
   | Some o ->
     Tml_obs.Events.reoptimize ~name:fo.Value.fo_name ~oid:(Oid.to_int oid) ~cached:true;
     let optimized = Alpha.freshen_value (Tml_store.Ptml.decode_value o.Speccache.sc_ptml) in
@@ -319,30 +314,26 @@ let specialize ~config ctx oid (fo : Value.func_obj) =
     let deps = ref [] in
     let saved_access = Value.Heap.access_hook heap in
     let saved_fault = Value.Heap.fault_hook heap in
-    if config.use_speccache then begin
-      (* chain in front of the store's hooks: accesses of present objects
-         report to the access hook, first touches of unloaded objects only
-         to the fault hook — both are dependencies *)
-      Value.Heap.set_access_hook heap (fun o obj ->
-          deps := o :: !deps;
-          match saved_access with
-          | Some f -> f o obj
-          | None -> ());
-      match saved_fault with
-      | Some f ->
-        Value.Heap.set_fault_hook heap (fun o ->
-            let r = f o in
-            if r <> None then deps := o :: !deps;
-            r)
-      | None -> ()
-    end;
+    (* chain in front of the store's hooks: accesses of present objects
+       report to the access hook, first touches of unloaded objects only
+       to the fault hook — both are dependencies *)
+    Value.Heap.set_access_hook heap (fun o obj ->
+        deps := o :: !deps;
+        match saved_access with
+        | Some f -> f o obj
+        | None -> ());
+    (match saved_fault with
+    | Some f ->
+      Value.Heap.set_fault_hook heap (fun o ->
+          let r = f o in
+          if r <> None then deps := o :: !deps;
+          r)
+    | None -> ());
     let optimized, report =
       Fun.protect
         ~finally:(fun () ->
-          if config.use_speccache then begin
-            Value.Heap.set_access_hook_opt heap saved_access;
-            Value.Heap.set_fault_hook_opt heap saved_fault
-          end)
+          Value.Heap.set_access_hook_opt heap saved_access;
+          Value.Heap.set_fault_hook_opt heap saved_fault)
         (fun () -> Optimizer.optimize_value ~config:opt_config closed)
     in
     if opt_config.Optimizer.validate then validate_result ~closed ~leftover optimized;
@@ -371,22 +362,21 @@ let specialize ~config ctx oid (fo : Value.func_obj) =
         in
         ("provenance", Oid.to_int poid) :: attrs
     in
-    if config.use_speccache then
-      Speccache.store heap ~callee:oid ~fp
-        ~deps:(!deps @ oid_literals closed)
-        {
-          Speccache.sc_ptml = Tml_store.Ptml.encode_value optimized;
-          sc_attrs = attrs;
-          sc_inlined = !count;
-          sc_rounds = report.Optimizer.rounds;
-          sc_penalty = report.Optimizer.penalty;
-          sc_expansions = report.Optimizer.expansions;
-          sc_size_before = report.Optimizer.size_before;
-          sc_size_after = report.Optimizer.size_after;
-          sc_cost_before = report.Optimizer.cost_before;
-          sc_cost_after = report.Optimizer.cost_after;
-          sc_prov = report.Optimizer.prov;
-        };
+    Speccache.store heap ~callee:oid ~fp
+      ~deps:(!deps @ oid_literals closed)
+      {
+        Speccache.sc_ptml = Tml_store.Ptml.encode_value optimized;
+        sc_attrs = attrs;
+        sc_inlined = !count;
+        sc_rounds = report.Optimizer.rounds;
+        sc_penalty = report.Optimizer.penalty;
+        sc_expansions = report.Optimizer.expansions;
+        sc_size_before = report.Optimizer.size_before;
+        sc_size_after = report.Optimizer.size_after;
+        sc_cost_before = report.Optimizer.cost_before;
+        sc_cost_after = report.Optimizer.cost_after;
+        sc_prov = report.Optimizer.prov;
+      };
     original_tml, optimized, leftover, report, attrs, !count
 
 let optimize ?(config = default) ctx oid =

@@ -35,14 +35,13 @@ type config = {
   use_query_rules : bool;
       (** include the query optimizer's rules (figure 4); disabling them
           gives the program-optimizer-only ablation of experiment E9 *)
-  use_speccache : bool;
-      (** consult / populate the persistent specialization cache
-          ([Tml_vm.Speccache]): repeated specializations of a function
-          against the same binding literals and configuration are served
-          from the cache (verify-on-hit against digests of every store
-          object the rules consulted), and the cache itself persists with
-          the session so a reopened image skips re-optimization *)
 }
+(** Every specialization consults and populates the persistent
+    specialization cache ([Tml_vm.Speccache]): repeated specializations
+    of a function against the same binding literals and configuration
+    are served from the cache (verify-on-hit against digests of every
+    store object the rules consulted), and the cache itself persists
+    with the session so a reopened image skips re-optimization. *)
 
 val default : config
 

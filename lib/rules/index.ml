@@ -148,40 +148,6 @@ let dispatcher (b : buckets) : Rewrite.rule =
   in
   try_bucket bucket a
 
-(* Shape summary of the compiled table, for the E15 bench row. *)
-type split_stats = {
-  s_prim_buckets : int;  (* distinct prim head symbols *)
-  s_arity_split : int;  (* prim buckets carrying >= 1 arity slot *)
-  s_arity_slots : int;  (* arity slots across all prim buckets *)
-  s_exact_rules : int;  (* bucket-level rules confined to one slot *)
-  s_generic_rules : int;  (* bucket-level arity-agnostic rules *)
-}
-
-let split_stats rules =
-  let b = compile_buckets rules in
-  Hashtbl.fold
-    (fun _ pb acc ->
-      let slots = Array.length pb.pb_by_arity in
-      let generic = Array.length pb.pb_generic in
-      let exact =
-        Array.fold_left (fun n (_, arr) -> n + Array.length arr - generic) 0 pb.pb_by_arity
-      in
-      {
-        s_prim_buckets = acc.s_prim_buckets + 1;
-        s_arity_split = (acc.s_arity_split + if slots > 0 then 1 else 0);
-        s_arity_slots = acc.s_arity_slots + slots;
-        s_exact_rules = acc.s_exact_rules + exact;
-        s_generic_rules = acc.s_generic_rules + generic;
-      })
-    b.b_prim
-    {
-      s_prim_buckets = 0;
-      s_arity_split = 0;
-      s_arity_slots = 0;
-      s_exact_rules = 0;
-      s_generic_rules = 0;
-    }
-
 let compile rules = dispatcher (compile_buckets rules)
 
 (* ------------------------------------------------------------------ *)

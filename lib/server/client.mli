@@ -1,6 +1,6 @@
 (** A blocking tmld client: one socket, one session, strict
-    request/response alternation ([tmlsh :connect] and the E13 bench
-    drive the server through this). *)
+    request/response alternation ([tmlsh :connect], the server tests and
+    the benchmark spine drive the server through this). *)
 
 exception Client_error of string
 (** connection refused, protocol violation, or a server [Error]/[Busy]

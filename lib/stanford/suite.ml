@@ -19,7 +19,6 @@ type run_result = {
   outcome : Eval.outcome;
   steps : int;
   output : string;
-  wall_ns : float;
 }
 
 let all_names = List.map fst Programs.all
@@ -41,12 +40,10 @@ let load name level =
 
 let run_loaded ?(engine = `Machine) (program : Link.program) =
   let before_out = String.length (Link.output program) in
-  let t0 = !Tml_obs.Trace.clock () in
   let outcome, steps = Link.run_main program ~engine () in
-  let t1 = !Tml_obs.Trace.clock () in
   let full = Link.output program in
   let output = String.sub full before_out (String.length full - before_out) in
-  { outcome; steps; output; wall_ns = (t1 -. t0) *. 1e9 }
+  { outcome; steps; output }
 
 let run ?engine name level = run_loaded ?engine (load name level)
 

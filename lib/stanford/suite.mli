@@ -27,7 +27,6 @@ type run_result = {
   outcome : Eval.outcome;
   steps : int;  (** abstract machine instructions *)
   output : string;
-  wall_ns : float;
 }
 
 val all_names : string list
@@ -42,8 +41,9 @@ val load : string -> level -> Tml_frontend.Link.program
 (** [run ?engine name level] — load and execute once. *)
 val run : ?engine:[ `Tree | `Machine ] -> string -> level -> run_result
 
-(** [run_loaded ?engine program] — execute an already-loaded instance
-    (used by the wall-clock benchmarks to exclude compilation). *)
+(** [run_loaded ?engine program] — execute an already-loaded instance,
+    so a caller can time the run apart from loading and optimizing (the
+    benchmark spine's stanford workload does). *)
 val run_loaded : ?engine:[ `Tree | `Machine ] -> Tml_frontend.Link.program -> run_result
 
 type size_report = {

@@ -51,27 +51,9 @@ let fields t =
     "compactions", t.compactions;
   ]
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "%-21s %d" name v)
-    (fields t);
-  Format.fprintf ppf "@,%-21s %.3f" "cache_hit_rate" (hit_rate t);
-  Format.fprintf ppf "@]"
-
-let to_string t = Format.asprintf "%a" pp t
-
 let register_metrics ?(name = "store") t =
   Tml_obs.Metrics.register_source ~name
     ~snapshot:(fun () ->
       List.map (fun (k, v) -> (k, Tml_obs.Metrics.I v)) (fields t)
       @ [ ("cache_hit_rate", Tml_obs.Metrics.F (hit_rate t)) ])
     ~reset:(fun () -> reset t)
-
-let to_json t =
-  let ints =
-    List.map (fun (name, v) -> Printf.sprintf "%S: %d" name v) (fields t)
-  in
-  Printf.sprintf "{%s, \"cache_hit_rate\": %.4f}" (String.concat ", " ints) (hit_rate t)

@@ -1,8 +1,8 @@
 (** Instrumentation counters for the durable object store: one record
     shared by the log layer ({!Log_store}: commits, bytes, recovery
     truncations) and the object layer ([Tml_vm.Pstore]: faults, cache
-    hits/misses).  Printable from [tmlsh] ([:stats]) and emitted by the
-    store benchmark. *)
+    hits/misses).  Served through the metrics registry as the ["store"]
+    source, which [tmlsh :stats] prints. *)
 
 type t = {
   mutable commits : int;  (** sealed transactions *)
@@ -29,9 +29,3 @@ val register_metrics : ?name:string -> t -> unit
 (** expose [t] as a source (default name ["store"]) in the
     [Tml_obs.Metrics] registry; registering again replaces the previous
     source of the same name *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
-
-val to_json : t -> string
-(** one-line JSON object, for the benchmark harness *)

@@ -563,6 +563,7 @@ let test_replay_detects_forged_log () =
 let test_budget_exhausted_event () =
   let saved = !Provenance.enabled in
   Provenance.enabled := true;
+  Profile.register_metrics ();
   Profile.reset ();
   Profile.enabled := true;
   Fun.protect
@@ -589,9 +590,7 @@ let test_budget_exhausted_event () =
       in
       find_truncated 0;
       check tbool "profile counted the truncation" true
-        (Profile.global.Profile.budget_exhausted >= 1);
-      check tbool "--profile output surfaces it" true
-        (contains (Format.asprintf "%a" Profile.pp Profile.global) "budget exhausted"))
+        (Metrics_probe.count ~source:"optimizer" "budget_exhausted" >= 1))
 
 let test_prov_codec_roundtrip () =
   let logs =

@@ -424,13 +424,19 @@ let test_merge_select_semantics () =
               | None -> env)
             Ident.Map.empty frees
         in
-        Eval.run_app ctx ~env term
+        let before = ctx.Runtime.steps in
+        let outcome = Eval.run_app ctx ~env term in
+        outcome, ctx.Runtime.steps - before
       in
       match run a, run merged with
-      | Eval.Done v1, Eval.Done v2 ->
+      | (Eval.Done v1, chained_steps), (Eval.Done v2, merged_steps) ->
         check tbool "same aggregate" true (Value.identical v1 v2);
-        check tbool "expected id sum" true (Value.identical v1 (Value.Int 3))
-      | o1, o2 ->
+        check tbool "expected id sum" true (Value.identical v1 (Value.Int 3));
+        (* E5: the fused selection skips the intermediate relation *)
+        check tbool
+          (Printf.sprintf "merged runs fewer steps (%d vs %d)" merged_steps chained_steps)
+          true (merged_steps < chained_steps)
+      | (o1, _), (o2, _) ->
         Alcotest.failf "chained %a, merged %a" Eval.pp_outcome o1 Eval.pp_outcome o2)
 
 let test_merge_project () =
@@ -526,14 +532,23 @@ let test_trivial_exists_semantics () =
               | None -> env)
             Ident.Map.empty frees
         in
-        Eval.run_app ctx ~env term
+        let before = ctx.Runtime.steps in
+        let outcome = Eval.run_app ctx ~env term in
+        outcome, ctx.Runtime.steps - before
       in
       List.iter
         (fun y ->
           match run a y, run rewritten y with
-          | Eval.Done v1, Eval.Done v2 ->
-            check tbool (Printf.sprintf "same result for y=%d" y) true (Value.identical v1 v2)
-          | o1, o2 ->
+          | (Eval.Done v1, original_steps), (Eval.Done v2, rewritten_steps) ->
+            check tbool (Printf.sprintf "same result for y=%d" y) true (Value.identical v1 v2);
+            (* E6: with a false predicate the original scans all of R *)
+            if y < 0 then
+              check tbool
+                (Printf.sprintf "rewritten runs fewer steps (%d vs %d)" rewritten_steps
+                   original_steps)
+                true
+                (rewritten_steps < original_steps)
+          | (o1, _), (o2, _) ->
             Alcotest.failf "original %a, rewritten %a" Eval.pp_outcome o1 Eval.pp_outcome o2)
         [ -1; 1 ])
 
@@ -717,7 +732,20 @@ let test_index_select_runtime () =
       Rel.add_index ctx rel 1;
       let a_yes = Rewrite.reduce_app ~rules:(Qopt.runtime_rules ctx) a in
       check tint "indexselect introduced" 1 (count_prim "indexselect" a_yes);
-      check tint "select eliminated" 0 (count_prim "select" a_yes))
+      check tint "select eliminated" 0 (count_prim "select" a_yes);
+      (* E7: the probe returns the scan's rows in fewer steps *)
+      let run term =
+        let before = ctx.Runtime.steps in
+        let out = run_term_to_rel ctx [] term in
+        Rel.rows ctx out, ctx.Runtime.steps - before
+      in
+      let scan_rows, scan_steps = run a_no and probe_rows, probe_steps = run a_yes in
+      check tbool "same rows" true
+        (Array.length scan_rows = Array.length probe_rows
+        && Array.for_all2 Value.identical scan_rows probe_rows);
+      check tbool
+        (Printf.sprintf "probe runs fewer steps (%d vs %d)" probe_steps scan_steps)
+        true (probe_steps < scan_steps))
 
 let join_pred ~f1 ~f2 =
   Printf.sprintf
@@ -1006,6 +1034,60 @@ let prop_planned_join_equiv_naive =
                  a1 a2
           | o1, o2 -> o1 = o2))
 
+(* ------------------------------------------------------------------ *)
+(* Paging: a cold point query faults the index and one row page          *)
+(* ------------------------------------------------------------------ *)
+
+(* A durable relation over several sealed pages, indexed, committed and
+   reopened cold: an indexed point query loads the persisted index (no
+   rebuild) and faults only the row page holding its key; a full scan
+   then faults every page *)
+let test_cold_point_query_pages () =
+  with_page_size 8 (fun () ->
+      let path = Filename.temp_file "tml_query_paging" ".tmlstore" in
+      Sys.remove path;
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          Qprims.install ();
+          let ps = Pstore.create ~fsync:false path in
+          let ctx = Runtime.create (Pstore.heap ps) in
+          let rel =
+            Rel.create ctx ~name:"events"
+              (List.init 64 (fun i -> [| Value.Int i; Value.Int (i mod 7) |]))
+          in
+          Rel.add_index ctx rel 0;
+          ignore (Pstore.commit ~root:rel ps);
+          Pstore.close ps;
+          let ps = Pstore.open_ ~fsync:false path in
+          Fun.protect
+            ~finally:(fun () -> Pstore.close ps)
+            (fun () ->
+              let ctx = Runtime.create (Pstore.heap ps) in
+              let rel =
+                match Pstore.root ps with
+                | Some oid -> oid
+                | None -> Alcotest.fail "no root"
+              in
+              Relcore.page_faults := 0;
+              Rel.index_loads := 0;
+              Rel.index_builds := 0;
+              let out = run_to_rel ctx [ "r", Value.Oidv rel ] "(indexselect r 0 20 ce! k!)" in
+              (match Rel.rows ctx out with
+              | [| row |] ->
+                check tbool "the row of key 20" true
+                  (Array.for_all2 Value.identical (Rel.row_tuple ctx row)
+                     [| Value.Int 20; Value.Int 6 |])
+              | rows -> Alcotest.failf "%d rows for key 20" (Array.length rows));
+              let r = Rel.get ctx rel and heap = ctx.Runtime.heap in
+              check tint "sealed pages" 8 (Relcore.page_count r);
+              check tint "row pages resident after the probe" 1 (Relcore.pages_loaded heap r);
+              check tint "page faults" 1 !Relcore.page_faults;
+              check tint "index_loads" 1 !Rel.index_loads;
+              check tint "index_builds" 0 !Rel.index_builds;
+              Rel.iteri ctx rel (fun _ _ -> ());
+              check tint "row pages resident after a scan" 8 (Relcore.pages_loaded heap r))))
+
 let () =
   Alcotest.run "tml_query"
     [
@@ -1061,6 +1143,8 @@ let () =
             test_index_join_runtime;
           Alcotest.test_case "cost-based join order" `Quick test_join_order_runtime;
           Alcotest.test_case "query metrics source" `Quick test_query_metrics_source;
+          Alcotest.test_case "cold point query faults one page" `Quick
+            test_cold_point_query_pages;
         ] );
       ( "properties",
         [

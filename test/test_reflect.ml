@@ -204,6 +204,75 @@ do mkindex(employees, 2) end
          | _ -> false)
        optimized)
 
+(* Figure 4 (experiment E9): the program optimizer inlines the user
+   predicate [is38] into the query, and only then can the query optimizer
+   see the field equality and use the runtime index.  Without the query
+   rules the scan stays; the answer is the same either way. *)
+let integrated_source =
+  {|
+let employees = relation(
+  tuple(1, 23, 4100), tuple(2, 38, 6500), tuple(3, 38, 5200),
+  tuple(4, 55, 8000), tuple(5, 29, 4600), tuple(6, 38, 7100),
+  tuple(7, 41, 6900), tuple(8, 23, 3900), tuple(9, 38, 4400),
+  tuple(10, 31, 5100), tuple(11, 38, 6100), tuple(12, 44, 7300))
+
+let is38(e: Tuple(Int, Int, Int)): Bool = e.2 == 38
+
+let total_salary(r: Rel(Tuple(Int, Int, Int))): Int =
+  var total := 0;
+  foreach e in r do total := total + e.3 end;
+  total
+
+let query(): Int =
+  total_salary(select e from e in employees where is38(e) end)
+
+do
+  mkindex(employees, 2);
+  io.print_int(query())
+end
+|}
+
+let test_integrated_query () =
+  (* a fresh instance (main builds the index), optionally optimized in
+     place: whether the body probes the index, and the steps of one call *)
+  let run config =
+    let program = Link.load integrated_source in
+    let ctx = program.Link.ctx in
+    (match Link.run_main program ~engine:`Machine () with
+    | Eval.Done _, _ -> ()
+    | o, _ -> Alcotest.failf "main: %a" Eval.pp_outcome o);
+    let query = Link.function_oid program "query" in
+    let uses_index =
+      match config with
+      | None -> false
+      | Some config -> (
+        match (Reflect.optimize_inplace ~config ctx query).Reflect.optimized_tml with
+        | Term.Abs a ->
+          Term.exists_app
+            (fun node ->
+              match node.Term.func with
+              | Term.Prim "indexselect" -> true
+              | _ -> false)
+            a.Term.body
+        | _ -> Alcotest.fail "expected abs")
+    in
+    match run_fn ctx (Value.Oidv query) [] with
+    | Eval.Done (Value.Int 29300), steps -> uses_index, steps
+    | o, _ -> Alcotest.failf "query: %a" Eval.pp_outcome o
+  in
+  let _, unoptimized = run None in
+  let program_only, program_steps =
+    run (Some { Reflect.default with Reflect.use_query_rules = false })
+  in
+  let integrated, integrated_steps = run (Some Reflect.default) in
+  check tbool "program rules alone keep the scan" false program_only;
+  check tbool "integrated optimizer probes the index" true integrated;
+  (* each layer is necessary: a strict staircase *)
+  check tbool
+    (Printf.sprintf "steps %d > %d > %d" unoptimized program_steps integrated_steps)
+    true
+    (unoptimized > program_steps && program_steps > integrated_steps)
+
 let test_errors () =
   let heap = Value.Heap.create () in
   let ctx = Runtime.create heap in
@@ -410,6 +479,8 @@ let () =
             test_optimize_all_improves_stanford;
           Alcotest.test_case "query-argument inlining (view expansion)" `Quick
             test_inline_query_arg;
+          Alcotest.test_case "integrated program and query optimization" `Quick
+            test_integrated_query;
           Alcotest.test_case "error handling" `Quick test_errors;
         ] );
       ( "speccache",

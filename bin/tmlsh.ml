@@ -31,7 +31,6 @@ let () =
   Profile.enabled := true;
   Tml_obs.Provenance.enabled := true;
   Profile.register_metrics ();
-  Speccache.register_metrics ();
   (* tiered execution: hot stored functions get promoted to the compiled
      closure tier as the session warms up (:tier NAME forces one; the
      "tier" rows of :stats report promotions, deopts and compiled runs) *)

@@ -25,9 +25,10 @@ type env = denot Ident.Map.t
 
 let empty_env : env = Ident.Map.empty
 
-(* Per-OID resolution hook, installed by the analysis cache so that stored
-   procedures appearing as literal OIDs in reflective optimization become
-   known callees instead of top. *)
+(* Resolution hook for procedures appearing as literal OIDs.  Unknown
+   (top) by default; the reflective optimizer scopes it, for one run, to
+   the summaries on the function objects of the heap under optimization,
+   so stored callees become known callees. *)
 let oid_resolver : (Oid.t -> summary option) ref = ref (fun _ -> None)
 
 (* Value argument positions at which a primitive invokes a user procedure

@@ -36,8 +36,11 @@ type env = denot Ident.Map.t
 
 val empty_env : env
 
-(** Resolution hook for procedures appearing as literal OIDs (installed by
-    {!Cache} so reflective optimization sees stored callees). *)
+(** Resolution hook for procedures appearing as literal OIDs: [None]
+    (an unknown callee) by default.  [Tml_reflect.Reflect] sets it for
+    the duration of one optimizer run to the summaries stored on the
+    function objects of the heap under optimization, so a resolved OID
+    can never name a procedure of another heap. *)
 val oid_resolver : (Oid.t -> summary option) ref
 
 (** [sig_of_app ?env a] infers the signature of running [a].  Free

@@ -10,7 +10,7 @@ type engine =
   | Mach
   | Opt of string * Optimizer.config
   | Reflect of string * Reflect_.config
-  | Reflect_cached of string * Reflect_.config
+  | Reoptimized of string * Reflect_.config
   | Tiered of string * Reflect_.config option
 
 let engine_name = function
@@ -18,7 +18,7 @@ let engine_name = function
   | Mach -> "mach"
   | Opt (name, _) -> name
   | Reflect (name, _) -> name
-  | Reflect_cached (name, _) -> name
+  | Reoptimized (name, _) -> name
   | Tiered (name, _) -> name
 
 let engines ~validate =
@@ -39,7 +39,6 @@ let engines ~validate =
     Opt ("o3", ov Optimizer.o3);
     Reflect ("reflect", refl false);
     Reflect ("reflect-q", refl true);
-    Reflect_cached ("reflect-cached", refl true);
     Tiered ("tiered", None);
     Tiered ("tiered-reflect", Some (refl true));
   ]
@@ -89,14 +88,11 @@ let pp_verdict ppf = function
 (* Running one engine                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Every observation runs on a fresh heap, whose OIDs restart: nothing
+   derived from an earlier heap survives it, since effect summaries live
+   on function objects and tier state on code units. *)
 let fresh_ctx () =
   Lazy.force installed;
-  (* OIDs restart in a fresh heap: drop the per-OID analysis summaries
-     and cached specializations or stale entries would resolve for
-     unrelated procedures.  (Tier state lives on the fresh heap's code
-     units, which start cold.) *)
-  Tml_analysis.Cache.clear ();
-  Tml_vm.Speccache.clear ();
   let heap = Value.Heap.create () in
   Runtime.create ~fuel heap
 
@@ -146,21 +142,16 @@ let run_engine engine ctx ~(proc : Term.value) ~(bindings : (Ident.t * Value.t) 
     match optimized with
     | Term.Abs f -> Machine.run_abs ctx f args
     | v -> Machine.run_proc ctx (Eval.eval_value ctx ~env:Ident.Map.empty v) args)
-  | Reflect (_, config) | Reflect_cached (_, config) ->
+  | Reflect (_, config) ->
     let oid, passed_args = store_program ctx ~proc ~bindings ~args in
-    (match engine with
-    | Reflect_cached _ ->
-      (* warm the specialization cache with a first optimization of the
-         same function, then require the in-place pass to be served from
-         it — the cached-vs-fresh pair: a stale or mis-keyed cache entry
-         shows up as a disagreement with the tree baseline, a silent miss
-         as an engine error (the comparison would otherwise be vacuous) *)
-      ignore (Reflect_.optimize ~config ctx oid);
-      let hits_before = (Speccache.stats ()).Speccache.hits in
-      ignore (Reflect_.optimize_inplace ~config ctx oid);
-      if (Speccache.stats ()).Speccache.hits <= hits_before then
-        Runtime.fault "speccache: warm specialization was not served from the cache"
-    | _ -> ignore (Reflect_.optimize_inplace ~config ctx oid));
+    ignore (Reflect_.optimize_inplace ~config ctx oid);
+    Machine.run_proc ctx (Value.Oidv oid) passed_args
+  | Reoptimized (_, config) ->
+    (* the second pass rewrites the first pass's output, on a function
+       object that now carries the first pass's effect summary *)
+    let oid, passed_args = store_program ctx ~proc ~bindings ~args in
+    ignore (Reflect_.optimize_inplace ~config ctx oid);
+    ignore (Reflect_.optimize_inplace ~config ctx oid);
     Machine.run_proc ctx (Value.Oidv oid) passed_args
   | Tiered (_, config_opt) ->
     (* the tiered-vs-machine pair: store the program, optionally optimize
@@ -168,7 +159,7 @@ let run_engine engine ctx ~(proc : Term.value) ~(bindings : (Ident.t * Value.t) 
        run it through the machine's normal entry point — the tier hook
        must route execution into compiled code.  A promotion that never
        runs compiled code would make the comparison vacuous, so that is
-       an engine error, mirroring the cached engine's must-hit rule. *)
+       an engine error. *)
     let oid, passed_args = store_program ctx ~proc ~bindings ~args in
     (match config_opt with
     | Some config -> ignore (Reflect_.optimize_inplace ~config ctx oid)
@@ -188,7 +179,7 @@ let observe engine ~proc ~mk_args ~mk_bindings ~store_of =
   let ctx = fresh_ctx () in
   let bindings =
     match engine with
-    | Reflect _ | Reflect_cached _ | Tiered _ -> mk_bindings ctx
+    | Reflect _ | Reoptimized _ | Tiered _ -> mk_bindings ctx
     | Tree | Mach | Opt _ -> []
   in
   let args = if bindings = [] then mk_args ctx else [] in

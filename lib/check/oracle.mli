@@ -35,14 +35,11 @@ type engine =
   | Mach
   | Opt of string * Optimizer.config
   | Reflect of string * Tml_reflect.Reflect.config
-  | Reflect_cached of string * Tml_reflect.Reflect.config
-      (** like [Reflect], but the function is specialized twice: a first
-          [optimize] populates the specialization cache, then the in-place
-          pass must be {e served from it} — so the executed code is the
-          cached (PTML-round-tripped, α-freshened) specialization, compared
-          against the tree baseline exactly like a fresh one.  A miss on
-          the second pass is reported as an engine error: a silently cold
-          cache would make the comparison vacuous. *)
+  | Reoptimized of string * Tml_reflect.Reflect.config
+      (** like [Reflect], but the function is optimized in place twice:
+          the second pass rewrites the first pass's output, on a function
+          object that already carries an effect summary.  Not in the
+          standard battery. *)
   | Tiered of string * Tml_reflect.Reflect.config option
       (** store the program (with R-value bindings like [Reflect]),
           optionally optimize it reflectively in place, then
@@ -50,15 +47,13 @@ type engine =
           through the machine's normal entry point — the tier hook routes
           execution into compiled code ({!Tierup}/{!Jit}).  A promotion
           that never enters compiled code is an engine error (the
-          comparison would be vacuous), mirroring the cached engine's
-          must-hit rule. *)
+          comparison would be vacuous). *)
 
 val engine_name : engine -> string
 
 (** The standard battery: tree, machine, O1/O2/O3, reflective (program
-    rules), reflective (program + query rules), the cached reflective
-    pair, and the tiered pair (raw and reflect-optimized code promoted
-    to the compiled closure tier).  [validate] turns the optimizer's
+    rules), reflective (program + query rules), and the tiered pair (raw
+    and reflect-optimized code promoted to the compiled closure tier).  [validate] turns the optimizer's
     pass-level translation validation on in every optimizing engine. *)
 val engines : validate:bool -> engine list
 

@@ -41,25 +41,9 @@ let budget_exhausted ~round ~penalty ~limit =
 
 (* reflect *)
 
-let reoptimize ~name ~oid ~cached =
+let reoptimize ~name ~oid =
   if !enabled then
-    instant ~cat:"reflect" "reoptimize"
-      ~args:[ ("name", Str name); ("oid", Int oid); ("cached", Bool cached) ]
-
-(* speccache *)
-
-let speccache kind ~callee =
-  if !enabled then begin
-    let k =
-      match kind with
-      | `Hit -> "hit"
-      | `Miss -> "miss"
-      | `Store -> "store"
-      | `Verify_failure -> "verify_failure"
-      | `Invalidate -> "invalidate"
-    in
-    instant ~cat:"speccache" ("speccache_" ^ k) ~args:[ ("callee", Int callee) ]
-  end
+    instant ~cat:"reflect" "reoptimize" ~args:[ ("name", Str name); ("oid", Int oid) ]
 
 (* store *)
 

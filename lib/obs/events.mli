@@ -24,13 +24,8 @@ val expand_site :
 (** The optimizer stopped because the penalty budget ran out. *)
 val budget_exhausted : round:int -> penalty:int -> limit:int -> unit
 
-(** Reflective re-optimization of a stored function; [cached] is true
-    when the speccache served a warm result. *)
-val reoptimize : name:string -> oid:int -> cached:bool -> unit
-
-(** Speccache lifecycle events, keyed by callee OID. *)
-val speccache :
-  [ `Hit | `Miss | `Store | `Verify_failure | `Invalidate ] -> callee:int -> unit
+(** Reflective re-optimization of a stored function. *)
+val reoptimize : name:string -> oid:int -> unit
 
 (** Durable-store lifecycle. *)
 val store_commit : objects:int -> bytes:int -> unit

@@ -1,6 +1,6 @@
 (* Metrics registry: counters, gauges and histograms with optional
    labels, plus external "sources" that adapt pre-existing stat blocks
-   (optimizer profile, store stats, speccache) behind the same
+   (optimizer profile, store stats, tier counters) behind the same
    interface.  One snapshot endpoint renders everything as JSON; one
    [reset_all] clears owned metrics and every source atomically. *)
 

@@ -1,6 +1,6 @@
 (** Metrics registry: counters, gauges and histograms with optional
     labels, plus adapter "sources" that unify pre-existing stat blocks
-    ({!Profile}, [Store_stats], speccache counters) behind one
+    ({!Profile}, [Store_stats], tier counters) behind one
     interface with a single JSON snapshot endpoint. *)
 
 type num = I of int | F of float

@@ -12,7 +12,7 @@ type phase = B  (** span begin *) | E  (** span end *) | I  (** instant *) | C  
 
 type event = {
   ev_name : string;
-  ev_cat : string;  (** category, e.g. ["optimizer"], ["speccache"], ["store"], ["vm"] *)
+  ev_cat : string;  (** category, e.g. ["optimizer"], ["reflect"], ["store"], ["vm"] *)
   ev_ph : phase;
   ev_ts : float;  (** microseconds since the clock's epoch *)
   ev_args : (string * arg) list;

@@ -2,10 +2,8 @@
 
    The estimates read the per-relation [Stats] store object maintained
    by [Rel] (row count, tuple arity, per-indexed-field distinct-count
-   sketch). All reads go through hooked heap accesses, so during
-   reflective specialization the dependency recorder captures the stats
-   objects consulted — a plan is invalidated when the enabling
-   statistic's magnitude changes (see [Speccache.obj_digest]). *)
+   sketch) at optimization time: a plan reflects the statistics of the
+   moment it was made, and a later re-optimization re-reads them. *)
 
 open Tml_vm
 

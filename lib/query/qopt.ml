@@ -282,13 +282,7 @@ let declarative_runtime_rules ctx = store_aware_rules (fun rule -> rule ctx)
 
 let runtime_rules ctx = List.map Tml_rules.Dsl.to_rewrite (declarative_runtime_rules ctx)
 
-(* What the optimizer entry points actually install: the indexed
-   dispatcher over the full declarative set. *)
+(* What the static optimizer installs: the indexed dispatcher over the
+   store-independent declarative set. *)
 let static_plan () = [ Tml_rules.Index.compile Qrewrite.declarative_rules ]
 
-let full_plan ctx =
-  [ Tml_rules.Index.compile (Qrewrite.declarative_rules @ declarative_runtime_rules ctx) ]
-
-let optimize ?(config = Optimizer.default) ctx a =
-  install ();
-  Optimizer.optimize_app ~config:(Optimizer.with_rules config (full_plan ctx)) a

@@ -17,17 +17,13 @@ open Tml_core
 val install : unit -> unit
 
 (** Store-independent algebraic rules ({!Qrewrite.algebraic_rules}),
-    available to the static optimizer, as a flat list; the optimizer entry
-    points below consult {!static_plan} instead. *)
+    available to the static optimizer, as a flat list; the optimizer
+    itself receives {!static_plan} instead. *)
 val static_rules : Rewrite.rule list
 
 (** [static_plan ()] — the store-independent rules as the optimizer should
     receive them: one head-indexed dispatcher ({!Tml_rules.Index.compile}). *)
 val static_plan : unit -> Rewrite.rule list
-
-(** [full_plan ctx] — {!static_plan} plus the store-aware rules, as one
-    dispatch plan. *)
-val full_plan : Tml_vm.Runtime.ctx -> Rewrite.rule list
 
 (** Descriptors of every rule this library can fire (declarative query
     rules plus the store-aware rules over a closure that never fires),
@@ -43,8 +39,3 @@ val runtime_rules : Tml_vm.Runtime.ctx -> Rewrite.rule list
     for callers assembling their own dispatch plan (the reflective
     optimizer). *)
 val declarative_runtime_rules : Tml_vm.Runtime.ctx -> Tml_rules.Dsl.rule list
-
-(** [optimize ?config ctx a] — convenience: run the full TML optimizer with
-    both the static and the runtime query rules. *)
-val optimize :
-  ?config:Optimizer.config -> Tml_vm.Runtime.ctx -> Term.app -> Term.app * Optimizer.report

@@ -148,24 +148,34 @@ let validate_result ~closed ~leftover optimized =
       (Optimizer.Validation_error (Format.asprintf "reflect.optimize: %a" Wf.pp_error e))
   | Error [] -> raise (Optimizer.Validation_error "reflect.optimize: ill-formed result")
 
-(* Effect attributes derived by the analysis, persisted with the function
-   object like the cost/size ones; the analysis cache additionally keeps
-   the full summary so later reflective optimizations of callers that
-   reference this function as a literal OID can reuse it. *)
-let effect_attrs optimized =
-  if not !Tml_analysis.Bridge.enabled then []
-  else
-    match Tml_analysis.Infer.summary_of_value optimized with
-    | Some summ ->
-      let s = Tml_analysis.Infer.strip summ in
-      [
-        "effect_class", Tml_analysis.Effsig.class_rank s.Tml_analysis.Effsig.eff;
-        "diverges", (if s.Tml_analysis.Effsig.diverges then 1 else 0);
-      ]
-    | None -> []
+(* The effect summary the analysis derives for an optimized function,
+   kept on its function object ([fo_summary]) for later optimizations of
+   callers that reach it through a literal OID; [effect_attrs] persists
+   its gist with the cost/size attributes. *)
+let summarize optimized =
+  if !Tml_analysis.Bridge.enabled then Tml_analysis.Infer.summary_of_value optimized else None
 
-let cache_summary oid optimized =
-  if !Tml_analysis.Bridge.enabled then Tml_analysis.Cache.remember oid optimized
+let effect_attrs = function
+  | None -> []
+  | Some summ ->
+    let s = Tml_analysis.Infer.strip summ in
+    [
+      "effect_class", Tml_analysis.Effsig.class_rank s.Tml_analysis.Effsig.eff;
+      "diverges", (if s.Tml_analysis.Effsig.diverges then 1 else 0);
+    ]
+
+(* For one optimizer run, a literal OID resolves to the summary on the
+   function object it names in the heap under optimization.  [peek]
+   faults nothing in: an object not materialized (or never optimized)
+   has no summary, and no other heap's object can answer for its OID. *)
+let with_heap_summaries heap f =
+  let saved = !Tml_analysis.Infer.oid_resolver in
+  (Tml_analysis.Infer.oid_resolver :=
+     fun o ->
+       match Value.Heap.peek heap o with
+       | Some (Value.Func fo) -> fo.Value.fo_summary
+       | _ -> None);
+  Fun.protect ~finally:(fun () -> Tml_analysis.Infer.oid_resolver := saved) f
 
 (* The store-aware rules as DSL descriptors (closure escape hatch: they
    consult the live heap, so their verification is the oracle battery, not
@@ -221,176 +231,75 @@ let store_rules ctx config ~budget ~count =
       else []);
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Specialization cache glue                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Everything that parameterizes the pipeline beyond the callee and the
-   store must be part of the cache key; a rendering of the configuration
-   knobs (plus whether the analysis bridge is live) does it. *)
-let config_token config =
-  let o = config.optimizer in
-  let e = o.Optimizer.expand in
-  Printf.sprintf "mr%d;pl%d;ms%d;v%b;il%d;yl%d;gl%d;ey%b;xr%d;iol%d;ib%d;p%b;q%b;an%b"
-    o.Optimizer.max_rounds o.Optimizer.penalty_limit o.Optimizer.max_steps o.Optimizer.validate
-    e.Expand.inline_limit e.Expand.y_inline_limit e.Expand.growth_limit
-    e.Expand.expand_y
-    (List.length o.Optimizer.rules)
-    config.inline_oid_limit config.inline_budget config.use_ptml config.use_query_rules
-    !Tml_analysis.Bridge.enabled
-
-(* OID literals of the closed term: what the analysis bridge may resolve
-   through [Analysis.Cache] without touching the heap — recorded as
-   dependencies alongside the access-hook trace. *)
-let oid_literals (v : Term.value) =
-  let acc = ref [] in
-  let rec go_value = function
-    | Term.Lit (Literal.Oid o) -> acc := o :: !acc
-    | Term.Abs a -> go_app a.Term.body
-    | Term.Lit _ | Term.Var _ | Term.Prim _ -> ()
-  and go_app (a : Term.app) =
-    go_value a.Term.func;
-    List.iter go_value a.Term.args
-  in
-  go_value v;
-  !acc
-
-(* The full specialization pipeline for one function object, behind the
-   cache: a verified hit re-materializes the optimized PTML (α-freshened —
-   decoded stamps must not collide with live trees); a miss runs the
-   optimizer while recording every heap object the rules consult (by
-   chaining the heap's access hook) and stores the outcome keyed by
-   (callee, fingerprint) with digests of those dependencies. *)
+(* The specialization pipeline for one function object: re-establish
+   its literal bindings around the body, run the optimizer with the
+   store-aware rules, and derive what the function object keeps (the
+   attributes and the effect summary).  The result carries [oid]. *)
 let specialize ~config ctx oid (fo : Value.func_obj) =
   Tml_obs.Trace.with_span ~cat:"reflect" "specialize"
     ~args:[ ("name", Tml_obs.Trace.Str fo.Value.fo_name); ("oid", Tml_obs.Trace.Int (Oid.to_int oid)) ]
   @@ fun () ->
+  Tml_obs.Events.reoptimize ~name:fo.Value.fo_name ~oid:(Oid.to_int oid);
   let heap = ctx.Runtime.heap in
   let original_tml =
     if config.use_ptml then Tml_store.Ptml.decode_value fo.Value.fo_ptml else fo.Value.fo_tml
   in
-  let fp =
-    Speccache.fingerprint ~ptml:fo.Value.fo_ptml ~bindings:fo.Value.fo_bindings
-      ~config:(config_token config)
+  (* α-convert: the decoded tree must not share binder stamps with
+     anything already live, and the in-memory tree is shared with the
+     running code. *)
+  let fresh = Alpha.freshen_value original_tml in
+  let closed, leftover = close_over_bindings fo fresh in
+  let budget = ref config.inline_budget in
+  let count = ref 0 in
+  let rules = store_rules ctx config ~budget ~count in
+  let opt_config =
+    Tml_analysis.Bridge.with_analysis (Optimizer.with_rules config.optimizer rules)
   in
-  match Speccache.find heap ~callee:oid ~fp with
-  | Some o ->
-    Tml_obs.Events.reoptimize ~name:fo.Value.fo_name ~oid:(Oid.to_int oid) ~cached:true;
-    let optimized = Alpha.freshen_value (Tml_store.Ptml.decode_value o.Speccache.sc_ptml) in
-    (* the leftover (non-literal) bindings are recomputed from the current
-       binding list — same ids, cheap, and they carry the live values *)
-    let leftover =
-      List.filter (fun (_, v) -> Value.to_literal v = None) fo.Value.fo_bindings
-    in
-    let report =
-      {
-        Optimizer.rounds = o.Speccache.sc_rounds;
-        penalty = o.Speccache.sc_penalty;
-        stats = Rewrite.fresh_stats ();
-        expansions = o.Speccache.sc_expansions;
-        size_before = o.Speccache.sc_size_before;
-        size_after = o.Speccache.sc_size_after;
-        cost_before = o.Speccache.sc_cost_before;
-        cost_after = o.Speccache.sc_cost_after;
-        (* the derivation log of the original specialization rides along
-           in the cache entry, so a warm hit still explains itself *)
-        prov = o.Speccache.sc_prov;
-      }
-    in
-    original_tml, optimized, leftover, report, o.Speccache.sc_attrs, o.Speccache.sc_inlined
-  | None ->
-    Tml_obs.Events.reoptimize ~name:fo.Value.fo_name ~oid:(Oid.to_int oid) ~cached:false;
-    (* α-convert: the decoded tree must not share binder stamps with
-       anything already live, and the in-memory tree is shared with the
-       running code. *)
-    let fresh = Alpha.freshen_value original_tml in
-    let closed, leftover = close_over_bindings fo fresh in
-    let budget = ref config.inline_budget in
-    let count = ref 0 in
-    let rules = store_rules ctx config ~budget ~count in
-    let opt_config =
-      Tml_analysis.Bridge.with_analysis (Optimizer.with_rules config.optimizer rules)
-    in
-    let deps = ref [] in
-    let saved_access = Value.Heap.access_hook heap in
-    let saved_fault = Value.Heap.fault_hook heap in
-    (* chain in front of the store's hooks: accesses of present objects
-       report to the access hook, first touches of unloaded objects only
-       to the fault hook — both are dependencies *)
-    Value.Heap.set_access_hook heap (fun o obj ->
-        deps := o :: !deps;
-        match saved_access with
-        | Some f -> f o obj
-        | None -> ());
-    (match saved_fault with
-    | Some f ->
-      Value.Heap.set_fault_hook heap (fun o ->
-          let r = f o in
-          if r <> None then deps := o :: !deps;
-          r)
-    | None -> ());
-    let optimized, report =
-      Fun.protect
-        ~finally:(fun () ->
-          Value.Heap.set_access_hook_opt heap saved_access;
-          Value.Heap.set_fault_hook_opt heap saved_fault)
-        (fun () -> Optimizer.optimize_value ~config:opt_config closed)
-    in
-    if opt_config.Optimizer.validate then validate_result ~closed ~leftover optimized;
-    let attrs =
-      [
-        "cost_before", report.Optimizer.cost_before;
-        "cost_after", report.Optimizer.cost_after;
-        "size_before", report.Optimizer.size_before;
-        "size_after", report.Optimizer.size_after;
-        "inlined_calls", !count;
-      ]
-      @ effect_attrs optimized
-    in
-    (* Persist the derivation log (when provenance recording is on) as a
-       plain Bytes object next to the PTML; the function references it
-       through its "provenance" attribute, so the object codec and
-       existing images are untouched and the log survives a durable
-       commit/reopen. *)
-    let attrs =
-      match report.Optimizer.prov with
-      | [] -> attrs
-      | prov ->
-        let poid =
-          Value.Heap.alloc heap
-            (Value.Bytes (Bytes.of_string (Tml_store.Prov_codec.encode prov)))
-        in
-        ("provenance", Oid.to_int poid) :: attrs
-    in
-    Speccache.store heap ~callee:oid ~fp
-      ~deps:(!deps @ oid_literals closed)
-      {
-        Speccache.sc_ptml = Tml_store.Ptml.encode_value optimized;
-        sc_attrs = attrs;
-        sc_inlined = !count;
-        sc_rounds = report.Optimizer.rounds;
-        sc_penalty = report.Optimizer.penalty;
-        sc_expansions = report.Optimizer.expansions;
-        sc_size_before = report.Optimizer.size_before;
-        sc_size_after = report.Optimizer.size_after;
-        sc_cost_before = report.Optimizer.cost_before;
-        sc_cost_after = report.Optimizer.cost_after;
-        sc_prov = report.Optimizer.prov;
-      };
-    original_tml, optimized, leftover, report, attrs, !count
+  let optimized, report, summary =
+    with_heap_summaries heap (fun () ->
+        let optimized, report = Optimizer.optimize_value ~config:opt_config closed in
+        optimized, report, summarize optimized)
+  in
+  if opt_config.Optimizer.validate then validate_result ~closed ~leftover optimized;
+  let attrs =
+    [
+      "cost_before", report.Optimizer.cost_before;
+      "cost_after", report.Optimizer.cost_after;
+      "size_before", report.Optimizer.size_before;
+      "size_after", report.Optimizer.size_after;
+      "inlined_calls", !count;
+    ]
+    @ effect_attrs summary
+  in
+  (* Persist the derivation log (when provenance recording is on) as a
+     plain Bytes object next to the PTML; the function references it
+     through its "provenance" attribute, so the object codec and
+     existing images are untouched and the log survives a durable
+     commit/reopen. *)
+  let attrs =
+    match report.Optimizer.prov with
+    | [] -> attrs
+    | prov ->
+      let poid =
+        Value.Heap.alloc heap (Value.Bytes (Bytes.of_string (Tml_store.Prov_codec.encode prov)))
+      in
+      ("provenance", Oid.to_int poid) :: attrs
+  in
+  ( { oid; original_tml; optimized_tml = optimized; report; inlined_calls = !count },
+    leftover,
+    attrs,
+    summary )
 
 let optimize ?(config = default) ctx oid =
   Tml_query.Qopt.install ();
   let fo = func_obj ctx oid in
-  let original_tml, optimized, leftover, report, attrs, inlined =
-    specialize ~config ctx oid fo
-  in
+  let r, leftover, attrs, summary = specialize ~config ctx oid fo in
   let new_oid =
-    Value.Heap.alloc_func ctx.Runtime.heap ~name:(fo.Value.fo_name ^ "!opt") optimized
+    Value.Heap.alloc_func ctx.Runtime.heap ~name:(fo.Value.fo_name ^ "!opt") r.optimized_tml
   in
   let new_fo = func_obj ctx new_oid in
   new_fo.Value.fo_bindings <- leftover;
-  cache_summary new_oid optimized;
+  new_fo.Value.fo_summary <- summary;
   (* attach derived attributes to the persistent system state *)
   new_fo.Value.fo_attrs <- attrs;
   fo.Value.fo_attrs <-
@@ -399,14 +308,12 @@ let optimize ?(config = default) ctx oid =
   (match ctx.Runtime.durable_commit with
   | Some commit -> commit ()
   | None -> ());
-  { oid = new_oid; original_tml; optimized_tml = optimized; report; inlined_calls = inlined }
+  { r with oid = new_oid }
 
 let optimize_inplace ?(config = default) ctx oid =
   Tml_query.Qopt.install ();
   let fo = func_obj ctx oid in
-  let original_tml, optimized, leftover, report, attrs, inlined =
-    specialize ~config ctx oid fo
-  in
+  let r, leftover, attrs, summary = specialize ~config ctx oid fo in
   (* A re-optimization that recorded no derivation (nothing fired, or
      provenance recording was off) must not erase an existing log: the
      function's shape is still explained by the previous derivation. *)
@@ -420,27 +327,26 @@ let optimize_inplace ?(config = default) ctx oid =
   let new_fo =
     {
       fo with
-      Value.fo_tml = optimized;
-      fo_ptml = Tml_store.Ptml.encode_value optimized;
+      Value.fo_tml = r.optimized_tml;
+      fo_ptml = Tml_store.Ptml.encode_value r.optimized_tml;
       fo_bindings = leftover;
       fo_tree_impl = None;
       fo_mach_impl = None;
       fo_code = None;
+      fo_summary = summary;
       fo_attrs = attrs;
     }
   in
   Value.Heap.set ctx.Runtime.heap oid (Value.Func new_fo);
-  (* the function at [oid] changed: entries specialized against its old
-     content (or inlining it into callers) are stale; its summary too *)
-  Speccache.invalidate oid;
-  cache_summary oid optimized;
+  (* compiled call sites that resolved [oid] must not keep its old code *)
+  Jit.invalidate_sites ();
   (* the new code is a new, cold unit: if the old one ran compiled,
      compile the new one now so hot functions stay on the tier *)
   Tierup.repromote ctx ~was:fo oid;
   (match ctx.Runtime.durable_commit with
   | Some commit -> commit ()
   | None -> ());
-  { oid; original_tml; optimized_tml = optimized; report; inlined_calls = inlined }
+  r
 
 let optimize_all ?(config = default) ?(passes = 2) ctx oids =
   for _ = 1 to passes do

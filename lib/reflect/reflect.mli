@@ -36,12 +36,14 @@ type config = {
       (** include the query optimizer's rules (figure 4); disabling them
           gives the program-optimizer-only ablation of experiment E9 *)
 }
-(** Every specialization consults and populates the persistent
-    specialization cache ([Tml_vm.Speccache]): repeated specializations
-    of a function against the same binding literals and configuration
-    are served from the cache (verify-on-hit against digests of every
-    store object the rules consulted), and the cache itself persists
-    with the session so a reopened image skips re-optimization. *)
+(** Every call runs the optimizer; nothing is cached across calls.  The
+    one piece of derived state an optimization leaves for later ones is
+    the effect summary on the function object it installs
+    ([Tml_vm.Value.func_obj.fo_summary]): while the optimizer runs, a
+    literal OID resolves ({!Tml_analysis.Infer.oid_resolver}) to the
+    summary on the function object it names {e in the heap under
+    optimization}, without faulting, so a summary never outlives its
+    object or answers for another heap's. *)
 
 val default : config
 
@@ -79,6 +81,14 @@ val inline_query_arg :
     closures are built per-optimization with the real [ctx]. *)
 val rule_descriptors : Tml_rules.Dsl.rule list
 
+(** [with_heap_summaries heap f] runs [f] with
+    {!Tml_analysis.Infer.oid_resolver} answering, for a literal OID, the
+    effect summary on the function object [heap] holds there
+    ([Heap.peek]: nothing is faulted in), and restores the previous
+    resolver afterwards.  Every optimization below runs in this scope
+    over the heap it optimizes. *)
+val with_heap_summaries : Tml_vm.Value.Heap.heap -> (unit -> 'a) -> 'a
+
 (** [optimize ?config ctx oid] — the reflective optimizer.
     @raise Tml_vm.Runtime.Fault if [oid] is not a function object. *)
 val optimize : ?config:config -> Tml_vm.Runtime.ctx -> Oid.t -> result
@@ -105,8 +115,7 @@ val optimize_all : ?config:config -> ?passes:int -> Tml_vm.Runtime.ctx -> Oid.t 
 (** [provenance ctx oid] — read back the persisted derivation log of
     [oid]: the "provenance" attribute references a [Bytes] object
     holding the [Prov_codec]-encoded log, faulted in on demand (so this
-    works across a durable reopen, including when the specialization
-    itself was served warm from the speccache).  For a function
+    works across a durable reopen).  For a function
     optimized non-inplace the log lives on the derived function;
     "optimized_as" is followed one step.  [None] when no log was
     recorded (provenance recording off, or nothing fired). *)

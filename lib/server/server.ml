@@ -206,37 +206,25 @@ let session_locked t ss f =
       Value.Heap.reserve heap t.next_oid;
       Fun.protect ~finally:(fun () -> t.next_oid <- Value.Heap.size heap) f)
 
-(* Taken before a TL Eval that may turn out to define no names: the heap
-   size, and the process-wide table that could take one of the Eval's
-   fresh OIDs (a specialization stored for it). *)
-type eval_mark = { em_lo : int; em_stores : int }
-
-let mark_eval ss =
-  { em_lo = Value.Heap.size (heap_of ss); em_stores = (Speccache.stats ()).Speccache.stores }
-
 (* A read-only Eval's fresh objects are garbage once its reply is
    rendered.  When the batch a commit would write holds only OIDs at or
-   past [em_lo], no older object changed (so none refers to a fresh
-   one) and no earlier Eval left fresh objects staged; if the
-   specialization cache took no fresh OID either, nothing that outlives
-   the Eval can reach them. *)
-let reclaimable mark batch =
-  (Speccache.stats ()).Speccache.stores = mark.em_stores
-  && List.for_all (fun (ix, _) -> ix >= mark.em_lo) batch
+   past [lo], the heap size the Eval began at, no older object changed
+   (so none refers to a fresh one) and no earlier Eval left fresh
+   objects staged, so nothing that outlives the Eval can reach them. *)
+let reclaimable ~lo batch = List.for_all (fun (ix, _) -> ix >= lo) batch
 
-(* After an eval: reclaim a read-only Eval's fresh objects ([mark] is
+(* After an eval: reclaim a read-only Eval's fresh objects ([lo] is
    given for TL source that defined no names) and refresh the
    staged-byte figure the admission check reads. *)
-let after_eval t ss ?mark () =
+let after_eval t ss ?lo () =
   let size = Value.Heap.size (heap_of ss) in
   let batch = lazy (Pstore.collect ss.ss_pstore) in
   let reclaimed =
-    match mark with
-    | Some m when reclaimable m (Lazy.force batch) ->
-      Pstore.discard_from ss.ss_pstore m.em_lo;
-      Speccache.forget ~lo:m.em_lo ~hi:size;
+    match lo with
+    | Some lo when reclaimable ~lo (Lazy.force batch) ->
+      Pstore.discard_from ss.ss_pstore lo;
       Metrics.inc t.m_evals_reclaimed;
-      Metrics.add t.m_objects_reclaimed (size - m.em_lo);
+      Metrics.add t.m_objects_reclaimed (size - lo);
       true
     | _ -> false
   in
@@ -454,19 +442,19 @@ let handle_eval t ss ?trace src =
     Metrics.inc t.m_evals;
     session_locked t ss (fun () ->
         let probe = slow_probe ss in
-        let out, mark =
+        let out, lo =
           let line = String.trim src in
           if line <> "" && line.[0] = ':' then (eval_directive t ss line, None)
           else begin
-            let mark = mark_eval ss in
+            let lo = Value.Heap.size (heap_of ss) in
             let r = Repl.feed ss.ss_repl src in
             (* defining (or redefining) names dirties the manifest:
                this session's next commit must stage and re-root it *)
             if r.Repl.defined <> [] then ss.ss_defined <- true;
-            (render_feed r, if r.Repl.defined = [] then Some mark else None)
+            (render_feed r, if r.Repl.defined = [] then Some lo else None)
           end
         in
-        after_eval t ss ?mark ();
+        after_eval t ss ?lo ();
         note_slow t ss ?trace ~kind:"eval" ~src ~rules:true probe;
         Wire.Result out)
   end
@@ -475,7 +463,7 @@ let handle_eval t ss ?trace src =
    manifest restored into a fresh heap.  Caller holds the eval lock. *)
 let open_view t =
   let pstore = Pstore.open_snapshot t.log ~alloc_base:t.next_oid in
-  match Repl.restore ~preserve_caches:true pstore with
+  match Repl.restore pstore with
   | exception e ->
     Pstore.close pstore;
     raise e
@@ -856,9 +844,8 @@ let accept_loop t =
 (* --- lifecycle ------------------------------------------------------- *)
 
 (* First start on a path: seed the store with a fresh stdlib session.
-   Restart: recover, replay the manifest and load the persistent
-   specialization cache once — every connection then restores with
-   [preserve_caches:true] against the warm process-wide caches. *)
+   Restart: recover and replay the manifest once, so a store that cannot
+   restore fails the start instead of every connection. *)
 let bootstrap config =
   if Sys.file_exists config.store_path then begin
     let pstore = Pstore.open_ config.store_path in
@@ -896,7 +883,6 @@ let listen_on addr =
 
 let register_server_metrics t =
   Ls.register_metrics t.log;
-  Speccache.register_metrics ();
   Profile.register_metrics ();
   Tierup.register_metrics ();
   Tml_query.Qprims.register_metrics ();

@@ -18,12 +18,13 @@
     it is applied.
 
     Evaluation is serialized by one process-wide lock — the language
-    runtime's global caches (specialization cache, analysis cache,
-    identifier stamps) are shared mutable state, and OCaml's
+    runtime's identifier stamps are shared mutable state, and OCaml's
     threads interleave rather than run in parallel anyway.  The lock is
     {e not} held across the committer's [fsync], which is where the real
-    concurrency win lives; warm specializations made by one session serve
-    every other ([Repl.restore ~preserve_caches:true]).
+    concurrency win lives.  Nothing the optimizer derives is shared
+    between sessions: an effect summary lives on the function object in
+    one session's heap, so a function faulted from the store starts
+    without one.
 
     New OIDs come from one server-wide allocation cursor, moved only
     under the eval lock: before a session evaluates, its heap grows to
@@ -59,8 +60,8 @@ type t
 
 val start : config -> t
 (** Bootstrap the store (create it with a fresh stdlib session if
-    [store_path] does not exist; recover and warm the shared
-    specialization cache if it does), bind and listen on [addr], and
+    [store_path] does not exist; recover it and check that its session
+    manifest restores if it does), bind and listen on [addr], and
     spawn the accept loop and the group committer.
     @raise Failure if the address cannot be bound *)
 

@@ -11,7 +11,8 @@ exception Corrupt of string
 
 let magic = "PRV1"
 
-let encode_into w (t : Tml_obs.Provenance.t) =
+let encode (t : Tml_obs.Provenance.t) =
+  let w = Codec.W.create () in
   Codec.W.raw w magic;
   Codec.W.varint w (List.length t);
   List.iter
@@ -21,32 +22,27 @@ let encode_into w (t : Tml_obs.Provenance.t) =
       Codec.W.str w e.pv_fact;
       Codec.W.svarint w e.pv_size_delta;
       Codec.W.svarint w e.pv_cost_delta)
-    t
-
-let encode t =
-  let w = Codec.W.create () in
-  encode_into w t;
+    t;
   Codec.W.contents w
 
-let decode_from r : Tml_obs.Provenance.t =
+let decode s : Tml_obs.Provenance.t =
+  let r = Codec.R.of_string s in
   let m = try Codec.R.raw r 4 with Codec.R.Truncated -> raise (Corrupt "truncated magic") in
   if m <> magic then raise (Corrupt (Printf.sprintf "bad magic %S" m));
   try
     let n = Codec.R.varint r in
     if n < 0 || n > 1_000_000 then raise (Corrupt (Printf.sprintf "absurd entry count %d" n));
-    List.init n (fun _ ->
-        let pv_rule = Codec.R.str r in
-        let pv_site = Codec.R.str r in
-        let pv_fact = Codec.R.str r in
-        let pv_size_delta = Codec.R.svarint r in
-        let pv_cost_delta = Codec.R.svarint r in
-        { Tml_obs.Provenance.pv_rule; pv_site; pv_fact; pv_size_delta; pv_cost_delta })
+    let t =
+      List.init n (fun _ ->
+          let pv_rule = Codec.R.str r in
+          let pv_site = Codec.R.str r in
+          let pv_fact = Codec.R.str r in
+          let pv_size_delta = Codec.R.svarint r in
+          let pv_cost_delta = Codec.R.svarint r in
+          { Tml_obs.Provenance.pv_rule; pv_site; pv_fact; pv_size_delta; pv_cost_delta })
+    in
+    if not (Codec.R.at_end r) then raise (Corrupt "trailing bytes");
+    t
   with
   | Codec.R.Truncated -> raise (Corrupt "truncated")
   | Codec.R.Malformed m -> raise (Corrupt m)
-
-let decode s =
-  let r = Codec.R.of_string s in
-  let t = decode_from r in
-  if not (Codec.R.at_end r) then raise (Corrupt "trailing bytes");
-  t

@@ -1,8 +1,7 @@
 (** Binary codec for optimization derivation logs
     ([Tml_obs.Provenance.t]), persisted in the durable image as [Bytes]
     heap objects referenced from a function's ["provenance"] attribute
-    (so the object codec and existing images are untouched).  Also
-    embedded in speccache entries via {!encode_into}/{!decode_from}. *)
+    (so the object codec and existing images are untouched). *)
 
 exception Corrupt of string
 
@@ -11,10 +10,6 @@ val magic : string
 
 val encode : Tml_obs.Provenance.t -> string
 
-(** @raise Corrupt on bad magic, truncation or malformed varints. *)
+(** @raise Corrupt on bad magic, truncation, malformed varints or
+    trailing bytes. *)
 val decode : string -> Tml_obs.Provenance.t
-
-(** Writer/reader-level variants for embedding in a larger record. *)
-val encode_into : Codec.W.t -> Tml_obs.Provenance.t -> unit
-
-val decode_from : Codec.R.t -> Tml_obs.Provenance.t

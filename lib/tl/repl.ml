@@ -30,7 +30,7 @@ type feed_result = {
   output : string;
 }
 
-let resolve_bindings session oid (fo : Value.func_obj) =
+let resolve_bindings session (fo : Value.func_obj) =
   let frees = Ident.Set.elements (Term.free_vars_value fo.Value.fo_tml) in
   fo.Value.fo_bindings <-
     List.map
@@ -43,17 +43,16 @@ let resolve_bindings session oid (fo : Value.func_obj) =
   fo.Value.fo_tree_impl <- None;
   fo.Value.fo_mach_impl <- None;
   fo.Value.fo_code <- None;
-  (* rebinding changes what specialization would observe: drop cached
-     specializations of — and depending on — this function, alongside the
-     per-OID analysis summary *)
-  Speccache.invalidate oid;
-  Tml_analysis.Cache.invalidate oid
+  fo.Value.fo_summary <- None;
+  (* the slot is rebound in place, so the heap generation does not move:
+     compiled call sites that resolved this function must revalidate *)
+  Jit.invalidate_sites ()
 
 let relink_all session =
   List.iter
     (fun (_, oid) ->
       match Value.Heap.get_opt session.sctx.Runtime.heap oid with
-      | Some (Value.Func fo) -> resolve_bindings session oid fo
+      | Some (Value.Func fo) -> resolve_bindings session fo
       | _ -> ())
     session.funcs
 
@@ -85,7 +84,7 @@ let link_batch session (defs : Lower.compiled_def list) =
         note_defined d.Lower.c_name;
         let oid = Value.Heap.alloc_func heap ~name:(d.Lower.c_name ^ "!init") d.Lower.c_tml in
         (match Value.Heap.get heap oid with
-        | Value.Func fo -> resolve_bindings session oid fo
+        | Value.Func fo -> resolve_bindings session fo
         | _ -> assert false);
         match Machine.run_proc session.sctx (Value.Oidv oid) [] with
         | Eval.Done v -> Hashtbl.replace session.globals d.Lower.c_name v
@@ -99,7 +98,7 @@ let link_batch session (defs : Lower.compiled_def list) =
   List.iter
     (fun (_, oid) ->
       match Value.Heap.get heap oid with
-      | Value.Func fo -> resolve_bindings session oid fo
+      | Value.Func fo -> resolve_bindings session fo
       | _ -> assert false)
     new_funcs;
   (* redefinition: existing callers must see the new binding *)
@@ -142,7 +141,7 @@ let process session (items : Ast.item list) =
          (the VM profiler's) grow per function, not per evaluation *)
       let oid = Value.Heap.alloc_func session.sctx.Runtime.heap ~name:expr_name tml in
       (match Value.Heap.get session.sctx.Runtime.heap oid with
-      | Value.Func fo -> resolve_bindings session oid fo
+      | Value.Func fo -> resolve_bindings session fo
       | _ -> assert false);
       let before = session.sctx.Runtime.steps in
       let outcome = Machine.run_proc session.sctx (Value.Oidv oid) [] in
@@ -233,17 +232,8 @@ let stage session pstore =
   if heap != Pstore.heap pstore then
     invalid_arg "Repl.stage: session is not running on this store's heap";
   let sources, globals, funcs = manifest_vectors session in
-  (* the specialization cache travels with the session image, so a
-     reopened store serves repeated optimizations without re-running the
-     optimizer *)
-  let spec = Bytes.of_string (Speccache.encode ()) in
-  let exports ~s ~g ~f ~c =
-    [|
-      "#sources", Value.Oidv s;
-      "#globals", Value.Oidv g;
-      "#funcs", Value.Oidv f;
-      "#speccache", Value.Oidv c;
-    |]
+  let exports ~s ~g ~f =
+    [| "#sources", Value.Oidv s; "#globals", Value.Oidv g; "#funcs", Value.Oidv f |]
   in
   let root =
     match Pstore.root pstore with
@@ -266,24 +256,17 @@ let stage session pstore =
       Value.Heap.set heap s (Value.Vector sources);
       Value.Heap.set heap g (Value.Vector globals);
       Value.Heap.set heap f (Value.Vector funcs);
-      (* images written before the cache existed lack the entry *)
-      let c =
-        match Array.find_opt (fun (k, _) -> String.equal k "#speccache") m.Value.exports with
-        | Some (_, Value.Oidv o) ->
-          Value.Heap.set heap o (Value.Bytes spec);
-          o
-        | _ -> Value.Heap.alloc heap (Value.Bytes spec)
-      in
+      (* a manifest written while the specialization cache existed has a
+         fourth export, "#speccache": the rewritten module drops it *)
       Value.Heap.set heap moid
-        (Value.Module { Value.mod_name = manifest_name; exports = exports ~s ~g ~f ~c });
+        (Value.Module { Value.mod_name = manifest_name; exports = exports ~s ~g ~f });
       moid
     | _ ->
       let s = Value.Heap.alloc heap (Value.Vector sources) in
       let g = Value.Heap.alloc heap (Value.Vector globals) in
       let f = Value.Heap.alloc heap (Value.Vector funcs) in
-      let c = Value.Heap.alloc heap (Value.Bytes spec) in
       Value.Heap.alloc heap
-        (Value.Module { Value.mod_name = manifest_name; exports = exports ~s ~g ~f ~c })
+        (Value.Module { Value.mod_name = manifest_name; exports = exports ~s ~g ~f })
   in
   root
 
@@ -311,17 +294,8 @@ let replay_defs session src =
   session.lowered_count <- List.length tprog.Typecheck.tdefs;
   session.src_log <- src :: session.src_log
 
-let restore ?(mode = Lower.Library) ?(preserve_caches = false) pstore =
+let restore ?(mode = Lower.Library) pstore =
   Tml_query.Qprims.install ();
-  (* a restored store brings its own OID space: per-OID analysis summaries
-     and cached specializations from any previously open heap would be
-     stale.  A server restoring many sessions over ONE shared store keeps
-     them instead ([preserve_caches]): the OID space is common, and the
-     speccache's verify-on-hit digests reject anything stale. *)
-  if not preserve_caches then begin
-    Tml_analysis.Cache.clear ();
-    Speccache.clear ()
-  end;
   let heap = Pstore.heap pstore in
   let session =
     {
@@ -379,18 +353,4 @@ let restore ?(mode = Lower.Library) ?(preserve_caches = false) pstore =
       | Value.Oidv oid -> funcs := (name, oid) :: !funcs
       | v -> Runtime.fault "corrupt session manifest: function %s" (Value.to_string v));
   session.funcs <- List.rev !funcs;
-  (* reload the persisted specialization cache; images written before the
-     cache existed simply lack the entry, and a damaged image costs only
-     re-optimization, never the session.  When preserving shared caches,
-     the in-memory cache is already the freshest view — decoding the
-     stored copy would roll back entries accumulated since the last
-     persist. *)
-  if not preserve_caches then
-    (match Array.find_opt (fun (k, _) -> String.equal k "#speccache") m.Value.exports with
-    | Some (_, Value.Oidv o) -> (
-      match Value.Heap.get_opt heap o with
-      | Some (Value.Bytes b) -> (
-        try Speccache.decode (Bytes.to_string b) with Speccache.Corrupt _ -> Speccache.clear ())
-      | _ -> ())
-    | _ -> ());
   session

@@ -6,8 +6,9 @@
     (relation inserts, array updates, index creation) persist across
     inputs.  Redefinition is supported: the new function object replaces
     the global, all existing functions' R-value bindings are re-resolved
-    and their cached implementations invalidated, so older callers pick up
-    the new definition — dynamic relinking in the spirit of figure 3.
+    and their cached implementations and effect summaries dropped, so
+    older callers pick up the new definition — dynamic relinking in the
+    spirit of figure 3.
 
     The session's heap can be saved with {!Tml_vm.Image} and the function
     objects reflectively optimized with [Tml_reflect.Reflect] (see
@@ -55,9 +56,9 @@ val lookup_tml : session -> string -> Tml_core.Term.value option
 (** {1 Durable sessions}
 
     A session running on a store-backed heap ({!Pstore}) persists as a
-    manifest module recorded as the store root: the definition sources
-    fed so far, the global bindings, the linked-function table and the
-    specialization cache.  Each expression runs as a fresh function
+    manifest module recorded as the store root, with three exports: the
+    definition sources fed so far, the global bindings and the
+    linked-function table.  Each expression runs as a fresh function
     object named [it]; none of them is recorded in the manifest. *)
 
 (** [persist session pstore] writes the manifest and commits every dirty
@@ -75,10 +76,8 @@ val stage : session -> Pstore.t -> Tml_core.Oid.t
 (** [restore pstore] rebuilds a session from the store's manifest:
     sources are replayed through the type checker and the lowering
     environment only — nothing is linked, no initializer re-runs, and no
-    object is decoded until first use.  [preserve_caches] (default
-    [false]) keeps the process-wide specialization and analysis caches
-    instead of clearing and reloading them — server sessions over one
-    shared store pass [true] so warm specializations serve every
-    connection.
+    object is decoded until first use.  A manifest written while the
+    specialization cache existed also exports ["#speccache"]; restore
+    ignores it, and the next {!stage} writes the manifest without it.
     @raise Runtime.Fault if the store has no session manifest *)
-val restore : ?mode:Lower.mode -> ?preserve_caches:bool -> Pstore.t -> session
+val restore : ?mode:Lower.mode -> Pstore.t -> session

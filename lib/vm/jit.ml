@@ -39,8 +39,8 @@ open Tml_core
    [Oidv] callee's compiled entry, the last dereferenced array's slots.
    Caches are validated by physical equality plus two generation
    counters — {!Value.Heap.generation} (bumped on any slot replacement,
-   eviction or hook change) and {!site_gen} (bumped by {!Tierup} on any
-   speccache invalidation) — and are never filled while a heap access
+   eviction or hook change) and {!site_gen} (bumped by a rebinding or an
+   in-place re-optimization) — and are never filled while a heap access
    hook is installed, so a store's recency/dirty tracking observes every
    dereference. *)
 
@@ -79,13 +79,14 @@ let is_compiled (u : Instr.unit_code) =
   | _ -> false
 
 (* Bumped whenever the meaning of a stored function may have changed
-   without a heap slot replacement (speccache invalidation): every
-   per-site [Oidv] inline cache keys on it. *)
+   without a heap slot replacement (a session rebinding its globals in
+   place): every per-site [Oidv] inline cache keys on it. *)
 let site_gen = ref 0
 let invalidate_sites () = incr site_gen
 
 let compiled_units_ = ref 0
 let compiled_units () = !compiled_units_
+let reset_compiled_units () = compiled_units_ := 0
 
 (* shared boxes for the hottest results; [Value.identical] is structural
    on immediates, so sharing is unobservable *)

@@ -35,11 +35,15 @@ val call_value : cunit -> Runtime.ctx -> Value.t -> Value.t list -> Eval.outcome
     {!Machine} at load time. *)
 val escape_apply : (Runtime.ctx -> Value.t -> Value.t list -> Eval.outcome) ref
 
-(** number of units compiled since process start (monotonic) *)
+(** number of units compiled since process start or the last
+    {!reset_compiled_units} *)
 val compiled_units : unit -> int
 
+val reset_compiled_units : unit -> unit
+
 (** Invalidate every per-site inline cache of resolved [Oidv] callees.
-    {!Tierup} calls this on speccache invalidation, which may change a
-    function's code without replacing its heap slot, so a cached
-    compiled entry can never outlive the binding it was resolved from. *)
+    Whoever changes a stored function's code without replacing its heap
+    slot calls this ([Repl]'s rebinding, [Reflect.optimize_inplace]), so
+    a cached compiled entry can never outlive the binding it was
+    resolved from. *)
 val invalidate_sites : unit -> unit

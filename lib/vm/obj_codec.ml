@@ -238,6 +238,7 @@ let r_obj r : Value.obj * int list (* indexed fields, relations only *) =
           fo_tree_impl = None;
           fo_mach_impl = None;
           fo_code = None;
+          fo_summary = None;
           fo_attrs;
         },
       [] )

@@ -39,7 +39,8 @@ let reset_stats () =
   stats_.promotions <- 0;
   stats_.deopts <- 0;
   stats_.runs <- 0;
-  stats_.rejections <- 0
+  stats_.rejections <- 0;
+  Jit.reset_compiled_units ()
 
 (* policy knobs; see docs/TIERS.md *)
 let enabled = ref false
@@ -90,11 +91,6 @@ let retire (fo : Value.func_obj) =
   | _ -> false
 
 let repromote ctx ~was oid = if retire was then ignore (force_promote ctx oid)
-
-(* a speccache invalidation may change what a stored function means
-   without replacing its heap slot: drop every resolved-callee inline
-   cache in the tier *)
-let () = Speccache.subscribe_invalidate (fun _ -> Jit.invalidate_sites ())
 
 let register_metrics () =
   Tml_obs.Metrics.register_source ~name:"tier"

@@ -49,6 +49,8 @@ type stats = {
 }
 
 val stats : unit -> stats
+
+(** zero {!stats} and {!Jit.compiled_units} *)
 val reset_stats : unit -> unit
 
 (** register the ["tier"] source in the {!Tml_obs.Metrics} registry *)

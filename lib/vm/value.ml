@@ -89,6 +89,7 @@ and func_obj = {
   mutable fo_tree_impl : t option;
   mutable fo_mach_impl : t option;
   mutable fo_code : Instr.unit_code option;
+  mutable fo_summary : Tml_analysis.Infer.summary option;
   mutable fo_attrs : (string * int) list;
 }
 
@@ -120,31 +121,15 @@ module Heap = struct
     heap.gen <- heap.gen + 1;
     heap.fault <- Some f
 
-  let fault_hook heap = heap.fault
-
-  let set_fault_hook_opt heap f =
-    heap.gen <- heap.gen + 1;
-    heap.fault <- f
-
   let set_access_hook heap f =
     heap.gen <- heap.gen + 1;
     heap.on_access <- Some f
 
   let access_hook heap = heap.on_access
 
-  let set_access_hook_opt heap f =
-    heap.gen <- heap.gen + 1;
-    heap.on_access <- f
-
   let set_update_hook heap f =
     heap.gen <- heap.gen + 1;
     heap.on_update <- Some f
-
-  let update_hook heap = heap.on_update
-
-  let set_update_hook_opt heap f =
-    heap.gen <- heap.gen + 1;
-    heap.on_update <- f
 
   let clear_hooks heap =
     heap.gen <- heap.gen + 1;
@@ -266,6 +251,7 @@ module Heap = struct
            fo_tree_impl = None;
            fo_mach_impl = None;
            fo_code = None;
+           fo_summary = None;
            fo_attrs = [];
          })
 end

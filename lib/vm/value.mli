@@ -112,6 +112,12 @@ and func_obj = {
   mutable fo_tree_impl : t option;  (** cached linked tree closure *)
   mutable fo_mach_impl : t option;  (** cached compiled machine closure *)
   mutable fo_code : Instr.unit_code option;  (** cached compiled code *)
+  mutable fo_summary : Tml_analysis.Infer.summary option;
+      (** effect summary of [fo_tml], derived by the reflective optimizer
+          when it installs optimized code; read when another function's
+          optimization calls this one through its OID.  Reset with
+          [fo_code], never persisted: a function faulted back from the
+          store starts without one *)
   mutable fo_attrs : (string * int) list;
       (** derived attributes (costs, savings, ...) attached by the optimizer
           and kept with the persistent system state *)
@@ -156,19 +162,9 @@ module Heap : sig
   val set_access_hook : heap -> (Tml_core.Oid.t -> obj -> unit) -> unit
   val set_update_hook : heap -> (Tml_core.Oid.t -> obj -> unit) -> unit
 
-  (** Read / replace the current access and fault hooks.  Temporary
-      observers (the specialization cache's dependency recorder) chain
-      themselves in front of whatever the backing store installed and
-      restore the saved hooks when done.  Both must be wrapped to see
-      every dereference: a first touch of an unloaded object reports to
-      the fault hook only, later touches to the access hook only. *)
+  (** the current access hook; the compiled tier fills no inline cache
+      while one is installed *)
   val access_hook : heap -> (Tml_core.Oid.t -> obj -> unit) option
-
-  val set_access_hook_opt : heap -> (Tml_core.Oid.t -> obj -> unit) option -> unit
-  val fault_hook : heap -> (Tml_core.Oid.t -> obj option) option
-  val set_fault_hook_opt : heap -> (Tml_core.Oid.t -> obj option) option -> unit
-  val update_hook : heap -> (Tml_core.Oid.t -> obj -> unit) option
-  val set_update_hook_opt : heap -> (Tml_core.Oid.t -> obj -> unit) option -> unit
 
   val clear_hooks : heap -> unit
   (** detach the backing store: the heap keeps its materialized objects

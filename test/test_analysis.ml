@@ -2,7 +2,7 @@
    the signature lattice, inferred effect signatures on hand-built terms,
    shadow-aware occurrence counting, escape verdicts, the effect-based
    optimizer rules, the analysis-gated constant-selection rewrite, and the
-   per-OID summary cache. *)
+   summaries the reflective optimizer keeps on function objects. *)
 
 open Tml_core
 open Tml_analysis
@@ -249,35 +249,112 @@ let test_gated_constant_select () =
   check tint "mutating region still refused" 1 (count_prim "select" mut')
 
 (* ------------------------------------------------------------------ *)
-(* Per-OID summary cache                                               *)
+(* Summaries on function objects                                       *)
 (* ------------------------------------------------------------------ *)
 
-let test_cache () =
-  Cache.clear ();
-  let oid = Oid.of_int 4242 in
-  check tbool "miss before remember" true (Cache.find oid = None);
-  Cache.remember oid (Sexp.parse_value "proc(a ce! cc!) (cc! a)");
-  (match Cache.find oid with
-  | Some { Cache.e_summary = Some s; _ } ->
-    check tbool "cached summary is benign" true
-      (Effsig.read_only (Infer.strip s))
-  | _ -> Alcotest.fail "expected a cached summary");
-  (* the resolver hook makes a literal-OID call a known callee *)
+let summary_of heap oid =
+  match Tml_vm.Value.Heap.get heap oid with
+  | Tml_vm.Value.Func fo -> fo.Tml_vm.Value.fo_summary
+  | _ -> Alcotest.fail "expected a function object"
+
+let test_function_summaries () =
+  Tml_vm.Runtime.install ();
+  let module Repl = Tml_frontend.Repl in
+  let module Reflect = Tml_reflect.Reflect in
+  let s = Repl.create () in
+  ignore (Repl.feed s "let g(x: Int): Int = x");
+  ignore (Repl.feed s "let k(x: Int): Int = x");
+  let ctx = Repl.ctx s in
+  let heap = ctx.Tml_vm.Runtime.heap in
+  let g =
+    match Repl.function_oid s "g" with
+    | Some o -> o
+    | None -> Alcotest.fail "g not linked"
+  in
+  check tbool "no summary before optimization" true (summary_of heap g = None);
+  ignore (Reflect.optimize_inplace ctx g);
+  (match summary_of heap g with
+  | Some sm -> check tbool "summary is benign" true (Effsig.read_only (Infer.strip sm))
+  | None -> Alcotest.fail "optimization left no summary");
+  (* a literal-OID call resolves through the heap under optimization *)
   let call =
-    Term.app (Term.oid oid)
+    Term.app (Term.oid g)
       [ Term.int 1; Term.var (Ident.fresh ~sort:Ident.Cont "ke");
         Term.var (Ident.fresh ~sort:Ident.Cont "k") ]
   in
-  check tbool "literal-OID call resolves through the cache" true
-    (Effsig.read_only (Infer.sig_of_app call));
-  Cache.invalidate oid;
-  check tbool "invalidated" true (Cache.find oid = None);
-  check tbool "unresolved OID call is worst-case" true
+  let resolved_in h = Reflect.with_heap_summaries h (fun () -> Infer.sig_of_app call) in
+  check tbool "literal-OID call resolves in its heap" true (Effsig.read_only (resolved_in heap));
+  check tbool "outside an optimization the call is worst-case" true
     (Effsig.equal (Infer.sig_of_app call) Effsig.top);
-  let hits, misses = Cache.stats () in
-  check tbool "stats counted" true (hits >= 1 && misses >= 2);
-  Cache.clear ();
-  check tbool "stats reset" true (Cache.stats () = (0, 0))
+  check tbool "another heap's OID does not resolve to it" true
+    (Effsig.equal (resolved_in (Tml_vm.Value.Heap.create ())) Effsig.top);
+  (* redefining k relinks every function in place, g included *)
+  ignore (Repl.feed s "let k(x: Int): Int = x + 1");
+  check tbool "rebinding drops the summary" true (summary_of heap g = None);
+  check tbool "unresolved OID call is worst-case" true
+    (Effsig.equal (resolved_in heap) Effsig.top)
+
+(* A summary lives as long as its function object.  [g] is optimized in
+   a session, persisted and reopened: the object faulted back from the
+   store starts without a summary, and a literal-OID call to it is
+   worst-case until [g] is optimized again. *)
+let literal_call oid =
+  Term.app (Term.oid oid)
+    [ Term.int 1; Term.var (Ident.fresh ~sort:Ident.Cont "ke");
+      Term.var (Ident.fresh ~sort:Ident.Cont "k") ]
+
+let with_optimized_store f =
+  Tml_vm.Runtime.install ();
+  let module Repl = Tml_frontend.Repl in
+  let module Pstore = Tml_vm.Pstore in
+  let path = Filename.temp_file "tmlsumm" ".store" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) @@ fun () ->
+  let s = Repl.create () in
+  ignore (Repl.feed s "let g(x: Int): Int = x");
+  let pstore = Pstore.attach ~fsync:false path (Repl.ctx s).Tml_vm.Runtime.heap in
+  let g =
+    match Repl.function_oid s "g" with
+    | Some o -> o
+    | None -> Alcotest.fail "g not linked"
+  in
+  ignore (Tml_reflect.Reflect.optimize_inplace (Repl.ctx s) g);
+  check tbool "optimized g has a summary" true
+    (summary_of (Repl.ctx s).Tml_vm.Runtime.heap g <> None);
+  ignore (Repl.persist s pstore);
+  Pstore.close pstore;
+  let pstore = Pstore.open_ ~fsync:false path in
+  Fun.protect ~finally:(fun () -> Pstore.close pstore) @@ fun () ->
+  f pstore (Repl.restore pstore) g
+
+let resolves heap oid =
+  Tml_reflect.Reflect.with_heap_summaries heap (fun () ->
+      Effsig.read_only (Infer.sig_of_app (literal_call oid)))
+
+let test_reopened_summary () =
+  with_optimized_store @@ fun _ s g ->
+  let ctx = Tml_frontend.Repl.ctx s in
+  let heap = ctx.Tml_vm.Runtime.heap in
+  check tbool "the reopened g has no summary" true (summary_of heap g = None);
+  check tbool "a call to it is worst-case" false (resolves heap g);
+  ignore (Tml_reflect.Reflect.optimize_inplace ctx g);
+  check tbool "optimizing it again restores the summary" true (resolves heap g)
+
+(* Resolution reads only materialized objects: an evicted function
+   object takes its summary with it, resolving a call to it faults
+   nothing in, and the object faulted back later has no summary. *)
+let test_evicted_summary () =
+  with_optimized_store @@ fun pstore s g ->
+  let module Heap = Tml_vm.Value.Heap in
+  let ctx = Tml_frontend.Repl.ctx s in
+  let heap = ctx.Tml_vm.Runtime.heap in
+  ignore (Tml_reflect.Reflect.optimize_inplace ctx g);
+  check tbool "a summary in memory resolves" true (resolves heap g);
+  (* committed, g is clean and may be evicted *)
+  ignore (Tml_frontend.Repl.persist s pstore);
+  Heap.evict heap g;
+  check tbool "an evicted g resolves to nothing" false (resolves heap g);
+  check tbool "resolution faulted nothing in" false (Heap.is_loaded heap g);
+  check tbool "the faulted-back g has no summary" true (summary_of heap g = None)
 
 (* ------------------------------------------------------------------ *)
 
@@ -312,5 +389,12 @@ let () =
           Alcotest.test_case "optimizer integration" `Quick test_optimizer_uses_effect_remove;
           Alcotest.test_case "gated constant select" `Quick test_gated_constant_select;
         ] );
-      ("cache", [ Alcotest.test_case "per-OID summaries" `Quick test_cache ]);
+      ( "summaries",
+        [
+          Alcotest.test_case "on the function object" `Quick test_function_summaries;
+          Alcotest.test_case "a reopened function starts without one" `Quick
+            test_reopened_summary;
+          Alcotest.test_case "eviction takes it, resolution faults nothing in" `Quick
+            test_evicted_summary;
+        ] );
     ]

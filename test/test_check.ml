@@ -78,28 +78,28 @@ let prop_purity_sound =
       | Oracle.Purity_agree | Oracle.Purity_untestable _ -> true
       | Oracle.Purity_violation d -> QCheck2.Test.fail_reportf "%s" d)
 
-(* the cached-vs-fresh reflective pair in isolation: only the reflective
-   engines (one specializing fresh, one served from the specialization
-   cache) against the tree baseline, so a divergence is attributable to
-   the cache — a stale entry, a mis-keyed fingerprint, or a PTML round
-   trip of the cached body.  The full battery above also runs the cached
-   engine; this suite keeps the failure signal narrow. *)
-let cached_pair_engines =
-  List.filter
+(* re-optimization in isolation: the tree baseline against a function
+   optimized in place twice, with program rules and with program + query
+   rules.  The second pass rewrites the first pass's output, on a
+   function object that already carries its effect summary — what a
+   second [:optimize] of the same function does in tmlsh. *)
+let reoptimized_engines =
+  List.concat_map
     (function
-      | Oracle.Tree | Oracle.Reflect _ | Oracle.Reflect_cached _ -> true
-      | Oracle.Mach | Oracle.Opt _ | Oracle.Tiered _ -> false)
+      | Oracle.Tree -> [ Oracle.Tree ]
+      | Oracle.Reflect (name, config) -> [ Oracle.Reoptimized (name ^ "-twice", config) ]
+      | Oracle.Mach | Oracle.Opt _ | Oracle.Reoptimized _ | Oracle.Tiered _ -> [])
     engines
 
-let prop_cached_matches_fresh =
-  QCheck2.Test.make ~name:"cached specializations match fresh ones on programs" ~count:80
-    ~print:print_diff_case diff_case_gen (fun c ->
-      verdict_ok (Oracle.check_case ~engines:cached_pair_engines c))
+let prop_reoptimized_matches =
+  QCheck2.Test.make ~name:"re-optimized code matches the tree evaluator on programs"
+    ~count:80 ~print:print_diff_case diff_case_gen (fun c ->
+      verdict_ok (Oracle.check_case ~engines:reoptimized_engines c))
 
-let prop_cached_matches_fresh_query =
-  QCheck2.Test.make ~name:"cached specializations match fresh ones on query pipelines"
+let prop_reoptimized_matches_query =
+  QCheck2.Test.make ~name:"re-optimized code matches the tree evaluator on query pipelines"
     ~count:60 ~print:print_query_case query_case_gen (fun c ->
-      verdict_ok (Oracle.check_query ~engines:cached_pair_engines c))
+      verdict_ok (Oracle.check_query ~engines:reoptimized_engines c))
 
 (* the tiered-vs-machine pair in isolation: tree baseline, machine, and
    the two tiered engines (raw and reflect-optimized code, both
@@ -111,7 +111,7 @@ let tiered_pair_engines =
   List.filter
     (function
       | Oracle.Tree | Oracle.Mach | Oracle.Tiered _ -> true
-      | Oracle.Opt _ | Oracle.Reflect _ | Oracle.Reflect_cached _ -> false)
+      | Oracle.Opt _ | Oracle.Reflect _ | Oracle.Reoptimized _ -> false)
     engines
 
 let prop_tiered_matches_machine =
@@ -130,8 +130,6 @@ let prop_tiered_matches_machine_query =
    compiled tier charges exactly like the machine, a stronger claim than
    the oracle battery makes (it ignores steps). *)
 let run_case_with_policy ~tier (c : Tgen.case) =
-  Tml_analysis.Cache.clear ();
-  Speccache.clear ();
   let heap = Value.Heap.create () in
   let ctx = Runtime.create ~fuel:3_000_000 heap in
   let oid = Value.Heap.alloc_func heap ~name:"fuzz" c.Tgen.proc in
@@ -315,8 +313,8 @@ let () =
           [
             prop_engines_agree;
             prop_query_engines_agree;
-            prop_cached_matches_fresh;
-            prop_cached_matches_fresh_query;
+            prop_reoptimized_matches;
+            prop_reoptimized_matches_query;
             prop_tiered_matches_machine;
             prop_tiered_matches_machine_query;
             prop_policy_promotion_agrees;

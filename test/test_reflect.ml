@@ -285,49 +285,23 @@ let test_errors () =
   | _ -> Alcotest.fail "optimizing a non-reference must fault"
 
 (* ------------------------------------------------------------------ *)
-(* Specialization cache                                                 *)
+(* Re-optimization                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let test_speccache_hit () =
-  Speccache.clear ();
+let test_repeated_optimization () =
   let program = Link.load abs_source in
   let ctx = program.Link.ctx in
   let abs_oid = Link.function_oid program "cabs" in
   let r1 = Reflect.optimize ctx abs_oid in
-  let s = Speccache.stats () in
-  let hits0 = s.Speccache.hits and stores0 = s.Speccache.stores in
-  check tbool "first optimization stored an entry" true (stores0 >= 1);
   let r2 = Reflect.optimize ctx abs_oid in
-  let s = Speccache.stats () in
-  check tbool "second optimization is a cache hit" true (s.Speccache.hits > hits0);
-  check tint "hit stores nothing new" stores0 s.Speccache.stores;
-  check tbool "cached result agrees with the fresh one" true
+  check tbool "second optimization gives alpha-equal code" true
     (Term.alpha_equal_value r1.Reflect.optimized_tml r2.Reflect.optimized_tml);
-  check tint "cached report: rounds" r1.Reflect.report.Optimizer.rounds
-    r2.Reflect.report.Optimizer.rounds;
-  check tint "cached report: final cost" r1.Reflect.report.Optimizer.cost_after
+  check tint "same rounds" r1.Reflect.report.Optimizer.rounds r2.Reflect.report.Optimizer.rounds;
+  check tint "same final cost" r1.Reflect.report.Optimizer.cost_after
     r2.Reflect.report.Optimizer.cost_after;
-  check tint "cached inline count" r1.Reflect.inlined_calls r2.Reflect.inlined_calls
+  check tint "same inline count" r1.Reflect.inlined_calls r2.Reflect.inlined_calls
 
-let test_speccache_invalidate_on_dep_change () =
-  Speccache.clear ();
-  let program = Link.load abs_source in
-  let ctx = program.Link.ctx in
-  let abs_oid = Link.function_oid program "cabs" in
-  let re_oid = Link.function_oid program "complex.re" in
-  ignore (Reflect.optimize ctx abs_oid);
-  (* cabs inlined complex.re, so its entry depends on that object;
-     rewriting it in place must drop the entry *)
-  let misses0 = (Speccache.stats ()).Speccache.misses in
-  ignore (Reflect.optimize_inplace ctx re_oid);
-  ignore (Reflect.optimize ctx abs_oid);
-  check tbool "re-optimization after dependency rewrite is a miss" true
-    ((Speccache.stats ()).Speccache.misses > misses0)
-
-let test_speccache_verify_on_hit () =
-  (* a dependency mutated behind the cache's back (no [invalidate] call)
-     is caught by digest verification at [find] time *)
-  Speccache.clear ();
+let test_reoptimize_sees_store_change () =
   let heap = Value.Heap.create () in
   let ctx = Runtime.create heap in
   let vec = Value.Heap.alloc heap (Value.Vector [| Value.Int 10; Value.Int 20 |]) in
@@ -336,132 +310,96 @@ let test_speccache_verify_on_hit () =
       (Printf.sprintf "proc(u ce! cc!) ([] <oid %d> 1 cont(t) (cc! t))" (Oid.to_int vec))
   in
   let f = Value.Heap.alloc_func heap ~name:"readvec" tml in
-  let r1 = Reflect.optimize ctx f in
-  let folded v =
+  let folded v (r : Reflect.result) =
     Term.exists_app
       (fun node -> List.exists (fun a -> Term.equal_value a (Term.int v)) node.Term.args)
-      (match r1.Reflect.optimized_tml with
+      (match r.Reflect.optimized_tml with
       | Term.Abs a -> a.Term.body
       | _ -> Alcotest.fail "expected abs")
   in
-  check tbool "vector read folded into the body" true (folded 20);
+  check tbool "vector read folded into the body" true (folded 20 (Reflect.optimize ctx f));
   Value.Heap.set heap vec (Value.Vector [| Value.Int 10; Value.Int 77 |]);
-  let vf0 = (Speccache.stats ()).Speccache.verify_failures in
-  let r2 = Reflect.optimize ctx f in
-  check tbool "stale entry rejected by digest verification" true
-    ((Speccache.stats ()).Speccache.verify_failures > vf0);
-  check tbool "fresh optimization sees the new value" true
-    (Term.exists_app
-       (fun node -> List.exists (fun a -> Term.equal_value a (Term.int 77)) node.Term.args)
-       (match r2.Reflect.optimized_tml with
-       | Term.Abs a -> a.Term.body
-       | _ -> Alcotest.fail "expected abs"))
+  check tbool "re-optimization folds the new value" true (folded 77 (Reflect.optimize ctx f))
 
-let test_speccache_encode_decode () =
-  Speccache.clear ();
-  let program = Link.load abs_source in
-  let ctx = program.Link.ctx in
-  let abs_oid = Link.function_oid program "cabs" in
-  ignore (Reflect.optimize ctx abs_oid);
-  let n = Speccache.length () in
-  check tbool "entries live" true (n >= 1);
-  let image = Speccache.encode () in
-  Speccache.clear ();
-  check tint "cleared" 0 (Speccache.length ());
-  Speccache.decode image;
-  check tint "entries restored" n (Speccache.length ());
-  (* the restored entries serve hits against the same heap *)
-  let hits0 = (Speccache.stats ()).Speccache.hits in
-  ignore (Reflect.optimize ctx abs_oid);
-  check tbool "restored entry serves a hit" true ((Speccache.stats ()).Speccache.hits > hits0);
-  match Speccache.decode "not a speccache image" with
-  | exception Speccache.Corrupt _ -> ()
-  | () -> Alcotest.fail "garbage image accepted"
+(* ------------------------------------------------------------------ *)
+(* Effect summaries                                                     *)
+(* ------------------------------------------------------------------ *)
 
-let test_speccache_obj_digests () =
-  let rel tail indexes =
-    Value.Relation
-      {
-        Value.rel_name = "t";
-        rel_page_size = 4096;
-        rel_pages = [||];
-        rel_tail = tail;
-        rel_tail_len = Array.length tail;
-        rel_count = Array.length tail;
-        rel_indexes = indexes;
-        rel_stats = None;
-        rel_triggers = [];
-        rel_rows_cache = None;
-      }
-  in
-  let d = Speccache.obj_digest in
-  (* rows influence execution, never plan shape: excluded from the digest *)
-  check tbool "relation rows excluded" true
-    (d (rel [| Value.Int 1 |] []) = d (rel [| Value.Int 2; Value.Int 3 |] []));
-  check tbool "relation indexes included" false
-    (d (rel [||] []) = d (rel [||] [ 0, Oid.of_int 99 ]));
-  (* index/stats digests bucket their magnitudes: warm plans stay valid
-     across small growth, invalidate when the statistic's log2 moves *)
-  let ix n =
-    let tbl = Hashtbl.create 8 in
-    for i = 1 to n do
-      Hashtbl.replace tbl (Literal.Int i) [ i ]
-    done;
-    Value.Index { Value.ix_field = 0; ix_tbl = tbl }
-  in
-  check tbool "index distinct bucketed (same log2)" true (d (ix 2) = d (ix 3));
-  check tbool "index distinct bucketed (log2 moved)" false (d (ix 2) = d (ix 4));
-  let st n =
-    Value.Stats { Value.st_count = n; st_arity = 2; st_distinct = [ 0, 4 ] }
-  in
-  check tbool "stats count bucketed (same log2)" true (d (st 4) = d (st 7));
-  check tbool "stats count bucketed (log2 moved)" false (d (st 4) = d (st 8));
-  (* a function's derived attributes are optimizer output, not input *)
-  let fo attrs ptml =
-    Value.Func
-      {
-        Value.fo_name = "f";
-        fo_tml = Term.prim "id";
-        fo_ptml = ptml;
-        fo_bindings = [];
-        fo_tree_impl = None;
-        fo_mach_impl = None;
-        fo_code = None;
-        fo_attrs = attrs;
-      }
-  in
-  check tbool "func attrs excluded" true (d (fo [] "P") = d (fo [ "cost", 3 ] "P"));
-  check tbool "func ptml included" false (d (fo [] "P") = d (fo [] "Q"));
-  (* mutable slots: only the length is stable enough to key on *)
-  check tbool "array content excluded" true
-    (d (Value.Array [| Value.Int 1 |]) = d (Value.Array [| Value.Int 2 |]));
-  check tbool "array length included" false
-    (d (Value.Array [| Value.Int 1 |]) = d (Value.Array [| Value.Int 1; Value.Int 2 |]));
-  (* immutable slots are part of what store_fold reads *)
-  check tbool "vector content included" false
-    (d (Value.Vector [| Value.Int 1 |]) = d (Value.Vector [| Value.Int 2 |]))
+(* [w] calls [g] and drops its result, and [h] drops [w]'s.  The twelve
+   prints after [w(n)] make a continuation big enough that the reducer
+   keeps the [w] redex, so whether the call survives is up to
+   a.effect-remove, which deletes it when [g]'s summary says pure. *)
+let summary_program g_body =
+  Printf.sprintf
+    {|
+let g(x: Int): Int = %s
+let w(x: Int): Int = if x == 1 then g(x); 0 else 0 end
+let h(n: Int): Int =
+  w(n);
+  %s
+  5
+|}
+    g_body
+    (String.concat " " (List.init 12 (fun i -> Printf.sprintf "io.print_int(%d);" i)))
 
-let test_speccache_lru_bound () =
-  Speccache.clear ();
-  Speccache.set_capacity 2;
-  Fun.protect
-    ~finally:(fun () ->
-      Speccache.set_capacity 256;
-      Speccache.clear ())
-    (fun () ->
-      let heap = Value.Heap.create () in
-      let ctx = Runtime.create heap in
-      let mk i =
-        Value.Heap.alloc_func heap
-          ~name:(Printf.sprintf "f%d" i)
-          (Sexp.parse_value (Printf.sprintf "proc(x ce! cc!) (+ x %d ce! cc!)" i))
-      in
-      let f1 = mk 1 and f2 = mk 2 and f3 = mk 3 in
-      ignore (Reflect.optimize ctx f1);
-      ignore (Reflect.optimize ctx f2);
-      ignore (Reflect.optimize ctx f3);
-      check tbool "capacity respected" true (Speccache.length () <= 2);
-      check tbool "eviction counted" true ((Speccache.stats ()).Speccache.evictions >= 1))
+(* pure and fault-free ([==] with an else branch), but too big for
+   reflect.inline-oid *)
+let big_pure_g =
+  String.concat " " (List.init 24 (fun i -> Printf.sprintf "if x == %d then %d else" i (i + 1)))
+  ^ " x" ^ String.concat "" (List.init 24 (fun _ -> " end"))
+
+let effect_removed (r : Reflect.result) =
+  List.exists
+    (fun e -> String.equal e.Tml_obs.Provenance.pv_rule "a.effect-remove")
+    r.Reflect.report.Optimizer.prov
+
+let with_provenance f =
+  let saved = !Tml_obs.Provenance.enabled in
+  Tml_obs.Provenance.enabled := true;
+  Fun.protect ~finally:(fun () -> Tml_obs.Provenance.enabled := saved) f
+
+(* a pure g too big to inline: only its summary, once it is optimized,
+   lets the call go *)
+let test_callee_summary_removes_call () =
+  with_provenance @@ fun () ->
+  let c = Link.load (summary_program big_pure_g) in
+  let hc = Link.function_oid c "h" in
+  check tbool "an unoptimized g is an unknown callee" false
+    (effect_removed (Reflect.optimize c.Link.ctx hc));
+  ignore (Reflect.optimize_inplace c.Link.ctx (Link.function_oid c "g"));
+  check tbool "the summary on g lets a.effect-remove fire" true
+    (effect_removed (Reflect.optimize c.Link.ctx hc))
+
+let test_two_heaps_one_oid () =
+  with_provenance @@ fun () ->
+  (* heap A: a pure g, optimized in place, lets the call go *)
+  let a = Link.load (summary_program "x") in
+  let ga = Link.function_oid a "g" in
+  ignore (Reflect.optimize_inplace a.Link.ctx ga);
+  check tbool "within heap A, a.effect-remove fires on h" true
+    (effect_removed (Reflect.optimize_inplace a.Link.ctx (Link.function_oid a "h")));
+  (* heap B: a g at the same OID that prints, too big for
+     reflect.inline-oid; A's summary must not answer for it *)
+  let line = String.concat "" (List.init 20 (fun i -> string_of_int (1 + i))) in
+  let b =
+    Link.load
+      (summary_program
+         (String.concat " " (List.init 20 (fun i -> Printf.sprintf "io.print_int(x + %d);" i))
+          ^ " io.newline(); x"))
+  in
+  let gb = Link.function_oid b "g" in
+  check tint "g has the same OID in both heaps" (Oid.to_int ga) (Oid.to_int gb);
+  let ctx = b.Link.ctx in
+  let hb = Link.function_oid b "h" in
+  check tbool "within heap B, the call to g stays" false
+    (effect_removed (Reflect.optimize_inplace ctx hb));
+  Buffer.clear ctx.Runtime.out;
+  (match Machine.run_proc ctx (Value.Oidv hb) [ Value.Int 1 ] with
+  | Eval.Done (Value.Int 5) -> ()
+  | o -> Alcotest.failf "h(1): %a" Eval.pp_outcome o);
+  let out = Buffer.contents ctx.Runtime.out in
+  check tbool "h(1) still prints g's line" true
+    (String.length out >= String.length line && String.sub out 0 (String.length line) = line)
 
 let () =
   Runtime.install ();
@@ -482,16 +420,15 @@ let () =
           Alcotest.test_case "integrated program and query optimization" `Quick
             test_integrated_query;
           Alcotest.test_case "error handling" `Quick test_errors;
+          Alcotest.test_case "repeated optimization agrees" `Quick test_repeated_optimization;
+          Alcotest.test_case "re-optimization sees a store change" `Quick
+            test_reoptimize_sees_store_change;
         ] );
-      ( "speccache",
+      ( "summaries",
         [
-          Alcotest.test_case "repeated optimization hits" `Quick test_speccache_hit;
-          Alcotest.test_case "dependency rewrite invalidates" `Quick
-            test_speccache_invalidate_on_dep_change;
-          Alcotest.test_case "verify-on-hit catches silent mutation" `Quick
-            test_speccache_verify_on_hit;
-          Alcotest.test_case "encode/decode round trip" `Quick test_speccache_encode_decode;
-          Alcotest.test_case "per-kind digests" `Quick test_speccache_obj_digests;
-          Alcotest.test_case "LRU bound" `Quick test_speccache_lru_bound;
+          Alcotest.test_case "an optimized callee's summary removes its call" `Quick
+            test_callee_summary_removes_call;
+          Alcotest.test_case "two heaps, one OID: effect summaries" `Quick
+            test_two_heaps_one_oid;
         ] );
     ]

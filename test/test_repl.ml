@@ -52,6 +52,37 @@ let test_redefinition_relinks () =
   ignore (Repl.feed s "let f(x: Int): Int = x + 2");
   expect_value s "g(1)" (Value.Int 30)
 
+(* A redefinition relinks the existing callers in place, so the heap
+   generation does not move: a compiled call site that cached a caller's
+   entry must still see the new binding.  The site here is in a function
+   outside the session that calls [g] through a literal OID, as
+   reflectively optimized code does. *)
+let test_redefinition_reaches_compiled_sites () =
+  let s = Repl.create () in
+  ignore (Repl.feed s "let f(x: Int): Int = x + 1");
+  ignore (Repl.feed s "let g(x: Int): Int = f(x) * 10");
+  let ctx = Repl.ctx s in
+  let g =
+    match Repl.function_oid s "g" with
+    | Some o -> o
+    | None -> Alcotest.fail "g not linked"
+  in
+  let caller =
+    Value.Heap.alloc_func ctx.Runtime.heap ~name:"caller"
+      (Tml_core.Sexp.parse_value
+         (Printf.sprintf "proc(x ce! cc!) (<oid %d> x ce! cc!)" (Tml_core.Oid.to_int g)))
+  in
+  check tbool "caller promoted" true (Tierup.force_promote ctx caller);
+  let call () =
+    match Machine.run_proc ctx (Value.Oidv caller) [ Value.Int 1 ] with
+    | Eval.Done (Value.Int n) -> n
+    | o -> Alcotest.failf "caller(1): %a" Eval.pp_outcome o
+  in
+  check tint "compiled caller(1)" 20 (call ());
+  check tint "served from its call site" 20 (call ());
+  ignore (Repl.feed s "let f(x: Int): Int = x + 2");
+  check tint "the compiled site sees the new f" 30 (call ())
+
 let test_output_captured () =
   let s = Repl.create () in
   let r = Repl.feed s "do io.print_str(\"hi\") end" in
@@ -105,36 +136,53 @@ let test_session_image_roundtrip () =
   | Eval.Done (Value.Int 21) -> ()
   | o -> Alcotest.failf "loaded session function: %a" Eval.pp_outcome o
 
-let test_speccache_persists_with_session () =
-  Speccache.clear ();
+let manifest_exports pstore =
+  match Pstore.root pstore with
+  | Some moid -> (
+    match Value.Heap.get (Pstore.heap pstore) moid with
+    | Value.Module m -> moid, Array.map fst m.Value.exports
+    | _ -> Alcotest.fail "the store root is not a module")
+  | None -> Alcotest.fail "the store has no root"
+
+(* A store written while the specialization cache existed: its manifest
+   has a fourth export, "#speccache", naming a Bytes object with the
+   cache image.  It restores, runs a stored function and commits, and
+   the manifest it then writes has three exports. *)
+let test_old_manifest_still_opens () =
   let path = Filename.temp_file "tmlrepl" ".store" in
   let s = Repl.create () in
   ignore (Repl.feed s "let quad(x: Int): Int = x * 4");
-  let oid =
-    match Repl.function_oid s "quad" with
-    | Some o -> o
-    | None -> Alcotest.fail "quad not linked"
-  in
-  ignore (Tml_reflect.Reflect.optimize (Repl.ctx s) oid);
-  let n = Speccache.length () in
-  check tbool "specialization cached" true (n >= 1);
   let pstore = Pstore.attach ~fsync:false path (Repl.ctx s).Runtime.heap in
   ignore (Repl.persist s pstore);
+  let moid, keys = manifest_exports pstore in
+  check Alcotest.(array string) "a manifest has three exports"
+    [| "#sources"; "#globals"; "#funcs" |] keys;
+  let heap = Pstore.heap pstore in
+  let m =
+    match Value.Heap.get heap moid with
+    | Value.Module m -> m
+    | _ -> assert false
+  in
+  let image = Value.Heap.alloc heap (Value.Bytes (Bytes.of_string "SPC2\000")) in
+  Value.Heap.set heap moid
+    (Value.Module
+       { m with Value.exports = Array.append m.Value.exports [| "#speccache", Value.Oidv image |] });
+  ignore (Pstore.commit ~root:moid pstore);
   Pstore.close pstore;
-  (* a different process: nothing in memory but the image *)
-  Speccache.clear ();
   let pstore2 = Pstore.open_ ~fsync:false path in
+  check tint "the old manifest has four exports" 4
+    (Array.length (snd (manifest_exports pstore2)));
   let s2 = Repl.restore pstore2 in
-  check tint "cache restored from the image" n (Speccache.length ());
-  (* the reopened image serves the specialization without re-optimizing *)
-  let hits0 = (Speccache.stats ()).Speccache.hits in
-  (match Repl.function_oid s2 "quad" with
-  | Some oid2 -> ignore (Tml_reflect.Reflect.optimize (Repl.ctx s2) oid2)
-  | None -> Alcotest.fail "quad lost across the image");
-  check tbool "cold reopen skips re-optimization" true
-    ((Speccache.stats ()).Speccache.hits > hits0);
+  expect_value s2 "quad(3)" (Value.Int 12);
+  ignore (Repl.feed s2 "let half(x: Int): Int = x / 2");
+  check tbool "the commit writes objects" true (Repl.persist s2 pstore2 > 0);
   Pstore.close pstore2;
-  Speccache.clear ();
+  let pstore3 = Pstore.open_ ~fsync:false path in
+  check Alcotest.(array string) "the rewritten manifest has three exports"
+    [| "#sources"; "#globals"; "#funcs" |] (snd (manifest_exports pstore3));
+  let s3 = Repl.restore pstore3 in
+  expect_value s3 "half(quad(3))" (Value.Int 6);
+  Pstore.close pstore3;
   Sys.remove path
 
 let test_counts () =
@@ -162,8 +210,10 @@ let () =
           Alcotest.test_case "reflective optimization in session" `Quick
             test_reflective_optimize_in_session;
           Alcotest.test_case "session store images" `Quick test_session_image_roundtrip;
-          Alcotest.test_case "speccache persists with the session" `Quick
-            test_speccache_persists_with_session;
+          Alcotest.test_case "a manifest with a cache export still opens" `Quick
+            test_old_manifest_still_opens;
           Alcotest.test_case "function accounting" `Quick test_counts;
+          Alcotest.test_case "redefinition reaches compiled call sites" `Quick
+            test_redefinition_reaches_compiled_sites;
         ] );
     ]

@@ -411,6 +411,28 @@ let test_tier_deopt_on_mutation () =
   check tbool "mutation visible on the tier" true
     (List.nth tiered 3 = Value.Int 100 && List.nth tiered 4 = Value.Int 200)
 
+(* The tier source's [compiled_units] obeys a registry reset like every
+   other counter: zero after [Metrics.reset_all] ([tmlsh :stats reset]),
+   counting again from the next compile. *)
+let test_tier_compiled_units_reset () =
+  Runtime.install ();
+  Tierup.register_metrics ();
+  let compiled () = Metrics_probe.count ~source:"tier" "compiled_units" in
+  let proc = tier_reader_proc () in
+  let data_id = tier_free_ident proc in
+  let heap = Value.Heap.create () in
+  let ctx = Runtime.create heap in
+  let promote () =
+    let _, oid = tier_store_reader heap proc data_id in
+    check tbool "promoted" true (Tierup.force_promote ctx oid)
+  in
+  promote ();
+  check tbool "a compile counts" true (compiled () > 0);
+  Tml_obs.Metrics.reset_all ();
+  check tint "zero after a reset" 0 (compiled ());
+  promote ();
+  check tint "the next compile counts" 1 (compiled ())
+
 (* A durable reopen builds a fresh heap that reuses the same OIDs: its
    code units are new, so it starts cold and runs on the machine with
    identical results — nothing from the closed heap carries over. *)
@@ -642,5 +664,7 @@ let () =
             test_tier_dropped_heap_collected;
           Alcotest.test_case "re-optimization keeps a hot function compiled" `Quick
             test_tier_reoptimize_keeps_hot;
+          Alcotest.test_case "compiled_units obeys a reset" `Quick
+            test_tier_compiled_units_reset;
         ] );
     ]

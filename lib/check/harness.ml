@@ -149,13 +149,19 @@ let ptml_fails proc =
 
 let store_path () = Filename.temp_file "tmlfuzz" ".store"
 
+(* run the case's program on a fresh relation, and return the step that
+   runs it again on the same relation once [heap_reopen] has committed *)
 let store_setup (q : Tgen.query_case) ctx =
   let rel =
     Tml_query.Rel.create ctx ~name:"t"
       (List.map (fun row -> Array.of_list (List.map (fun x -> Value.Int x) row)) q.Tgen.rows)
   in
-  let v = Eval.eval_value ctx ~env:Ident.Map.empty q.Tgen.qproc in
-  ignore (Eval.run_proc ctx v [ Value.Oidv rel ])
+  let run () =
+    let v = Eval.eval_value ctx ~env:Ident.Map.empty q.Tgen.qproc in
+    ignore (Eval.run_proc ctx v [ Value.Oidv rel ])
+  in
+  run ();
+  run
 
 let store_outcome (q : Tgen.query_case) =
   let path = store_path () in

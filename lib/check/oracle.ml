@@ -115,11 +115,7 @@ let store_program ctx ~(proc : Term.value) ~bindings ~args =
       Term.Abs { f with Term.params = drop nbind f.Term.params }, []
     end
   in
-  let oid = Value.Heap.alloc_func ctx.Runtime.heap ~name:"fuzz" stored in
-  (match Value.Heap.get ctx.Runtime.heap oid with
-  | Value.Func fo -> fo.Value.fo_bindings <- List.map (fun (id, v) -> id, v) bindings
-  | _ -> assert false);
-  oid, passed_args
+  Value.Heap.alloc_func ctx.Runtime.heap ~name:"fuzz" ~bindings stored, passed_args
 
 (* Run [proc] on [args] under [engine] in context [ctx].  The persistent
    engines register the program as a store function object first; when

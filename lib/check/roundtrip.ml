@@ -70,53 +70,65 @@ let first_diff a b =
   in
   go 1 la lb
 
+(* fault every object of a lazy heap back in; the first failure *)
+let fault_all heap =
+  let error = ref None in
+  for i = 0 to Value.Heap.size heap - 1 do
+    match Value.Heap.get_opt heap (Oid.of_int i) with
+    | _ -> ()
+    | exception e -> if !error = None then error := Some (i, e)
+  done;
+  !error
+
 let heap_reopen ~path setup =
   Tml_query.Qprims.install ();
   let cleanup () = try if Sys.file_exists path then Sys.remove path with Sys_error _ -> () in
   cleanup ();
+  let heap = Value.Heap.create () in
+  let ps = Pstore.attach ~fsync:false path heap in
   let finish outcome =
+    Pstore.close ps;
     cleanup ();
     outcome
   in
-  let heap = Value.Heap.create () in
-  let ps = Pstore.attach ~fsync:false path heap in
-  let ctx = Runtime.create heap in
-  match setup ctx with
-  | exception e ->
-    Pstore.close ps;
-    finish (failf "setup raised %s" (Printexc.to_string e))
-  | () -> (
-    let before = Canon.dump_heap_all heap in
+  (* a live closure is the one specified rejection: the case is skipped *)
+  let commit k =
     match Pstore.commit ps with
-    | exception Obj_codec.Codec_error m when live_closure_reject m ->
-      Pstore.close ps;
-      finish (Skip m)
-    | exception Pstore.Store_error m when live_closure_reject m ->
-      Pstore.close ps;
-      finish (Skip m)
-    | exception e ->
-      Pstore.close ps;
-      finish (failf "commit raised %s" (Printexc.to_string e))
-    | _bytes_written -> (
-      Pstore.close ps;
-      match Pstore.open_ ~fsync:false path with
-      | exception e -> finish (failf "reopen raised %s" (Printexc.to_string e))
-      | ps2 ->
-        let heap2 = Pstore.heap ps2 in
-        (* fault every object back in through the lazy heap *)
-        let refault_error = ref None in
-        for i = 0 to Value.Heap.size heap2 - 1 do
-          match Value.Heap.get_opt heap2 (Oid.of_int i) with
-          | _ -> ()
-          | exception e -> if !refault_error = None then refault_error := Some (i, e)
-        done;
-        let outcome =
-          match !refault_error with
-          | Some (i, e) -> failf "refaulting oid %d raised %s" i (Printexc.to_string e)
-          | None ->
-            let after = Canon.dump_heap_all heap2 in
-            if String.equal before after then Pass
-            else failf "reopened store differs: %s" (first_diff before after)
-        in
-        Pstore.close ps2;
-        finish outcome))
+    | exception Obj_codec.Codec_error m when live_closure_reject m -> finish (Skip m)
+    | exception Pstore.Store_error m when live_closure_reject m -> finish (Skip m)
+    | exception e -> finish (failf "commit raised %s" (Printexc.to_string e))
+    | _bytes_written -> k ()
+  in
+  match setup (Runtime.create heap) with
+  | exception e -> finish (failf "setup raised %s" (Printexc.to_string e))
+  | again ->
+    commit @@ fun () ->
+    (* the second run writes into objects the first commit sealed *)
+    match again () with
+    | exception e -> finish (failf "second run raised %s" (Printexc.to_string e))
+    | () -> (
+      (* fault back the functions the first commit evicted, so the dump
+         shows them *)
+      match fault_all heap with
+      | Some (i, e) -> finish (failf "refaulting oid %d raised %s" i (Printexc.to_string e))
+      | None ->
+        let before = Canon.dump_heap_all heap in
+        commit @@ fun () ->
+        Pstore.close ps;
+        match Pstore.open_ ~fsync:false path with
+        | exception e ->
+          cleanup ();
+          failf "reopen raised %s" (Printexc.to_string e)
+        | ps2 ->
+          let heap2 = Pstore.heap ps2 in
+          let outcome =
+            match fault_all heap2 with
+            | Some (i, e) -> failf "refaulting oid %d raised %s" i (Printexc.to_string e)
+            | None ->
+              let after = Canon.dump_heap_all heap2 in
+              if String.equal before after then Pass
+              else failf "reopened store differs: %s" (first_diff before after)
+          in
+          Pstore.close ps2;
+          cleanup ();
+          outcome)

@@ -30,7 +30,9 @@ val obj : Value.obj -> outcome
 
 (** [heap_reopen ~path setup] — populate a fresh durable store at [path]
     (truncating any previous one) by running [setup] on a context whose
-    heap is attached to it, commit, close, reopen, fault {e every} object
-    back in, and compare full canonical dumps (function objects included).
-    [path] is removed afterwards. *)
-val heap_reopen : path:string -> (Runtime.ctx -> unit) -> outcome
+    heap is attached to it, and commit.  [setup] returns a second step,
+    run after that commit, whose writes reach objects the commit sealed;
+    commit again, close, reopen, fault {e every} object back in, and
+    compare full canonical dumps (function objects included) with the
+    heap as the second commit found it.  [path] is removed afterwards. *)
+val heap_reopen : path:string -> (Runtime.ctx -> unit -> unit) -> outcome

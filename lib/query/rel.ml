@@ -41,7 +41,8 @@ let get_index_obj ctx ixoid =
 (* Refresh the sibling stats object from the relation's current state
    (row count, tuple arity, per-indexed-field distinct counts). Called
    on insert and mkindex; allocates the stats object on first need (the
-   caller re-[Heap.set]s the relation header afterwards either way). *)
+   caller reports its write to the relation header afterwards either
+   way). *)
 let refresh_stats ctx (r : Value.relation) ~arity_hint =
   let heap = ctx.Runtime.heap in
   let distinct =
@@ -58,7 +59,7 @@ let refresh_stats ctx (r : Value.relation) ~arity_hint =
     | Some _ -> st.Value.st_arity <- -1 (* heterogeneous rows: width unusable *)
     | None -> ());
     st.Value.st_distinct <- distinct;
-    Value.Heap.set heap soid (Value.Stats st)
+    Value.Heap.note_write heap soid
   | None ->
     let st =
       {
@@ -161,7 +162,7 @@ let add_index ctx oid field =
   let ixoid = Value.Heap.alloc heap (Value.Index { Value.ix_field = field; ix_tbl = tbl }) in
   r.Value.rel_indexes <- (field, ixoid) :: List.remove_assoc field r.Value.rel_indexes;
   refresh_stats ctx r ~arity_hint:None;
-  Value.Heap.set heap oid (Value.Relation r)
+  Value.Heap.note_write heap oid
 
 let insert ctx oid fields =
   let heap = ctx.Runtime.heap in
@@ -174,11 +175,11 @@ let insert ctx oid fields =
       if field < Array.length fields then begin
         let ix = get_index_obj ctx ixoid in
         index_insert ix.Value.ix_tbl (key_of_field ~what:"insert" fields.(field)) pos;
-        Value.Heap.set heap ixoid (Value.Index ix)
+        Value.Heap.note_write heap ixoid
       end)
     r.Value.rel_indexes;
   refresh_stats ctx r ~arity_hint:(Some (Array.length fields));
-  Value.Heap.set heap oid (Value.Relation r)
+  Value.Heap.note_write heap oid
 
 let lookup ctx oid ~field key =
   match find_index ctx oid field with
@@ -190,10 +191,9 @@ let lookup ctx oid ~field key =
 let triggers ctx oid = List.rev (get ctx oid).Value.rel_triggers
 
 let add_trigger ctx oid fn =
-  let heap = ctx.Runtime.heap in
   let r = get ctx oid in
   r.Value.rel_triggers <- fn :: r.Value.rel_triggers;
-  Value.Heap.set heap oid (Value.Relation r)
+  Value.Heap.note_write ctx.Runtime.heap oid
 
 (* --- cardinalities for the planner --------------------------------- *)
 

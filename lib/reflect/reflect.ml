@@ -304,6 +304,7 @@ let optimize ?(config = default) ctx oid =
   new_fo.Value.fo_attrs <- attrs;
   fo.Value.fo_attrs <-
     ("optimized_as", Oid.to_int new_oid) :: List.remove_assoc "optimized_as" fo.Value.fo_attrs;
+  Value.Heap.note_write ctx.Runtime.heap oid;
   (* persist the rewrite and its derived attributes with the system state *)
   (match ctx.Runtime.durable_commit with
   | Some commit -> commit ()
@@ -337,9 +338,9 @@ let optimize_inplace ?(config = default) ctx oid =
       fo_attrs = attrs;
     }
   in
+  (* a new object in the slot: the heap generation moves, so compiled
+     call sites that resolved [oid] do not keep its old code *)
   Value.Heap.set ctx.Runtime.heap oid (Value.Func new_fo);
-  (* compiled call sites that resolved [oid] must not keep its old code *)
-  Jit.invalidate_sites ();
   (* the new code is a new, cold unit: if the old one ran compiled,
      compile the new one now so hot functions stay on the tier *)
   Tierup.repromote ctx ~was:fo oid;

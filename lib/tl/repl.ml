@@ -30,31 +30,42 @@ type feed_result = {
   output : string;
 }
 
-let resolve_bindings session (fo : Value.func_obj) =
-  let frees = Ident.Set.elements (Term.free_vars_value fo.Value.fo_tml) in
-  fo.Value.fo_bindings <-
-    List.map
-      (fun id ->
-        match Hashtbl.find_opt session.globals id.Ident.name with
-        | Some v -> id, v
-        | None -> Runtime.fault "session: unresolved global %s" id.Ident.name)
-      frees;
-  ignore (Tierup.retire fo);
-  fo.Value.fo_tree_impl <- None;
-  fo.Value.fo_mach_impl <- None;
-  fo.Value.fo_code <- None;
-  fo.Value.fo_summary <- None;
-  (* the slot is rebound in place, so the heap generation does not move:
-     compiled call sites that resolved this function must revalidate *)
-  Jit.invalidate_sites ()
+(* the R-value bindings of [tml]'s free identifiers: the session's
+   current globals *)
+let bindings session tml =
+  List.map
+    (fun id ->
+      match Hashtbl.find_opt session.globals id.Ident.name with
+      | Some v -> id, v
+      | None -> Runtime.fault "session: unresolved global %s" id.Ident.name)
+    (Ident.Set.elements (Term.free_vars_value tml))
 
-let relink_all session =
-  List.iter
-    (fun (_, oid) ->
-      match Value.Heap.get_opt session.sctx.Runtime.heap oid with
-      | Some (Value.Func fo) -> resolve_bindings session fo
-      | _ -> ())
-    session.funcs
+(* a function whose globals all exist already, allocated bound *)
+let alloc_bound session ~name tml =
+  Value.Heap.alloc_func session.sctx.Runtime.heap ~name ~bindings:(bindings session tml) tml
+
+(* Rebind a linked function to the current globals.  A new function
+   object replaces the old one in its slot, without the old one's cached
+   code and effect summary, so the heap generation moves and compiled
+   call sites that resolved the old object revalidate. *)
+let rebind session oid =
+  let heap = session.sctx.Runtime.heap in
+  match Value.Heap.get_opt heap oid with
+  | Some (Value.Func fo) ->
+    ignore (Tierup.retire fo);
+    Value.Heap.set heap oid
+      (Value.Func
+         {
+           fo with
+           Value.fo_bindings = bindings session fo.Value.fo_tml;
+           fo_tree_impl = None;
+           fo_mach_impl = None;
+           fo_code = None;
+           fo_summary = None;
+         })
+  | _ -> ()
+
+let relink_all session = List.iter (fun (_, oid) -> rebind session oid) session.funcs
 
 (* Link a batch of freshly lowered definitions into the live store. *)
 let link_batch session (defs : Lower.compiled_def list) =
@@ -64,7 +75,7 @@ let link_batch session (defs : Lower.compiled_def list) =
     if Hashtbl.mem session.globals name then redefined := true
   in
   (* functions first, so that mutual recursion and forward value references
-     resolve *)
+     resolve; they are bound once the batch's values exist *)
   let new_funcs =
     List.filter_map
       (fun (d : Lower.compiled_def) ->
@@ -82,10 +93,7 @@ let link_batch session (defs : Lower.compiled_def list) =
     (fun (d : Lower.compiled_def) ->
       if not d.Lower.c_is_fun then begin
         note_defined d.Lower.c_name;
-        let oid = Value.Heap.alloc_func heap ~name:(d.Lower.c_name ^ "!init") d.Lower.c_tml in
-        (match Value.Heap.get heap oid with
-        | Value.Func fo -> resolve_bindings session fo
-        | _ -> assert false);
+        let oid = alloc_bound session ~name:(d.Lower.c_name ^ "!init") d.Lower.c_tml in
         match Machine.run_proc session.sctx (Value.Oidv oid) [] with
         | Eval.Done v -> Hashtbl.replace session.globals d.Lower.c_name v
         | Eval.Raised v ->
@@ -95,12 +103,7 @@ let link_batch session (defs : Lower.compiled_def list) =
           Runtime.fault "initialization of %s faulted: %s" d.Lower.c_name msg
       end)
     defs;
-  List.iter
-    (fun (_, oid) ->
-      match Value.Heap.get heap oid with
-      | Value.Func fo -> resolve_bindings session fo
-      | _ -> assert false)
-    new_funcs;
+  List.iter (fun (_, oid) -> rebind session oid) new_funcs;
   (* redefinition: existing callers must see the new binding *)
   if !redefined then relink_all session;
   session.funcs <-
@@ -139,10 +142,7 @@ let process session (items : Ast.item list) =
       let tml = Lower.lower_main session.lower_env main in
       (* one name for every expression: per-function tables keyed by name
          (the VM profiler's) grow per function, not per evaluation *)
-      let oid = Value.Heap.alloc_func session.sctx.Runtime.heap ~name:expr_name tml in
-      (match Value.Heap.get session.sctx.Runtime.heap oid with
-      | Value.Func fo -> resolve_bindings session fo
-      | _ -> assert false);
+      let oid = alloc_bound session ~name:expr_name tml in
       let before = session.sctx.Runtime.steps in
       let outcome = Machine.run_proc session.sctx (Value.Oidv oid) [] in
       Some (outcome, session.sctx.Runtime.steps - before)

@@ -5,10 +5,13 @@
     nullary procedures and run against the live store, so mutations
     (relation inserts, array updates, index creation) persist across
     inputs.  Redefinition is supported: the new function object replaces
-    the global, all existing functions' R-value bindings are re-resolved
-    and their cached implementations and effect summaries dropped, so
-    older callers pick up the new definition — dynamic relinking in the
-    spirit of figure 3.
+    the global, and every existing function is relinked — a new function
+    object with re-resolved R-value bindings replaces it in its slot,
+    leaving the old one's cached implementations and effect summary
+    behind — so older callers pick up the new definition: dynamic
+    relinking in the spirit of figure 3.  An expression's function and
+    a value's initializer are allocated with their bindings resolved,
+    so evaluating an expression replaces no slot.
 
     The session's heap can be saved with {!Tml_vm.Image} and the function
     objects reflectively optimized with [Tml_reflect.Reflect] (see

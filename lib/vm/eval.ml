@@ -213,4 +213,3 @@ let run_proc ctx proc args =
   outcome
 
 let eval_value ctx ~env v = eval_value ctx ~env v
-let func_impl ctx fo = func_impl ctx fo

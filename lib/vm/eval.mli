@@ -25,9 +25,6 @@ val outcome_equal : outcome -> outcome -> bool
     entry procedure as its continuations). *)
 val run_app : Runtime.ctx -> env:Value.t Tml_core.Ident.Map.t -> Tml_core.Term.app -> outcome
 
-(** [apply ctx f args] applies a procedure or continuation value. *)
-val apply : Runtime.ctx -> Value.t -> Value.t list -> outcome
-
 (** [run_proc ctx proc args] applies a [proc] value (a closure, an [Oidv] of
     a function object, ...) to [args] plus the two halt continuations: the
     standard way to run a complete program. *)
@@ -36,8 +33,3 @@ val run_proc : Runtime.ctx -> Value.t -> Value.t list -> outcome
 (** [eval_value ctx ~env v] evaluates a TML value to a runtime value
     (literals inject, variables look up, abstractions close over [env]). *)
 val eval_value : Runtime.ctx -> env:Value.t Tml_core.Ident.Map.t -> Tml_core.Term.value -> Value.t
-
-(** [func_impl ctx fo] returns (and caches) the linked tree closure of a
-    function object: its TML abstraction closed over its R-value
-    bindings. *)
-val func_impl : Runtime.ctx -> Value.func_obj -> Value.t

@@ -42,23 +42,6 @@ type unit_code = {
 
 let make_unit funcs entry = { funcs; entry; heat = 0; compiled = Interpreted }
 
-let rec code_instructions = function
-  | Tailcall _ -> 1
-  | Primop (_, _, conts) ->
-    1
-    + List.fold_left
-        (fun acc c ->
-          acc
-          +
-          match c with
-          | Cblock (_, code) -> code_instructions code
-          | Cval _ -> 0)
-        0 conts
-  | Close (defs, rest) | Fix (defs, rest) -> List.length defs + code_instructions rest
-
-let unit_instructions u =
-  Array.fold_left (fun acc f -> acc + code_instructions f.body) 0 u.funcs
-
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                        *)
 (* ------------------------------------------------------------------ *)

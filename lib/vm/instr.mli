@@ -68,12 +68,7 @@ type unit_code = {
 (** [make_unit funcs entry] is a cold, uncompiled unit. *)
 val make_unit : func array -> int -> unit_code
 
-(** {1 Measures and serialization} *)
-
-(** [code_instructions c] counts instructions (for reporting). *)
-val code_instructions : code -> int
-
-val unit_instructions : unit_code -> int
+(** {1 Serialization} *)
 
 (** [encode_unit u] serializes to bytes (the executable-code-size measure of
     experiment E3). *)
@@ -85,5 +80,3 @@ val decode_unit : string -> unit_code
 
 (** [pp_unit] — a disassembler for debugging and the CLI. *)
 val pp_unit : Format.formatter -> unit_code -> unit
-
-val pp_code : Format.formatter -> code -> unit

@@ -37,12 +37,13 @@ open Tml_core
    Call sites and array primitives carry {e per-site monomorphic inline
    caches}: the last continuation block's compiled code, the last
    [Oidv] callee's compiled entry, the last dereferenced array's slots.
-   Caches are validated by physical equality plus two generation
-   counters — {!Value.Heap.generation} (bumped on any slot replacement,
-   eviction or hook change) and {!site_gen} (bumped by a rebinding or an
-   in-place re-optimization) — and are never filled while a heap access
-   hook is installed, so a store's recency/dirty tracking observes every
-   dereference. *)
+   Caches are validated by physical equality plus the heap's
+   {!Value.Heap.generation}, which every slot replacement, eviction and
+   truncation moves: a rebinding or a re-optimization installs a new
+   function object with [Heap.set], and a store drops a stale object
+   with [Heap.evict].  Reads fire no hook, so caches fill in
+   store-backed heaps too; the [[:=]] fast path reports each write
+   ({!Value.Heap.note_write}) like the machine's primitive does. *)
 
 type ccode = Runtime.ctx -> Value.t array -> Value.t array -> Eval.outcome
 
@@ -77,12 +78,6 @@ let is_compiled (u : Instr.unit_code) =
   match u.Instr.compiled with
   | Compiled _ -> true
   | _ -> false
-
-(* Bumped whenever the meaning of a stored function may have changed
-   without a heap slot replacement (a session rebinding its globals in
-   place): every per-site [Oidv] inline cache keys on it. *)
-let site_gen = ref 0
-let invalidate_sites () = incr site_gen
 
 let compiled_units_ = ref 0
 let compiled_units () = !compiled_units_
@@ -330,7 +325,7 @@ and comp_code cu (code : Instr.code) : ccode =
    - [Mclosure]: resolve the callee's compiled entry and evaluate the
      arguments straight into its fresh frame — no argument list;
    - [Oidv]: cache the resolved compiled entry of the stored function
-     (validated by the heap and site generations, mirroring deopt);
+     (validated by the heap generation, mirroring deopt);
    - [Mblock]: cache the block's compiled code, bypassing the per-unit
      block list (every call/return round trip in CPS applies a block).
 
@@ -355,7 +350,6 @@ and comp_tailcall_dyn cu f cargs =
   let oc_fv = ref Value.Unit
   and oc_heap = ref dummy_heap
   and oc_hgen = ref (-1)
-  and oc_tgen = ref (-1)
   and oc_call = ref dummy_ccode in
   (* [Mblock] continuation cache *)
   let bc_code = ref dummy_code and bc_cc = ref dummy_ccode in
@@ -383,24 +377,14 @@ and comp_tailcall_dyn cu f cargs =
       call_direct ctx env frame cu'.funcs.(c.Value.m_fn) c.Value.m_env
     | Value.Oidv oid as fv ->
       let h = ctx.Runtime.heap in
-      if
-        fv == !oc_fv
-        && h == !oc_heap
-        && Value.Heap.generation h = !oc_hgen
-        && !site_gen = !oc_tgen
-      then !oc_call ctx env frame
+      if fv == !oc_fv && h == !oc_heap && Value.Heap.generation h = !oc_hgen then
+        !oc_call ctx env frame
       else begin
-        (* fill only when no access hook wants to observe dereferences;
-           installing one bumps the heap generation, killing stale fills *)
         let fill call =
-          match Value.Heap.access_hook h with
-          | None ->
-            oc_fv := fv;
-            oc_heap := h;
-            oc_hgen := Value.Heap.generation h;
-            oc_tgen := !site_gen;
-            oc_call := call
-          | Some _ -> ()
+          oc_fv := fv;
+          oc_heap := h;
+          oc_hgen := Value.Heap.generation h;
+          oc_call := call
         in
         match Value.Heap.get_opt h oid with
         | Some (Value.Func fo) -> (
@@ -715,29 +699,22 @@ and prim_call_site cu name cargs =
           | _ -> Some generic)))
 
 (* resolve the slots of an indexable store object exactly as the
-   machine's implementation would (including hooks and faults), and
-   cache them only when safe: in-place-mutable or immutable slot arrays
-   (a relation materializes a row snapshot that is memoized on its
-   header and invalidated by insert, so no per-site cache is needed),
-   and never while an access hook wants to observe reads *)
+   machine's implementation would (including faults), and cache them
+   only when safe: in-place-mutable or immutable slot arrays (a relation
+   materializes a row snapshot that is memoized on its header and
+   invalidated by insert, so no per-site cache is needed) *)
 and indexable_slots ~what ctx h oid a fill =
   let slots = Runtime.as_indexable ctx ~what a in
-  (match Value.Heap.access_hook h with
-  | None -> (
-    match Value.Heap.peek h oid with
-    | Some (Value.Array s | Value.Vector s | Value.Tuple s) -> fill s
-    | _ -> ())
-  | Some _ -> ());
+  (match Value.Heap.peek h oid with
+  | Some (Value.Array s | Value.Vector s | Value.Tuple s) -> fill s
+  | _ -> ());
   slots
 
 and array_slots ~what ctx h oid a fill =
   let slots = Runtime.as_array ctx ~what a in
-  (match Value.Heap.access_hook h with
-  | None -> (
-    match Value.Heap.peek h oid with
-    | Some (Value.Array s) -> fill s
-    | _ -> ())
-  | Some _ -> ());
+  (match Value.Heap.peek h oid with
+  | Some (Value.Array s) -> fill s
+  | _ -> ());
   slots
 
 (* Checked integer arithmetic, inlined per operator so the hot path
@@ -996,6 +973,7 @@ and fast_path cu name cost cvals sinks generic =
         if i < 0 || i >= Array.length slots then
           Runtime.fault "[:=]: index %d out of bounds (size %d)" i (Array.length slots);
         Array.unsafe_set slots i (cv env frame);
+        Value.Heap.note_write h oid;
         send ctx env frame Value.Unit
       | _ -> generic ctx env frame)
   | "size", [ ca ], [ k ] ->

@@ -8,6 +8,13 @@
     freely between tiers; anything the compiled tier cannot handle
     escapes to the interpreter through {!escape_apply}.
 
+    Call sites and array primitives keep per-site inline caches keyed
+    by the heap's {!Value.Heap.generation} alone, and fill them in
+    store-backed heaps too, since reads fire no hook.  A rebinding or a
+    re-optimization installs a new function object, which moves the
+    generation; compiled writes report themselves
+    ({!Value.Heap.note_write}).
+
     Promotion policy lives in {!Tierup}; this module is the mechanism.
     See docs/TIERS.md. *)
 
@@ -27,10 +34,6 @@ val is_compiled : Instr.unit_code -> bool
 val apply_func :
   cunit -> fn:int -> env:Value.t array -> Runtime.ctx -> Value.t list -> Eval.outcome
 
-(** [call_value cu ctx f args] is the compiled tier's full applicator,
-    mirroring [Machine.apply] case by case (exposed for tests). *)
-val call_value : cunit -> Runtime.ctx -> Value.t -> Value.t list -> Eval.outcome
-
 (** Full applicator escape hatch into the interpreter; installed by
     {!Machine} at load time. *)
 val escape_apply : (Runtime.ctx -> Value.t -> Value.t list -> Eval.outcome) ref
@@ -40,10 +43,3 @@ val escape_apply : (Runtime.ctx -> Value.t -> Value.t list -> Eval.outcome) ref
 val compiled_units : unit -> int
 
 val reset_compiled_units : unit -> unit
-
-(** Invalidate every per-site inline cache of resolved [Oidv] callees.
-    Whoever changes a stored function's code without replacing its heap
-    slot calls this ([Repl]'s rebinding, [Reflect.optimize_inplace]), so
-    a cached compiled entry can never outlive the binding it was
-    resolved from. *)
-val invalidate_sites : unit -> unit

@@ -182,5 +182,3 @@ let run_abs ctx abs args =
     Value.Mclosure { Value.m_unit = unit_code; m_fn = unit_code.Instr.entry; m_env = [||] }
   in
   run_proc ctx clo args
-
-let func_impl = Compile.compile_func

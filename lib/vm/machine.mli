@@ -18,6 +18,3 @@ val run_proc : Runtime.ctx -> Value.t -> Value.t list -> Eval.outcome
 (** [run_abs ctx abs args] compiles a closed [proc] abstraction and runs
     it. *)
 val run_abs : Runtime.ctx -> Tml_core.Term.abs -> Value.t list -> Eval.outcome
-
-(** [func_impl ctx fo] is {!Compile.compile_func}. *)
-val func_impl : Runtime.ctx -> Value.func_obj -> Value.t

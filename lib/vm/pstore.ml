@@ -45,33 +45,14 @@ let uncommitted_count t =
   done;
   Hashtbl.length t.dirty + !fresh
 
-(* Mutable objects observed through an access may be updated in place
-   behind the heap's back, so any access dirties them; immutable kinds
-   stay clean. Relations, indexes and stats are mutable
-   records but every mutation goes through [Tml_query.Rel], which
-   re-[Heap.set]s the object afterwards — so reads leave them clean
-   and the update hook catches writes. *)
-let mutable_kind = function
-  | Value.Array _ | Value.Bytes _ | Value.Func _ -> true
-  | Value.Vector _ | Value.Tuple _ | Value.Module _ | Value.Relation _ | Value.Index _
-  | Value.Stats _ ->
-    false
-
 let mark_dirty t ix = Hashtbl.replace t.dirty ix ()
 
 (* --- heap hooks --------------------------------------------------- *)
 
-let note_access t oid obj =
-  if (not t.closed) && t.in_fault = 0 then begin
-    let ix = Oid.to_int oid in
-    if ix < t.watermark then begin
-      let st = stats t in
-      st.Stats.cache_hits <- st.Stats.cache_hits + 1
-    end;
-    if mutable_kind obj then mark_dirty t ix
-  end
-
-let note_update t oid _obj =
+(* Every write reports itself, through [Heap.set] or [Heap.note_write];
+   reads report nothing, so an object is dirty only once something wrote
+   it. *)
+let note_update t oid =
   if (not t.closed) && t.in_fault = 0 then mark_dirty t (Oid.to_int oid)
 
 (* process-wide, so a server's sessions add up; the store's own stats
@@ -91,7 +72,6 @@ let fault t oid =
     | Some payload ->
       let st = stats t in
       st.Stats.faults <- st.Stats.faults + 1;
-      st.Stats.cache_misses <- st.Stats.cache_misses + 1;
       Tml_obs.Metrics.inc object_faults;
       Tml_obs.Events.store_fault ~oid:ix ~bytes:(String.length payload);
       let obj, indexed =
@@ -113,7 +93,7 @@ let fault t oid =
          rebuilt as fresh [Index] objects: dirty the header so the next
          commit rewrites it as REL1 referencing them (otherwise every
          reopen would orphan another generation of index objects). *)
-      if mutable_kind obj || indexed <> [] then mark_dirty t ix;
+      if indexed <> [] then mark_dirty t ix;
       Some obj
   end
 
@@ -137,7 +117,6 @@ let make ?(owns_log = true) ~snap ~store ~heap ~watermark () =
     }
   in
   Value.Heap.set_fault_hook heap (fun oid -> fault t oid);
-  Value.Heap.set_access_hook heap (note_access t);
   Value.Heap.set_update_hook heap (note_update t);
   t
 
@@ -196,10 +175,11 @@ let encode_at t ix =
 (* Encode everything a commit would write, without sealing: [commit]
    seals the batch itself, the server enqueues it with the group
    committer.  Objects whose encoding equals their version at the pinned
-   epoch were only {e read} (mutable kinds are conservatively dirtied on
-   access) — they are dropped from the batch.  That holds at any OID: on
-   a shared log, objects other sessions sealed can sit past this
-   session's watermark. *)
+   epoch were written back unchanged (a relinked function whose bindings
+   came out the same, a write of the value a slot already held) — they
+   are dropped from the batch.  That holds at any OID: on a shared log,
+   objects other sessions sealed can sit past this session's
+   watermark. *)
 let collect t =
   check_open t;
   let batch =
@@ -259,8 +239,7 @@ let discard_from t lo =
          "Pstore.discard_from: %d is below the watermark %d or the last collected batch"
          lo t.watermark);
   (* the last collect wrote nothing below [lo], so every older dirty
-     object was only read: it is a clean copy again (an access
-     re-dirties it, as after a fault) *)
+     object was written back unchanged: it is a clean copy again *)
   Hashtbl.reset t.dirty;
   t.batch_oids <- [];
   Value.Heap.truncate t.heap lo

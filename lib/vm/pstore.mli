@@ -6,14 +6,15 @@
     they own, {!open_snapshot} pins a shared one.  Opening a store
     materializes {e nothing}: the heap's address space is reserved and
     every object is faulted in — decoded from its log record — on first
-    dereference.  Accesses are tracked through the heap hooks:
+    dereference.  Writes are tracked through the heap's update hook:
 
-    - an access to a {e mutable-kind} object (arrays, byte arrays,
-      functions) marks it dirty, since it may change in place;
+    - a write marks its object dirty: a {!Value.Heap.set} of a new
+      object, or an in-place write reported with
+      {!Value.Heap.note_write};
     - objects allocated since the last commit are new;
-    - a clean object stays cached.  It goes stale only when another
-      session seals a newer version of it, and {!mark_committed} drops
-      exactly those.
+    - a read marks nothing, so a clean object stays clean and cached.
+      It goes stale only when another session seals a newer version of
+      it, and {!mark_committed} drops exactly those.
 
     There is one write path.  {!collect} encodes every dirty and new
     object and keeps those whose encoding differs from the pinned
@@ -21,8 +22,8 @@
     record ({!Tml_store.Log_store.commit}), pins the new epoch and hands
     it to {!mark_committed} — the steps the server's group committer
     runs for each winner.  After a crash the store recovers exactly the
-    last sealed state.  All counters (faults, hits, misses, commits,
-    recovery truncations) are exposed via {!stats}. *)
+    last sealed state.  All counters (faults, commits, recovery
+    truncations) are exposed via {!stats}. *)
 
 exception Store_error of string
 
@@ -77,12 +78,12 @@ val compact : t -> unit
     the rewrite and re-taken at the compacted epoch *)
 
 val collect : t -> (int * string) list
-(** encode every dirty and new object into an [(oid, payload)] batch
+(** encode every written and new object into an [(oid, payload)] batch
     without sealing anything — what {!commit} seals, and what a server
-    session hands to the group committer.  Pre-existing objects whose
-    encoding is byte-identical to the version visible at this store's
-    pinned epoch were only read (mutable kinds are conservatively
-    dirtied on access) and are dropped from the batch.
+    session hands to the group committer.  Only written objects are
+    encoded: a read stages nothing.  A written object whose encoding is
+    byte-identical to the version visible at this store's pinned epoch
+    (written back unchanged) is dropped from the batch.
     @raise Store_error if an object holds a live closure *)
 
 val mark_committed : t -> Tml_store.Log_store.snapshot -> unit
@@ -104,7 +105,8 @@ val discard_from : t -> int -> unit
     from the heap and the dirty set, and moves the allocation cursor back
     to [lo] ({!Value.Heap.truncate}).  The last {!collect}'s batch must
     hold only OIDs at or past [lo]: then no older object changed, so the
-    older dirty objects were only read and stop counting as dirty.  The
+    older dirty objects were written back unchanged and stop counting as
+    dirty.  The
     caller also guarantees no process-wide table refers to the dropped
     objects.
     @raise Invalid_argument if [lo] is below the watermark, or the last

@@ -10,9 +10,9 @@
    full row array.
 
    This module only manipulates the in-heap structure (and allocates
-   page objects); persistence discipline — marking the header dirty via
-   [Heap.set] after a mutation — is the caller's job (see
-   [Tml_query.Rel]). *)
+   page objects); persistence discipline — reporting the header's
+   in-place write ([Value.Heap.note_write]) after a mutation — is the
+   caller's job (see [Tml_query.Rel]). *)
 
 open Tml_core
 
@@ -102,8 +102,9 @@ let find heap r f =
   with Found i -> Some i
 
 (* Append one row. Seals a full tail into a fresh page object. The
-   caller must follow up with [Heap.set] on the relation's own OID so
-   the header mutation reaches the store. Returns the row's position. *)
+   caller must follow up with [Heap.note_write] on the relation's own
+   OID so the header mutation reaches the store. Returns the row's
+   position. *)
 let append heap r v =
   let ps = r.Value.rel_page_size in
   let pos = r.Value.rel_count in

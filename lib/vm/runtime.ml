@@ -90,6 +90,10 @@ let as_bytes ctx ~what v =
   | Value.Bytes b -> b
   | _ -> fault "%s: expected a byte array" what
 
+(* report an in-place write into the array or byte array [v] refers to,
+   which a store may have committed already *)
+let wrote ctx ~what v = Value.Heap.note_write ctx.heap (as_oid ~what v)
+
 (* ------------------------------------------------------------------ *)
 (* Standard implementations                                             *)
 (* ------------------------------------------------------------------ *)
@@ -302,6 +306,7 @@ let standard_impls () : (string * impl) list =
           let i = as_int ~what:"[:=]" i in
           check_bounds ~what:"[:=]" slots i;
           slots.(i) <- v;
+          wrote ctx ~what:"[:=]" a;
           ret k Value.Unit
         | _ -> fault "[:=]: bad arguments" );
     ( "b[]",
@@ -321,6 +326,7 @@ let standard_impls () : (string * impl) list =
           let i = as_int ~what:"b[:=]" i in
           check_bbounds ~what:"b[:=]" b i;
           Bytes.set b i (Char.chr (as_int ~what:"b[:=]" v land 0xff));
+          wrote ctx ~what:"b[:=]" a;
           ret k Value.Unit
         | _ -> fault "b[:=]: bad arguments" );
     ( "size",
@@ -348,6 +354,7 @@ let standard_impls () : (string * impl) list =
             || doff + len > Array.length d
           then fault "move: range out of bounds";
           Array.blit s soff d doff len;
+          wrote ctx ~what:"move" dst;
           ret k Value.Unit
         | _ -> fault "move: bad arguments" );
     ( "bmove",
@@ -365,6 +372,7 @@ let standard_impls () : (string * impl) list =
             || doff + len > Bytes.length d
           then fault "bmove: range out of bounds";
           Bytes.blit s soff d doff len;
+          wrote ctx ~what:"bmove" dst;
           ret k Value.Unit
         | _ -> fault "bmove: bad arguments" );
     ( "==",
@@ -509,5 +517,3 @@ let create ?(fuel = max_int) heap =
   in
   List.iter (fun (name, f) -> Hashtbl.replace ctx.ccalls name f) default_ccalls;
   ctx
-
-let register_ccall ctx name f = Hashtbl.replace ctx.ccalls name f

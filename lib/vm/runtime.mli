@@ -75,24 +75,16 @@ val install : unit -> unit
     otherwise. *)
 val is_standard_impl : string -> bool
 
-(** [register_ccall ctx name f] adds a host function reachable through the
-    [ccall] primitive. *)
-val register_ccall : ctx -> string -> ccall_impl -> unit
-
 (** {1 Value accessors} (raise {!Fault} on type mismatches) *)
 
 val as_int : what:string -> Value.t -> int
-val as_real : what:string -> Value.t -> float
-val as_bool : what:string -> Value.t -> bool
-val as_char : what:string -> Value.t -> char
-val as_str : what:string -> Value.t -> string
 val as_oid : what:string -> Value.t -> Tml_core.Oid.t
 
-(** [as_array ctx ~what v] dereferences an OID to a mutable array. *)
+(** [as_array ctx ~what v] dereferences an OID to a mutable array.  A
+    caller that writes into it reports the write
+    ({!Value.Heap.note_write}). *)
 val as_array : ctx -> what:string -> Value.t -> Value.t array
 
 (** [as_indexable ctx ~what v] dereferences to the slots of an array, vector
     or tuple (read-only view). *)
 val as_indexable : ctx -> what:string -> Value.t -> Value.t array
-
-val as_bytes : ctx -> what:string -> Value.t -> bytes

@@ -15,11 +15,12 @@
    Promotion never changes semantics — the compiled tier charges the
    same abstract instruction costs at the same points as the machine —
    and compiled code is a function of the unit's immutable bytecode
-   only.  A rebinding or re-optimization installs a new unit, which
-   starts cold; the per-site inline caches inside compiled code
-   revalidate against the heap's generation and {!Jit.invalidate_sites}.
-   So a fresh heap's units start cold, a dropped heap takes its
-   compiled code with it, and nothing has to be cleared by hand.
+   only.  A rebinding or re-optimization installs a new function object
+   with a new unit, which starts cold; installing it moves the heap's
+   generation, the one key of the per-site inline caches inside
+   compiled code.  So a fresh heap's units start cold, a dropped heap
+   takes its compiled code with it, and nothing has to be cleared by
+   hand.
 
    A deopt is a function's code being replaced while its unit runs
    compiled ({!retire}); {!repromote} compiles the re-optimized code at

@@ -98,11 +98,10 @@ module Heap = struct
     mutable objs : obj option array;
     mutable next : int;
     mutable gen : int;
-        (* bumped whenever a slot is replaced/evicted or a hook changes;
+        (* bumped whenever a slot is replaced, evicted or truncated away;
            lets the compiled tier validate per-site inline caches *)
     mutable fault : (Oid.t -> obj option) option;
-    mutable on_access : (Oid.t -> obj -> unit) option;
-    mutable on_update : (Oid.t -> obj -> unit) option;
+    mutable on_update : (Oid.t -> unit) option;
   }
 
   let create () =
@@ -111,30 +110,15 @@ module Heap = struct
       next = 0;
       gen = 0;
       fault = None;
-      on_access = None;
       on_update = None;
     }
 
   let generation heap = heap.gen
-
-  let set_fault_hook heap f =
-    heap.gen <- heap.gen + 1;
-    heap.fault <- Some f
-
-  let set_access_hook heap f =
-    heap.gen <- heap.gen + 1;
-    heap.on_access <- Some f
-
-  let access_hook heap = heap.on_access
-
-  let set_update_hook heap f =
-    heap.gen <- heap.gen + 1;
-    heap.on_update <- Some f
+  let set_fault_hook heap f = heap.fault <- Some f
+  let set_update_hook heap f = heap.on_update <- Some f
 
   let clear_hooks heap =
-    heap.gen <- heap.gen + 1;
     heap.fault <- None;
-    heap.on_access <- None;
     heap.on_update <- None
 
   let ensure_capacity heap n =
@@ -168,11 +152,7 @@ module Heap = struct
     if ix < 0 || ix >= heap.next then None
     else begin
       match heap.objs.(ix) with
-      | Some obj as r ->
-        (match heap.on_access with
-        | Some f -> f oid obj
-        | None -> ());
-        r
+      | Some _ as r -> r
       | None -> (
         match heap.fault with
         | None -> None
@@ -189,15 +169,18 @@ module Heap = struct
     | Some obj -> obj
     | None -> invalid_arg (Printf.sprintf "Heap.get: dangling %s" (Oid.to_string oid))
 
+  let note_write heap oid =
+    match heap.on_update with
+    | Some f -> f oid
+    | None -> ()
+
   let set heap oid obj =
     let ix = Oid.to_int oid in
     if ix < 0 || ix >= heap.next then
       invalid_arg (Printf.sprintf "Heap.set: dangling %s" (Oid.to_string oid));
     heap.gen <- heap.gen + 1;
     heap.objs.(ix) <- Some obj;
-    (match heap.on_update with
-    | Some f -> f oid obj
-    | None -> ())
+    note_write heap oid
 
   let evict heap oid =
     let ix = Oid.to_int oid in
@@ -240,14 +223,14 @@ module Heap = struct
       | None -> ()
     done
 
-  let alloc_func heap ~name tml =
+  let alloc_func heap ~name ?(bindings = []) tml =
     alloc heap
       (Func
          {
            fo_name = name;
            fo_tml = tml;
            fo_ptml = Tml_store.Ptml.encode_value tml;
-           fo_bindings = [];
+           fo_bindings = bindings;
            fo_tree_impl = None;
            fo_mach_impl = None;
            fo_code = None;

@@ -135,14 +135,27 @@ module Heap : sig
   val get : heap -> Tml_core.Oid.t -> obj
 
   val get_opt : heap -> Tml_core.Oid.t -> obj option
+
   val set : heap -> Tml_core.Oid.t -> obj -> unit
+  (** [set heap oid obj] installs a new object in [oid]'s slot: it moves
+      the {!generation} and reports a write (see {!note_write}) *)
+
+  val note_write : heap -> Tml_core.Oid.t -> unit
+  (** [note_write heap oid] reports that the object in [oid]'s slot was
+      changed in place: it fires the update hook and leaves the
+      {!generation} alone, since the slot still holds the same object.
+      Every in-place write to an object that may be committed already
+      reports itself this way; an object allocated since the last
+      commit is written anyway and needs no report *)
+
   val size : heap -> int
 
   val generation : heap -> int
-  (** monotonic counter bumped on every [set], [evict] and hook change;
-      the compiled tier keys per-site inline caches on it so a cached
-      dereference can never outlive a slot replacement or a newly
-      attached store observer *)
+  (** monotonic counter moved by every [set], [evict] and [truncate] —
+      whenever a slot's object is replaced or dropped.  It is the one
+      key of the compiled tier's per-site inline caches: a cached
+      dereference or callee can never outlive its slot's object.
+      Reads and in-place writes ({!note_write}) leave it alone *)
 
   (** [iter f heap] applies [f] to every live object.  On a store-backed
       heap only materialized objects are visited; no faulting happens. *)
@@ -150,21 +163,16 @@ module Heap : sig
 
   (** {2 Backing-store hooks}
 
-      A durable store ([Pstore]) attaches itself to a heap through three
+      A durable store ([Pstore]) attaches itself to a heap through two
       hooks, making dereference the faulting point: [get]/[get_opt] on an
       empty slot consult the fault hook and install whatever object it
-      returns; every access to a present object reports to the access
-      hook (dirty tracking, LRU recency); every [set] reports to the
-      update hook.  A heap with no hooks behaves exactly as before —
-      empty slots are dangling references. *)
+      returns; every [set] and {!note_write} reports to the update hook
+      (dirty tracking).  Reading a present object fires nothing.  A heap
+      with no hooks behaves exactly as before — empty slots are dangling
+      references. *)
 
   val set_fault_hook : heap -> (Tml_core.Oid.t -> obj option) -> unit
-  val set_access_hook : heap -> (Tml_core.Oid.t -> obj -> unit) -> unit
-  val set_update_hook : heap -> (Tml_core.Oid.t -> obj -> unit) -> unit
-
-  (** the current access hook; the compiled tier fills no inline cache
-      while one is installed *)
-  val access_hook : heap -> (Tml_core.Oid.t -> obj -> unit) option
+  val set_update_hook : heap -> (Tml_core.Oid.t -> unit) -> unit
 
   val clear_hooks : heap -> unit
   (** detach the backing store: the heap keeps its materialized objects
@@ -197,9 +205,12 @@ module Heap : sig
   val loaded_count : heap -> int
   (** number of materialized slots *)
 
-  (** [alloc_func heap ~name tml] allocates a [Func] object, computing its
-      PTML encoding; bindings start empty. *)
-  val alloc_func : heap -> name:string -> Tml_core.Term.value -> Tml_core.Oid.t
+  (** [alloc_func heap ~name ?bindings tml] allocates a [Func] object,
+      computing its PTML encoding; [bindings] (default none) are its
+      R-value bindings. *)
+  val alloc_func :
+    heap -> name:string -> ?bindings:(Tml_core.Ident.t * t) list -> Tml_core.Term.value ->
+    Tml_core.Oid.t
 end
 
 (** {1 Operations} *)

@@ -52,10 +52,10 @@ let test_redefinition_relinks () =
   ignore (Repl.feed s "let f(x: Int): Int = x + 2");
   expect_value s "g(1)" (Value.Int 30)
 
-(* A redefinition relinks the existing callers in place, so the heap
-   generation does not move: a compiled call site that cached a caller's
-   entry must still see the new binding.  The site here is in a function
-   outside the session that calls [g] through a literal OID, as
+(* A redefinition relinks the existing callers by installing new
+   function objects in their slots: a compiled call site that cached a
+   caller's entry must see the new binding.  The site here is in a
+   function outside the session that calls [g] through a literal OID, as
    reflectively optimized code does. *)
 let test_redefinition_reaches_compiled_sites () =
   let s = Repl.create () in
@@ -82,6 +82,25 @@ let test_redefinition_reaches_compiled_sites () =
   check tint "served from its call site" 20 (call ());
   ignore (Repl.feed s "let f(x: Int): Int = x + 2");
   check tint "the compiled site sees the new f" 30 (call ())
+
+(* An Eval's function and a value's initializer are allocated with their
+   bindings resolved, so neither replaces a slot: the heap generation,
+   which keys every compiled inline cache, stays put. *)
+let test_eval_replaces_no_slot () =
+  let s = Repl.create () in
+  ignore (Repl.feed s "let sq(x: Int): Int = x * x");
+  let ctx = Repl.ctx s in
+  (match Repl.function_oid s "sq" with
+  | Some sq -> check tbool "sq promoted" true (Tierup.force_promote ctx sq)
+  | None -> Alcotest.fail "sq not linked");
+  let heap = ctx.Runtime.heap in
+  let gen = Value.Heap.generation heap in
+  expect_value s "sq(7)" (Value.Int 49);
+  check tint "an Eval calling compiled sq moves no generation" gen
+    (Value.Heap.generation heap);
+  ignore (Repl.feed s "let nine = sq(3)");
+  check tint "a value definition moves no generation" gen (Value.Heap.generation heap);
+  expect_value s "nine + sq(2)" (Value.Int 13)
 
 let test_output_captured () =
   let s = Repl.create () in
@@ -215,5 +234,6 @@ let () =
           Alcotest.test_case "function accounting" `Quick test_counts;
           Alcotest.test_case "redefinition reaches compiled call sites" `Quick
             test_redefinition_reaches_compiled_sites;
+          Alcotest.test_case "an Eval replaces no slot" `Quick test_eval_replaces_no_slot;
         ] );
     ]

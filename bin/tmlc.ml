@@ -40,12 +40,14 @@ let options_of ?(no_analysis = false) ~direct ~static_opt () =
 
 (* [--profile]: run [f] with the optimizer profiler on, then print the
    metrics registry's report, as tmlsh :stats does (also on error): the
-   optimizer's pass timings, its per-rule fires and the tier's counters *)
+   optimizer's pass timings, its per-rule fires, the tier's counters and
+   the GC's *)
 let with_profile profile f =
   if not profile then f ()
   else begin
     Profile.register_metrics ();
     Tierup.register_metrics ();
+    Tml_obs.Metrics.register_gc ();
     Tml_obs.Metrics.reset_all ();
     Profile.enabled := true;
     Fun.protect

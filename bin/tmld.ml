@@ -67,10 +67,12 @@ let () =
         exit 2
     else Wire.Unix_path !socket
   in
-  (* keep the optimizer profiler and provenance recorder running, as
-     tmlsh does, so :stats / :explain work against a server too *)
+  (* keep the optimizer profiler and provenance recorder running, and
+     promote hot code to the compiled tier, as tmlsh does, so :stats /
+     :explain work against a server too *)
   Tml_core.Profile.enabled := true;
   Tml_obs.Provenance.enabled := true;
+  Tml_vm.Tierup.enabled := true;
   Tml_vm.Vmprof.enabled := !prof;
   (* streaming sinks: closed (bracket emitted, buffers flushed) by the
      graceful drain below, so a SIGTERM'd daemon never leaves a

@@ -31,6 +31,7 @@ let () =
   Profile.enabled := true;
   Tml_obs.Provenance.enabled := true;
   Profile.register_metrics ();
+  Tml_obs.Metrics.register_gc ();
   (* tiered execution: hot stored functions get promoted to the compiled
      closure tier as the session warms up (:tier NAME forces one; the
      "tier" rows of :stats report promotions, deopts and compiled runs) *)

@@ -77,25 +77,19 @@ let render_obj_with render_ref (obj : Value.obj) =
       rel.Value.rel_triggers;
     Buffer.add_char buf ']'
   | Value.Index ix ->
-    (* canonical: keys sorted, positions oldest-first (the table keeps
-       them most-recent-first for O(1) maintenance) *)
+    (* canonical: keys in index order, positions oldest-first (the index
+       keeps them newest-first) *)
     Buffer.add_string buf (Printf.sprintf "index f=%d keys{" ix.Value.ix_field);
-    let keys =
-      Hashtbl.fold (fun k ps acc -> (k, List.sort compare ps) :: acc) ix.Value.ix_tbl []
-      |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2)
-    in
-    List.iteri
-      (fun i (k, ps) ->
-        if i > 0 then Buffer.add_char buf ' ';
+    let first = ref true in
+    Value.Keys.iter
+      (fun k ps ->
+        if not !first then Buffer.add_char buf ' ';
+        first := false;
         Buffer.add_string buf (render_value (Value.of_literal k));
         Buffer.add_string buf "->[";
-        List.iteri
-          (fun j p ->
-            if j > 0 then Buffer.add_char buf ' ';
-            Buffer.add_string buf (string_of_int p))
-          ps;
+        Buffer.add_string buf (String.concat " " (List.rev_map string_of_int ps));
         Buffer.add_char buf ']')
-      keys;
+      ix.Value.ix_keys;
     Buffer.add_char buf '}'
   | Value.Stats st ->
     Buffer.add_string buf

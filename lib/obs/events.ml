@@ -88,7 +88,6 @@ let tier kind ~name =
       match kind with
       | `Promote -> "promote"
       | `Deopt -> "deopt"
-      | `Run -> "run"
     in
     instant ~cat:"tier" ("tier_" ^ k) ~args:[ ("function", Str name) ]
   end

@@ -38,6 +38,8 @@ val store_compact : live:int -> dropped:int -> unit
 val vm_run : engine:string -> steps:int -> unit
 
 (** Tiered-execution lifecycle, named by function: a code unit
-    compiled to the closure tier, compiled code dropped with replaced
-    function code, and entries into compiled code from the machine. *)
-val tier : [ `Promote | `Deopt | `Run ] -> name:string -> unit
+    compiled to the closure tier, and compiled code dropped with
+    replaced function code.  Entries into compiled code, one per row a
+    compiled scan predicate sees, are only counted (the [tier] source's
+    [runs]). *)
+val tier : [ `Promote | `Deopt ] -> name:string -> unit

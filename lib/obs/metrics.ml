@@ -151,6 +151,27 @@ let register_source ~name ~snapshot ~reset =
 
 let unregister_source name = Hashtbl.remove sources name
 
+(* [Gc.quick_stat]'s running totals count from the last reset: words
+   allocated in the minor heap, promoted, and allocated in the major
+   heap (promotions included), and collections of each heap *)
+let gc_totals s =
+  [
+    ("minor_words", int_of_float s.Gc.minor_words);
+    ("promoted_words", int_of_float s.Gc.promoted_words);
+    ("major_words", int_of_float s.Gc.major_words);
+    ("minor_collections", s.Gc.minor_collections);
+    ("major_collections", s.Gc.major_collections);
+  ]
+
+let register_gc () =
+  let base = ref (List.map (fun (k, _) -> (k, 0)) (gc_totals (Gc.quick_stat ()))) in
+  register_source ~name:"gc"
+    ~snapshot:(fun () ->
+      let s = Gc.quick_stat () in
+      List.map2 (fun (k, v) (_, b) -> (k, I (v - b))) (gc_totals s) !base
+      @ [ ("heap_words", I s.Gc.heap_words); ("top_heap_words", I s.Gc.top_heap_words) ])
+    ~reset:(fun () -> base := gc_totals (Gc.quick_stat ()))
+
 let reset_all () =
   Hashtbl.iter
     (fun _ m ->

@@ -46,6 +46,13 @@ val register_source :
 
 val unregister_source : string -> unit
 
+val register_gc : unit -> unit
+(** register the ["gc"] source: the OCaml runtime's [Gc.quick_stat].
+    [minor_words], [promoted_words], [major_words], [minor_collections]
+    and [major_collections] count from the last reset; [heap_words] is
+    the major heap's size now and [top_heap_words] its peak since the
+    process started *)
+
 (** {1 Snapshot / report / reset} *)
 
 (** JSON object

@@ -47,7 +47,7 @@ let refresh_stats ctx (r : Value.relation) ~arity_hint =
   let heap = ctx.Runtime.heap in
   let distinct =
     List.map
-      (fun (field, ixoid) -> field, Hashtbl.length (get_index_obj ctx ixoid).Value.ix_tbl)
+      (fun (field, ixoid) -> field, (get_index_obj ctx ixoid).Value.ix_distinct)
       (List.sort compare r.Value.rel_indexes)
   in
   incr stats_updates;
@@ -122,13 +122,13 @@ let rows ctx oid = Relcore.snapshot_rows ctx.Runtime.heap (get ctx oid)
 type index = Value.index_obj
 
 let index_field (ix : index) = ix.Value.ix_field
-let index_distinct (ix : index) = Hashtbl.length ix.Value.ix_tbl
+let index_distinct (ix : index) = ix.Value.ix_distinct
 
 let index_positions (ix : index) key =
   incr index_probes;
-  match Hashtbl.find_opt ix.Value.ix_tbl key with
+  match Value.Keys.find_opt key ix.Value.ix_keys with
   | None -> []
-  | Some positions -> List.sort compare positions
+  | Some positions -> List.rev positions
 
 let find_index ctx oid field =
   let r = get ctx oid in
@@ -143,23 +143,17 @@ let key_of_field ~what v =
   | Some l -> l
   | None -> Runtime.fault "%s: field value %s cannot be an index key" what (Value.type_name v)
 
-(* positions are kept most-recent-first (O(1) maintenance on insert);
-   probes and the IDX1 codec sort ascending *)
-let index_insert idx key pos =
-  let old = Option.value ~default:[] (Hashtbl.find_opt idx key) in
-  Hashtbl.replace idx key (pos :: old)
-
 let add_index ctx oid field =
   let heap = ctx.Runtime.heap in
   let r = get ctx oid in
   incr index_builds;
-  let tbl = Hashtbl.create (max 16 r.Value.rel_count) in
+  let ix = Value.index_create field in
   Relcore.iteri heap r (fun pos row ->
       let fields = row_tuple ctx row in
       if field < 0 || field >= Array.length fields then
         Runtime.fault "index: field %d out of range" field;
-      index_insert tbl (key_of_field ~what:"index" fields.(field)) pos);
-  let ixoid = Value.Heap.alloc heap (Value.Index { Value.ix_field = field; ix_tbl = tbl }) in
+      Value.index_add ix (key_of_field ~what:"index" fields.(field)) pos);
+  let ixoid = Value.Heap.alloc heap (Value.Index ix) in
   r.Value.rel_indexes <- (field, ixoid) :: List.remove_assoc field r.Value.rel_indexes;
   refresh_stats ctx r ~arity_hint:None;
   Value.Heap.note_write heap oid
@@ -173,8 +167,7 @@ let insert ctx oid fields =
   List.iter
     (fun (field, ixoid) ->
       if field < Array.length fields then begin
-        let ix = get_index_obj ctx ixoid in
-        index_insert ix.Value.ix_tbl (key_of_field ~what:"insert" fields.(field)) pos;
+        Value.index_add (get_index_obj ctx ixoid) (key_of_field ~what:"insert" fields.(field)) pos;
         Value.Heap.note_write heap ixoid
       end)
     r.Value.rel_indexes;

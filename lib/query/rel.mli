@@ -7,8 +7,9 @@
     relation of millions of rows never materializes its row array (see
     {!Tml_vm.Relcore}).
 
-    Relations carry persistent secondary hash indexes, each a sibling
-    [Index] store object maintained incrementally by {!insert} and
+    Relations carry persistent secondary indexes, each a sibling
+    [Index] store object (keys in order, so a commit encodes it without
+    sorting) maintained incrementally by {!insert} and
     committed/recovered with the relation, plus a small [Stats] object with
     cardinality statistics.  Whether an index exists — and how selective it
     is — is a {e runtime} binding: precisely the information the paper says
@@ -52,7 +53,7 @@ val rows : Runtime.ctx -> Tml_core.Oid.t -> Value.t array
     persistent index and the stats object incrementally. *)
 val insert : Runtime.ctx -> Tml_core.Oid.t -> Value.t array -> unit
 
-(** [add_index ctx rel field] builds (or rebuilds) a persistent hash index
+(** [add_index ctx rel field] builds (or rebuilds) a persistent index
     on a field position, stored as a sibling [Index] store object. *)
 val add_index : Runtime.ctx -> Tml_core.Oid.t -> int -> unit
 

@@ -57,6 +57,9 @@ type session_state = {
   mutable ss_pstore : Pstore.t;  (* replaced when a conflict aborts the transaction *)
   mutable ss_repl : Repl.session;
   mutable ss_defined : bool;  (* manifest changed since the last commit *)
+  mutable ss_batch : (int * string) list option;
+      (* what a commit would write, collected by the last Eval; stale once
+         anything else runs on the session *)
   mutable ss_staged_bytes : int;
   mutable ss_phase : string;  (* what the session is doing, for :top *)
   mutable ss_requests : int;
@@ -120,13 +123,17 @@ let sfail fmt = Format.kasprintf (fun s -> raise (Session_error s)) fmt
 
 (* Stage the manifest (only if this session defined names — data-only
    commits must not touch the shared manifest OIDs, or every pair of
-   concurrent writers would conflict on them) and encode the batch.
-   Caller holds the eval lock. *)
-let prepare_commit ss =
-  let root =
-    if ss.ss_defined then Some (Oid.to_int (Repl.stage ss.ss_repl ss.ss_pstore)) else None
-  in
-  (root, Pstore.collect ss.ss_pstore)
+   concurrent writers would conflict on them) and encode the batch: the
+   [kept] one the session's last Eval collected, unless staging the
+   manifest changed what a commit writes.  Caller holds the eval lock. *)
+let prepare_commit ?kept ss =
+  if ss.ss_defined then
+    let root = Oid.to_int (Repl.stage ss.ss_repl ss.ss_pstore) in
+    (Some root, Pstore.collect ss.ss_pstore)
+  else
+    match kept with
+    | Some batch -> (None, batch)
+    | None -> (None, Pstore.collect ss.ss_pstore)
 
 (* Hand a prepared batch to the group committer and wait for the group's
    seal.  Runs without the eval lock unless the caller (the optimizer's
@@ -199,40 +206,40 @@ let heap_of ss = (Repl.ctx ss.ss_repl).Runtime.heap
    can also fault whatever another session sealed below it), and on the
    way out the cursor follows the heap.  Only a reclaimed read-only Eval
    shrinks a heap, and never below where its section began, so the
-   cursor never moves back past an OID some session still holds. *)
+   cursor never moves back past an OID some session still holds.  [f]
+   gets the batch the session's last Eval kept: whatever [f] runs
+   makes it stale, so only a commit may seal it. *)
 let session_locked t ss f =
   let heap = heap_of ss in
   eval_locked t (fun () ->
       Value.Heap.reserve heap t.next_oid;
-      Fun.protect ~finally:(fun () -> t.next_oid <- Value.Heap.size heap) f)
-
-(* A read-only Eval's fresh objects are garbage once its reply is
-   rendered.  When the batch a commit would write holds only OIDs at or
-   past [lo], the heap size the Eval began at, no older object changed
-   (so none refers to a fresh one) and no earlier Eval left fresh
-   objects staged, so nothing that outlives the Eval can reach them. *)
-let reclaimable ~lo batch = List.for_all (fun (ix, _) -> ix >= lo) batch
+      let kept = ss.ss_batch in
+      ss.ss_batch <- None;
+      Fun.protect ~finally:(fun () -> t.next_oid <- Value.Heap.size heap) (fun () -> f kept))
 
 (* After an eval: reclaim a read-only Eval's fresh objects ([lo] is
-   given for TL source that defined no names) and refresh the
-   staged-byte figure the admission check reads. *)
+   given for TL source that defined no names, see
+   [Pstore.reclaim_from]), keep the batch a commit would write, and
+   refresh the staged-byte figure the admission check reads.  A
+   reclaimed Eval leaves nothing to write. *)
 let after_eval t ss ?lo () =
   let size = Value.Heap.size (heap_of ss) in
-  let batch = lazy (Pstore.collect ss.ss_pstore) in
-  let reclaimed =
+  let batch =
     match lo with
-    | Some lo when reclaimable ~lo (Lazy.force batch) ->
-      Pstore.discard_from ss.ss_pstore lo;
-      Metrics.inc t.m_evals_reclaimed;
-      Metrics.add t.m_objects_reclaimed (size - lo);
-      true
-    | _ -> false
+    | Some lo -> (
+      match Pstore.reclaim_from ss.ss_pstore lo with
+      | None ->
+        Metrics.inc t.m_evals_reclaimed;
+        Metrics.add t.m_objects_reclaimed (size - lo);
+        Some []
+      | batch -> batch)
+    | None -> if t.config.staged_cap > 0 then Some (Pstore.collect ss.ss_pstore) else None
   in
-  (* after a reclamation the batch held only the discarded objects *)
-  if reclaimed then ss.ss_staged_bytes <- 0
-  else if t.config.staged_cap > 0 then
-    ss.ss_staged_bytes <-
-      List.fold_left (fun a (_, p) -> a + String.length p) 0 (Lazy.force batch)
+  Option.iter
+    (fun b ->
+      ss.ss_batch <- Some b;
+      ss.ss_staged_bytes <- List.fold_left (fun a (_, p) -> a + String.length p) 0 b)
+    batch
 
 let render_feed (r : Repl.feed_result) =
   let buf = Buffer.create 128 in
@@ -440,7 +447,7 @@ let handle_eval t ss ?trace src =
          ss.ss_staged_bytes t.config.staged_cap)
   else begin
     Metrics.inc t.m_evals;
-    session_locked t ss (fun () ->
+    session_locked t ss (fun _ ->
         let probe = slow_probe ss in
         let out, lo =
           let line = String.trim src in
@@ -480,6 +487,7 @@ let install_view t ss (pstore, repl) =
   ss.ss_pstore <- pstore;
   ss.ss_repl <- repl;
   ss.ss_defined <- false;
+  ss.ss_batch <- None;
   ss.ss_staged_bytes <- 0;
   (Repl.ctx repl).Runtime.durable_commit <-
     Some
@@ -499,7 +507,7 @@ let abort t ss =
       Pstore.close old)
 
 let handle_commit t ss ?trace () =
-  let prepared = session_locked t ss (fun () -> prepare_commit ss) in
+  let prepared = session_locked t ss (fun kept -> prepare_commit ?kept ss) in
   match Trace.with_span ~cat:"server" "commit.submit" (fun () ->
             submit_commit t ss prepared)
   with
@@ -574,8 +582,8 @@ let handle_req t ss ?trace req =
     | Wire.Eval src -> handle_eval t ss ?trace src
     | Wire.Commit -> handle_commit t ss ?trace ()
     | Wire.Stat -> handle_stat ss
-    | Wire.Explain name -> session_locked t ss (fun () -> handle_explain ss name)
-    | Wire.Fetch name -> session_locked t ss (fun () -> handle_fetch ss name)
+    | Wire.Explain name -> session_locked t ss (fun _ -> handle_explain ss name)
+    | Wire.Fetch name -> session_locked t ss (fun _ -> handle_fetch ss name)
     | Wire.Pull oid -> handle_pull t ss ?trace oid
     | Wire.Slowlog { json } ->
       Wire.Stats
@@ -607,6 +615,7 @@ let open_session t ~id ~fd =
           ss_pstore = pstore;
           ss_repl = repl;
           ss_defined = false;
+          ss_batch = None;
           ss_staged_bytes = 0;
           ss_phase = "idle";
           ss_requests = 0;
@@ -883,6 +892,7 @@ let listen_on addr =
 
 let register_server_metrics t =
   Ls.register_metrics t.log;
+  Metrics.register_gc ();
   Profile.register_metrics ();
   Tierup.register_metrics ();
   Tml_query.Qprims.register_metrics ();

@@ -120,23 +120,19 @@ let w_obj w (obj : Value.obj) =
     Codec.W.varint w (List.length rel.Value.rel_triggers);
     List.iter (w_value w) rel.Value.rel_triggers
   | Value.Index ix ->
-    (* IDX1: persistent secondary hash index. Canonical bytes: keys
-       sorted, positions ascending. *)
+    (* IDX1: persistent secondary index. Canonical bytes: keys in
+       [Value.Keys] order, positions ascending — the order the index
+       already holds them in, so nothing is sorted here. *)
     Codec.W.u8 w 8;
     Codec.W.raw w "IDX1";
     Codec.W.varint w ix.Value.ix_field;
-    let entries =
-      Hashtbl.fold (fun k ps acc -> (k, ps) :: acc) ix.Value.ix_tbl []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    in
-    Codec.W.varint w (List.length entries);
-    List.iter
-      (fun (key, positions) ->
+    Codec.W.varint w ix.Value.ix_distinct;
+    Value.Keys.iter
+      (fun key positions ->
         w_value w (Value.of_literal key);
-        let positions = List.sort compare positions in
         Codec.W.varint w (List.length positions);
-        List.iter (Codec.W.varint w) positions)
-      entries
+        List.iter (Codec.W.varint w) (List.rev positions))
+      ix.Value.ix_keys
   | Value.Stats st ->
     Codec.W.u8 w 9;
     Codec.W.raw w "STA1";
@@ -284,9 +280,8 @@ let r_obj r : Value.obj * int list (* indexed fields, relations only *) =
   | 8 ->
     let magic = Codec.R.raw r 4 in
     if magic <> "IDX1" then fail "bad index magic %S" magic;
-    let ix_field = Codec.R.varint r in
+    let ix = Value.index_create (Codec.R.varint r) in
     let nkeys = Codec.R.varint r in
-    let ix_tbl = Hashtbl.create (max 16 nkeys) in
     for _ = 1 to nkeys do
       let key =
         match Value.to_literal (r_value r) with
@@ -294,10 +289,12 @@ let r_obj r : Value.obj * int list (* indexed fields, relations only *) =
         | None -> fail "non-literal index key in store object"
       in
       let np = Codec.R.varint r in
-      let positions = List.init np (fun _ -> Codec.R.varint r) in
-      Hashtbl.replace ix_tbl key positions
+      (* stored ascending, held newest first *)
+      let positions = List.rev (List.init np (fun _ -> Codec.R.varint r)) in
+      ix.Value.ix_keys <- Value.Keys.add key positions ix.Value.ix_keys
     done;
-    Value.Index { Value.ix_field; ix_tbl }, []
+    ix.Value.ix_distinct <- Value.Keys.cardinal ix.Value.ix_keys;
+    Value.Index ix, []
   | 9 ->
     let magic = Codec.R.raw r 4 in
     if magic <> "STA1" then fail "bad stats magic %S" magic;
@@ -328,12 +325,12 @@ let decode_obj s =
   | Codec.R.Truncated -> fail "truncated object"
   | Codec.R.Malformed msg -> fail "malformed object: %s" msg
 
-(* Rebuild the hash indexes of a legacy (pre-REL1) relation already
-   installed in [heap]: for each persisted field, build the hash table
-   by scanning the rows (dereferencing row tuples, possibly faulting
-   them in) and allocate it as a first-class [Index] object. REL1
-   relations never come through here — their indexes are store objects
-   that fault on demand. *)
+(* Rebuild the indexes of a legacy (pre-REL1) relation already
+   installed in [heap]: for each persisted field, build the index by
+   scanning the rows in position order (dereferencing row tuples,
+   possibly faulting them in) and allocate it as a first-class [Index]
+   object. REL1 relations never come through here — their indexes are
+   store objects that fault on demand. *)
 let rebuild_relation_indexes heap oid fields =
   let key_of v =
     match Value.to_literal v with
@@ -345,18 +342,16 @@ let rebuild_relation_indexes heap oid fields =
     let ixs =
       List.map
         (fun field ->
-          let idx = Hashtbl.create (max 16 rel.Value.rel_count) in
+          let ix = Value.index_create field in
           Relcore.iteri heap rel (fun pos row ->
               match row with
               | Value.Oidv roid -> (
                 match Value.Heap.get_opt heap roid with
                 | Some (Value.Tuple slots) when field < Array.length slots ->
-                  let key = key_of slots.(field) in
-                  let old = Option.value ~default:[] (Hashtbl.find_opt idx key) in
-                  Hashtbl.replace idx key (pos :: old)
+                  Value.index_add ix (key_of slots.(field)) pos
                 | _ -> fail "relation row %d is not a valid tuple" pos)
               | _ -> fail "relation row %d is not a reference" pos);
-          let ix_oid = Value.Heap.alloc heap (Value.Index { Value.ix_field = field; ix_tbl = idx }) in
+          let ix_oid = Value.Heap.alloc heap (Value.Index ix) in
           field, ix_oid)
         (List.sort compare fields)
     in

@@ -2,9 +2,10 @@
     durable log store ([Pstore]).
 
     One encoded object is self-contained: inter-object references stay
-    symbolic ([Oidv]), relation hash indexes are persisted as the list of
-    indexed field positions and rebuilt on load, and functions round-trip
-    through their PTML form.  Live closures have no persistent form and
+    symbolic ([Oidv]), a relation's indexes are sibling [Index] objects
+    (a legacy relation persisted only the list of indexed field
+    positions, and its indexes are rebuilt on load), and functions
+    round-trip through their PTML form.  Live closures have no persistent form and
     are rejected. *)
 
 exception Codec_error of string
@@ -34,7 +35,7 @@ val decode_obj : string -> Value.obj * int list
     @raise Codec_error on any malformed input *)
 
 val rebuild_relation_indexes : Value.Heap.heap -> Tml_core.Oid.t -> int list -> unit
-(** [rebuild_relation_indexes heap oid fields] recomputes the hash index
+(** [rebuild_relation_indexes heap oid fields] recomputes the index
     on each of [fields] for the relation at [oid], dereferencing its rows
     through the heap (which may fault them in from a backing store).
     @raise Codec_error if [oid] is not a relation or a row is invalid *)

@@ -60,6 +60,7 @@ let note_update t oid =
 let object_faults = Tml_obs.Metrics.counter "store.object_faults"
 
 let cache_invalidations = Tml_obs.Metrics.counter "store.cache_invalidations"
+let objects_encoded = Tml_obs.Metrics.counter "store.objects_encoded"
 
 let backing_read t ix = Ls.find_at t.store t.snap ix
 
@@ -169,35 +170,41 @@ let encode_at t ix =
   | None -> None
   | Some obj -> (
     match Obj_codec.encode_obj obj with
-    | payload -> Some payload
+    | payload ->
+      Tml_obs.Metrics.inc objects_encoded;
+      Some payload
     | exception Obj_codec.Codec_error msg -> fail "cannot commit object %d: %s" ix msg)
+
+(* The [(oid, payload)] pairs of [oids] a commit must write.  Objects
+   whose encoding equals their version at the pinned epoch were written
+   back unchanged (a relinked function whose bindings came out the same,
+   a write of the value a slot already held) — they are dropped.  That
+   holds at any OID: on a shared log, objects other sessions sealed can
+   sit past this session's watermark. *)
+let changed t oids =
+  List.filter_map
+    (fun ix ->
+      match encode_at t ix with
+      | None -> None
+      | Some payload ->
+        if
+          match backing_read t ix with
+          | Some sealed -> String.equal sealed payload
+          | None -> false
+        then None
+        else Some (ix, payload))
+    oids
+
+let remember t batch =
+  t.batch_oids <- List.map fst batch;
+  batch
 
 (* Encode everything a commit would write, without sealing: [commit]
    seals the batch itself, the server enqueues it with the group
-   committer.  Objects whose encoding equals their version at the pinned
-   epoch were written back unchanged (a relinked function whose bindings
-   came out the same, a write of the value a slot already held) — they
-   are dropped from the batch.  That holds at any OID: on a shared log,
-   objects other sessions sealed can sit past this session's
-   watermark. *)
+   committer. *)
 let collect t =
   check_open t;
-  let batch =
-    List.filter_map
-      (fun ix ->
-        match encode_at t ix with
-        | None -> None
-        | Some payload ->
-          if
-            match backing_read t ix with
-            | Some sealed -> String.equal sealed payload
-            | None -> false
-          then None
-          else Some (ix, payload))
-      (to_write_oids t)
-  in
-  t.batch_oids <- List.map fst batch;
-  batch
+  remember t (changed t (to_write_oids t))
 
 let mark_committed t sn =
   check_open t;
@@ -231,18 +238,33 @@ let mark_committed t sn =
   t.watermark <- max t.watermark (Value.Heap.size t.heap);
   t.txn_base <- Value.Heap.size t.heap
 
-let discard_from t lo =
+(* A commit now would write an object below [lo] exactly when one of
+   them is fresh (an earlier Eval left it: loaded past the watermark
+   with no sealed version) or dirty with an encoding that changed.  The
+   rest of the loaded objects below [lo] were faulted and never written,
+   so they encode as sealed.  Only the dirty objects below [lo] are
+   encoded to decide, and a batch that has to be built reuses them. *)
+let reclaim_from t lo =
   check_open t;
-  if lo < t.watermark || List.exists (fun ix -> ix < lo) t.batch_oids then
+  if lo < t.watermark then
     invalid_arg
-      (Printf.sprintf
-         "Pstore.discard_from: %d is below the watermark %d or the last collected batch"
-         lo t.watermark);
-  (* the last collect wrote nothing below [lo], so every older dirty
-     object was written back unchanged: it is a clean copy again *)
-  Hashtbl.reset t.dirty;
-  t.batch_oids <- [];
-  Value.Heap.truncate t.heap lo
+      (Printf.sprintf "Pstore.reclaim_from: %d is below the watermark %d" lo t.watermark);
+  let oids = to_write_oids t in
+  let below, rest = List.partition (fun ix -> ix < lo && Hashtbl.mem t.dirty ix) oids in
+  if List.exists (fun ix -> ix < lo && Ls.latest_seq t.store ix = None) rest then
+    Some (remember t (changed t oids))
+  else
+    match changed t below with
+    | [] ->
+      (* every older dirty object was written back unchanged: it is a
+         clean copy again *)
+      Hashtbl.reset t.dirty;
+      t.batch_oids <- [];
+      Value.Heap.truncate t.heap lo;
+      None
+    | written ->
+      let by_oid (a, _) (b, _) = compare a b in
+      Some (remember t (List.merge by_oid written (changed t rest)))
 
 (* The same steps the server's group committer runs for each winner. *)
 let commit ?root t =

@@ -18,7 +18,8 @@
 
     There is one write path.  {!collect} encodes every dirty and new
     object and keeps those whose encoding differs from the pinned
-    version; {!commit} seals that batch with one write-ahead commit
+    version (the server keeps that batch for the commit that follows
+    its Eval); {!commit} seals that batch with one write-ahead commit
     record ({!Tml_store.Log_store.commit}), pins the new epoch and hands
     it to {!mark_committed} — the steps the server's group committer
     runs for each winner.  After a crash the store recovers exactly the
@@ -81,9 +82,10 @@ val collect : t -> (int * string) list
 (** encode every written and new object into an [(oid, payload)] batch
     without sealing anything — what {!commit} seals, and what a server
     session hands to the group committer.  Only written objects are
-    encoded: a read stages nothing.  A written object whose encoding is
-    byte-identical to the version visible at this store's pinned epoch
-    (written back unchanged) is dropped from the batch.
+    encoded (each one counts in {!objects_encoded}): a read stages
+    nothing.  A written object whose encoding is byte-identical to the
+    version visible at this store's pinned epoch (written back
+    unchanged) is dropped from the batch.
     @raise Store_error if an object holds a live closure *)
 
 val mark_committed : t -> Tml_store.Log_store.snapshot -> unit
@@ -99,18 +101,20 @@ val mark_committed : t -> Tml_store.Log_store.snapshot -> unit
     the last commit, or when the store adopted the heap) is evicted too:
     most are one-shot expression functions, and a call faults it back. *)
 
-val discard_from : t -> int -> unit
-(** [discard_from t lo] drops every object allocated at OID [lo] or
-    above — never committed, since [lo] is at or past the watermark —
-    from the heap and the dirty set, and moves the allocation cursor back
-    to [lo] ({!Value.Heap.truncate}).  The last {!collect}'s batch must
-    hold only OIDs at or past [lo]: then no older object changed, so the
-    older dirty objects were written back unchanged and stop counting as
-    dirty.  The
-    caller also guarantees no process-wide table refers to the dropped
+val reclaim_from : t -> int -> (int * string) list option
+(** [reclaim_from t lo] — after an Eval that began at heap size [lo]
+    and defined no name.  When a commit now would write no object below
+    [lo], nothing older refers to the Eval's fresh objects and no
+    earlier Eval left any staged, so they are garbage: every object at
+    OID [lo] or above is dropped from the heap and the dirty set, the
+    allocation cursor moves back to [lo] ({!Value.Heap.truncate}), the
+    older dirty objects (written back unchanged) are clean again, and
+    the result is [None].  Otherwise the result is the {!collect}
+    batch.  To decide, it encodes only the dirty objects below [lo]
+    (none after a read-only Eval) and reuses them in the batch.  The
+    caller guarantees no process-wide table refers to the dropped
     objects.
-    @raise Invalid_argument if [lo] is below the watermark, or the last
-    batch holds an OID below [lo] *)
+    @raise Invalid_argument if [lo] is below the watermark *)
 
 val snapshot : t -> Tml_store.Log_store.snapshot
 (** the pinned read view *)
@@ -138,6 +142,10 @@ val uncommitted_count : t -> int
 val object_faults : Tml_obs.Metrics.counter
 (** the registry counter [store.object_faults]: objects decoded from a
     log on first dereference, summed over every store in the process *)
+
+val objects_encoded : Tml_obs.Metrics.counter
+(** the registry counter [store.objects_encoded]: objects {!collect} and
+    {!reclaim_from} encoded, summed over every store in the process *)
 
 val cache_invalidations : Tml_obs.Metrics.counter
 (** the registry counter [store.cache_invalidations]: cached objects a

@@ -63,7 +63,6 @@ let hot (u : Instr.unit_code) =
 let run ctx (c : Value.mclosure) args =
   let u = c.Value.m_unit in
   stats_.runs <- stats_.runs + 1;
-  Tml_obs.Events.tier `Run ~name:u.Instr.funcs.(c.Value.m_fn).Instr.fn_name;
   Jit.apply_func (Jit.compile_unit u) ~fn:c.Value.m_fn ~env:c.Value.m_env ctx args
 
 let force_promote ctx oid =

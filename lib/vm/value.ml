@@ -1,5 +1,11 @@
 open Tml_core
 
+module Keys = Map.Make (struct
+  type t = Literal.t
+
+  let compare = Stdlib.compare
+end)
+
 type t =
   | Unit
   | Bool of bool
@@ -70,8 +76,9 @@ and relation = {
 
 and index_obj = {
   ix_field : int;
-  ix_tbl : (Literal.t, int list) Hashtbl.t;
-      (** key -> row positions, ascending *)
+  mutable ix_keys : int list Keys.t;
+      (** key -> row positions, newest (largest) first *)
+  mutable ix_distinct : int;  (** [Keys.cardinal ix_keys], kept *)
 }
 
 and stats_obj = {
@@ -92,6 +99,18 @@ and func_obj = {
   mutable fo_summary : Tml_analysis.Infer.summary option;
   mutable fo_attrs : (string * int) list;
 }
+
+let index_create field = { ix_field = field; ix_keys = Keys.empty; ix_distinct = 0 }
+
+let index_add ix key pos =
+  ix.ix_keys <-
+    Keys.update key
+      (function
+        | Some ps -> Some (pos :: ps)
+        | None ->
+          ix.ix_distinct <- ix.ix_distinct + 1;
+          Some [ pos ])
+      ix.ix_keys
 
 module Heap = struct
   type heap = {

@@ -10,6 +10,10 @@
     runtime R-value bindings of their free identifiers — the material the
     reflective optimizer of section 4.1 works from. *)
 
+module Keys : Map.S with type key = Tml_core.Literal.t
+(** index keys in the order IDX1 writes them: [Stdlib.compare], whose
+    equality merges [0.0] with [-0.0] and one NaN with another *)
+
 type t =
   | Unit
   | Bool of bool
@@ -55,7 +59,7 @@ type obj =
   | Module of module_obj
   | Relation of relation
   | Func of func_obj
-  | Index of index_obj   (** persistent secondary hash index of a relation *)
+  | Index of index_obj   (** persistent secondary index of a relation *)
   | Stats of stats_obj   (** per-relation cardinality statistics *)
 
 and module_obj = {
@@ -75,7 +79,7 @@ and relation = {
   mutable rel_tail_len : int;  (** valid prefix of [rel_tail] *)
   mutable rel_count : int;     (** total logical row count *)
   mutable rel_indexes : (int * Tml_core.Oid.t) list;
-      (** hash indexes: field position → sibling [Index] store object,
+      (** indexes: field position → sibling [Index] store object,
           maintained incrementally by [Tml_query.Rel.insert] and
           committed/recovered with the relation *)
   mutable rel_stats : Tml_core.Oid.t option;
@@ -92,7 +96,10 @@ and relation = {
 
 and index_obj = {
   ix_field : int;  (** the indexed tuple field *)
-  ix_tbl : (Tml_core.Literal.t, int list) Hashtbl.t;  (** key → row positions *)
+  mutable ix_keys : int list Keys.t;
+      (** key → row positions, newest (largest) first.  A key is bound
+          to the key of the last row that carried it *)
+  mutable ix_distinct : int;  (** number of keys *)
 }
 
 and stats_obj = {
@@ -122,6 +129,16 @@ and func_obj = {
       (** derived attributes (costs, savings, ...) attached by the optimizer
           and kept with the persistent system state *)
 }
+
+(** {1 Indexes} *)
+
+val index_create : int -> index_obj
+(** an empty index on a tuple field *)
+
+val index_add : index_obj -> Tml_core.Literal.t -> int -> unit
+(** [index_add ix key pos] records row [pos] under [key].  Rows are
+    added in position order, so [pos] is larger than every position
+    already recorded and each key's list stays newest first *)
 
 (** {1 Heap} *)
 

@@ -302,6 +302,38 @@ let test_no_speccache_source () =
   check tbool "the tier source is registered" true (contains json "\"tier\":{");
   check tbool "the cache stub registers no source" false (contains json "\"speccache\":{")
 
+(* the gc source: every Gc.quick_stat figure, running totals that grow
+   with allocation and restart from a reset *)
+let test_gc_source () =
+  Metrics.register_gc ();
+  let gc key =
+    let json = Metrics.snapshot_json () in
+    let rec after from needle =
+      if from + String.length needle > String.length json then
+        Alcotest.failf "no %s in %s" needle json
+      else if String.sub json from (String.length needle) = needle then
+        from + String.length needle
+      else after (from + 1) needle
+    in
+    let at = after (after 0 "\"gc\":{") (Printf.sprintf "\"%s\":" key) in
+    Scanf.sscanf (String.sub json at 20) "%d" Fun.id
+  in
+  List.iter
+    (fun key -> check tbool (key ^ " reported") true (gc key >= 0))
+    [ "minor_words"; "promoted_words"; "major_words"; "minor_collections";
+      "major_collections"; "heap_words"; "top_heap_words" ];
+  (* OCaml 5 counts a domain's minor words in batches, so the bound is
+     loose: two million list cells are six million words *)
+  let words = gc "minor_words" in
+  let kept = Sys.opaque_identity (List.init 20 (fun _ -> List.init 100_000 Fun.id)) in
+  let grown = gc "minor_words" in
+  check tbool "two million list cells are counted" true (grown - words >= 2_000_000);
+  check tbool "the heap has a peak" true (gc "top_heap_words" >= gc "heap_words");
+  ignore (Sys.opaque_identity kept);
+  Metrics.reset_all ();
+  check tbool "a reset restarts the running totals" true (gc "minor_words" < grown / 2);
+  check tbool "but not the heap's size" true (gc "heap_words" > 0)
+
 let test_vm_run_metric () =
   Metrics.reset_all ();
   (* the vm.run_steps histogram is always on, tracing or not *)
@@ -681,6 +713,7 @@ let () =
           Alcotest.test_case "reservoir under concurrency" `Quick test_reservoir_concurrent;
           Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
           Alcotest.test_case "no speccache source" `Quick test_no_speccache_source;
+          Alcotest.test_case "gc source" `Quick test_gc_source;
         ] );
       ( "slowlog",
         [

@@ -211,6 +211,71 @@ let test_counts () =
   ignore (Repl.feed s "let a(x: Int): Int = x");
   check tint "one more function" (n0 + 1) (List.length (Repl.function_oids s))
 
+(* Two sessions over one log, as tmld runs them.  Session B runs [get]
+   compiled, through a compiled call site that caches it.  Session A
+   then runs a read-only Eval whose objects are reclaimed, and a write
+   it commits: B's heap generation, which keys its inline caches, does
+   not move, and B's get keeps its compiled unit. *)
+let test_other_session_leaves_compiled_code () =
+  let path = Filename.temp_file "tml_repl_two" ".tmlstore" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let s = Repl.create () in
+      ignore (Repl.feed s "let r = relation(tuple(1, 10), tuple(2, 20))");
+      ignore (Repl.feed s "do mkindex(r, 1) end");
+      ignore (Repl.feed s "let get(k: Int): Int = count(select t from t in r where t.1 == k end)");
+      let ps = Pstore.attach ~fsync:false path (Repl.ctx s).Runtime.heap in
+      ignore (Repl.persist s ps);
+      Pstore.close ps;
+      let log = Tml_store.Log_store.open_ ~fsync:false path in
+      let base = Tml_store.Log_store.max_oid log + 1 in
+      (* B allocates far past A, as the server's one cursor keeps them apart *)
+      let a_ps = Pstore.open_snapshot log ~alloc_base:base in
+      let b_ps = Pstore.open_snapshot log ~alloc_base:(base + 100_000) in
+      let a = Repl.restore a_ps and b = Repl.restore b_ps in
+      let ctx_b = Repl.ctx b and heap_b = Pstore.heap b_ps in
+      let get = Option.get (Repl.function_oid b "get") in
+      let caller =
+        Value.Heap.alloc_func heap_b ~name:"caller"
+          (Tml_core.Sexp.parse_value
+             (Printf.sprintf "proc(k ce! cc!) (<oid %d> k ce! cc!)" (Tml_core.Oid.to_int get)))
+      in
+      check tbool "B's get promoted" true (Tierup.force_promote ctx_b get);
+      check tbool "B's caller promoted" true (Tierup.force_promote ctx_b caller);
+      let call k =
+        match Machine.run_proc ctx_b (Value.Oidv caller) [ Value.Int k ] with
+        | Eval.Done (Value.Int n) -> n
+        | o -> Alcotest.failf "caller(%d): %a" k Eval.pp_outcome o
+      in
+      check tint "B's get(1)" 1 (call 1);
+      let code () =
+        match Value.Heap.peek heap_b get with
+        | Some (Value.Func fo) -> fo.Value.fo_code
+        | _ -> None
+      in
+      let get_code = Option.get (code ()) in
+      let gen = Value.Heap.generation heap_b in
+      let heap_a = Pstore.heap a_ps in
+      let lo = Value.Heap.size heap_a in
+      expect_value a "get(2)" (Value.Int 1);
+      check tbool "A's read-only Eval is reclaimed" true (Pstore.reclaim_from a_ps lo = None);
+      ignore (Repl.feed a "do insert(r, tuple(3, 30)) end");
+      ignore (Tml_store.Log_store.commit log (Pstore.collect a_ps));
+      Pstore.mark_committed a_ps (Tml_store.Log_store.pin log);
+      expect_value a "get(3)" (Value.Int 1);
+      check tint "B's generation did not move" gen (Value.Heap.generation heap_b);
+      check tbool "B's get keeps its compiled unit" true
+        (match code () with
+        | Some u -> u == get_code && Jit.is_compiled u
+        | None -> false);
+      check tint "B's compiled get reads B's snapshot" 0 (call 3);
+      check tint "without moving its generation" gen (Value.Heap.generation heap_b);
+      Pstore.close a_ps;
+      Pstore.close b_ps;
+      Tml_store.Log_store.close log)
+
 let () =
   Runtime.install ();
   Alcotest.run "tml_repl"
@@ -235,5 +300,7 @@ let () =
           Alcotest.test_case "redefinition reaches compiled call sites" `Quick
             test_redefinition_reaches_compiled_sites;
           Alcotest.test_case "an Eval replaces no slot" `Quick test_eval_replaces_no_slot;
+          Alcotest.test_case "another session leaves compiled code alone" `Quick
+            test_other_session_leaves_compiled_code;
         ] );
     ]

@@ -506,16 +506,20 @@ let test_slowlog_survives_restart () =
 
 let reclaimed () = Metrics.counter_value (Metrics.counter "server.evals_reclaimed")
 
-(* the session's uncommitted object count, from its Stat frame *)
-let staged_objects c =
+(* an integer in the session's Stat frame: the one after the last of
+   [keys], each found after the one before *)
+let stat_int c keys =
   let s = Client.stats c in
-  let key = "\"staged_objects\":" in
-  let rec find i =
+  let rec find i key =
     if i + String.length key > String.length s then Alcotest.failf "no %s in %s" key s
     else if String.sub s i (String.length key) = key then i + String.length key
-    else find (i + 1)
+    else find (i + 1) key
   in
-  Scanf.sscanf (String.sub s (find 0) 12) "%d" Fun.id
+  let at = List.fold_left find 0 keys in
+  Scanf.sscanf (String.sub s at (min 20 (String.length s - at))) "%d" Fun.id
+
+(* the session's uncommitted object count *)
+let staged_objects c = stat_int c [ "\"staged_objects\":" ]
 
 let test_read_only_evals_stage_nothing () =
   with_server (fun addr _t ->
@@ -845,6 +849,101 @@ let test_created_functions_fault_back () =
       Client.close fresh;
       Client.close c)
 
+(* --- one encode per commit ---------------------------------------------- *)
+
+let objects_encoded () = Metrics.counter_value Tml_vm.Pstore.objects_encoded
+
+(* The commit seals the batch its Eval collected: no object is encoded
+   twice. *)
+let test_eval_commit_encodes_once () =
+  with_server (fun addr _t ->
+      let c = Client.connect addr in
+      ignore (eval_ok c "let r = relation(tuple(1, 10))");
+      ignore (eval_ok c "do mkindex(r, 1) end");
+      ignore (commit_ok c);
+      let before = objects_encoded () in
+      ignore (eval_ok c "do insert(r, tuple(2, 20)) end");
+      let _, objects, _ = commit_ok c in
+      check tbool "the commit seals the insert" true (objects > 0);
+      check tint "each sealed object was encoded once" objects (objects_encoded () - before);
+      Client.close c)
+
+(* A second Eval drops the first one's batch: the commit writes both. *)
+let test_two_evals_one_commit () =
+  with_server (fun addr _t ->
+      let c = Client.connect addr in
+      ignore (eval_ok c "let r = relation(tuple(1, 10))");
+      ignore (commit_ok c);
+      ignore (eval_ok c "do insert(r, tuple(2, 20)) end");
+      ignore (eval_ok c "do insert(r, tuple(3, 30)) end");
+      ignore (commit_ok c);
+      let fresh = Client.connect addr in
+      check tint "a fresh session sees both rows" 3 (int_result (eval_ok fresh "count(r)"));
+      Client.close fresh;
+      Client.close c)
+
+(* [:optimize] commits from inside its Eval: it seals what the session
+   holds then, the optimized function with the earlier Eval's insert. *)
+let test_optimize_between_eval_and_commit () =
+  with_server (fun addr _t ->
+      let c = Client.connect addr in
+      ignore (eval_ok c "let r = relation(tuple(1, 10))");
+      ignore (eval_ok c "let f(x: Int): Int = x + 1");
+      ignore (eval_ok c "let g(x: Int): Int = f(x) * 2");
+      ignore (commit_ok c);
+      let ptml c = Result.get_ok (Client.fetch_ptml c "g") in
+      let plain = ptml c in
+      ignore (eval_ok c "do insert(r, tuple(2, 20)) end");
+      ignore (eval_ok c ":optimize g");
+      ignore (commit_ok c);
+      let optimized = ptml c in
+      check tbool "the optimizer rewrote g" false (String.equal plain optimized);
+      let fresh = Client.connect addr in
+      check Alcotest.string "a fresh session fetches the optimized g" optimized (ptml fresh);
+      check tint "and sees the insert" 2 (int_result (eval_ok fresh "count(r)"));
+      Client.close fresh;
+      Client.close c)
+
+let test_gets_encode_nothing () =
+  with_server (fun addr _t ->
+      let c = Client.connect addr in
+      ignore (eval_ok c "let r = relation(tuple(1, 10), tuple(2, 20))");
+      ignore (eval_ok c "do mkindex(r, 1) end");
+      ignore (eval_ok c "let get(k: Int): Int = count(select t from t in r where t.1 == k end)");
+      ignore (eval_ok c ":optimize get");
+      ignore (commit_ok c);
+      let before = objects_encoded () and reclaimed0 = reclaimed () in
+      for i = 1 to 1000 do
+        check tint "get" 1 (int_result (eval_ok c (Printf.sprintf "get(%d)" (1 + (i mod 2)))))
+      done;
+      check tint "1000 gets encode nothing" 0 (objects_encoded () - before);
+      check tint "and each is reclaimed" 1000 (reclaimed () - reclaimed0);
+      Client.close c)
+
+(* --- the compiled tier ---------------------------------------------- *)
+
+let test_gets_run_compiled () =
+  let saved = !Tml_vm.Tierup.enabled in
+  Tml_vm.Tierup.enabled := true;
+  Fun.protect
+    ~finally:(fun () -> Tml_vm.Tierup.enabled := saved)
+    (fun () ->
+      with_server (fun addr _t ->
+          let c = Client.connect addr in
+          ignore (eval_ok c "let r = relation(tuple(1, 10), tuple(2, 20))");
+          ignore (eval_ok c "do mkindex(r, 1) end");
+          ignore
+            (eval_ok c "let get(k: Int): Int = count(select t from t in r where t.1 == k end)");
+          ignore (commit_ok c);
+          let tier_runs () = stat_int c [ "\"tier\":{"; "\"runs\":" ] in
+          let runs0 = tier_runs () in
+          for _ = 1 to 200 do
+            check tint "get(2)" 1 (int_result (eval_ok c "get(2)"))
+          done;
+          let runs = tier_runs () - runs0 in
+          check tbool (Printf.sprintf "gets entered compiled code (%d runs)" runs) true (runs > 0);
+          Client.close c))
+
 let () =
   (* a server tearing down a connection mid-write must surface as EPIPE,
      not kill the whole test binary *)
@@ -919,4 +1018,16 @@ let () =
           Alcotest.test_case "created functions fault back after a commit" `Quick
             test_created_functions_fault_back;
         ] );
+      ( "batch",
+        [
+          Alcotest.test_case "an Eval and its Commit encode each object once" `Quick
+            test_eval_commit_encodes_once;
+          Alcotest.test_case "two Evals, one Commit: both are sealed" `Quick
+            test_two_evals_one_commit;
+          Alcotest.test_case "an :optimize before the Commit is sealed" `Quick
+            test_optimize_between_eval_and_commit;
+          Alcotest.test_case "1000 gets encode nothing" `Quick test_gets_encode_nothing;
+        ] );
+      ( "tier",
+        [ Alcotest.test_case "repeated gets raise tier.runs" `Quick test_gets_run_compiled ] );
     ]

@@ -692,6 +692,127 @@ let test_compiled_call_sees_other_session () =
       Pstore.close b;
       Ls.close log)
 
+(* --- IDX1 bytes ------------------------------------------------------- *)
+
+(* Keys of every literal kind: repeats, 0.0 beside -0.0 and NaNs with
+   different payloads (each pair one key under [compare], bound to the
+   last row's key), negative reals (their bit patterns order the other
+   way round) and an OID: OID 0 is the object the [Oidv] keys name. *)
+let idx1_keys =
+  let nan bits = Value.Real (Int64.float_of_bits bits) in
+  [ Value.Int 3; Value.Str "b"; Value.Bool true; Value.Char 'x'; Value.Real 1.5;
+    Value.Real 0.0; Value.Real (-2.0); nan 0x7FF8000000000001L; Value.Oidv (Oid.of_int 0);
+    Value.Int (-7); Value.Real (-0.0); Value.Str "a"; Value.Int 3; Value.Real (-1.0);
+    Value.Bool false; nan 0xFFF8000000000000L; Value.Char 'a'; Value.Str "b" ]
+
+let idx1_more =
+  [ Value.Real 0.0; Value.Int 3; Value.Real (Int64.float_of_bits 0x7FF0000000000002L);
+    Value.Str "c"; Value.Real (-0.0); Value.Oidv (Oid.of_int 0); Value.Int 1 ]
+
+(* the encodings an index over these keys had before it kept its keys in
+   order: [idx1_keys] alone, then with [idx1_more] inserted *)
+let idx1_golden_hex =
+  "0849445831000e01010e02010203790109030302000c046101100478010305000000000000f8ff02070f"
+  ^ "0500000000000000c0010605000000000000f0bf010d05000000000000008002050a05000000000000f8"
+  ^ "3f0104060161010b06016202011107000108"
+
+let idx1_golden_more_hex =
+  "0849445831001001010e0201020379010903010118030303000c13046101100478010305020000000000"
+  ^ "f07f03070f140500000000000000c0010605000000000000f0bf010d05000000000000008004050a1216"
+  ^ "05000000000000f83f0104060161010b06016202011106016301150700020817"
+
+let idx1_row i key = [| key; Value.Int i |]
+
+let idx1_relation ctx =
+  ignore (Value.Heap.alloc ctx.Runtime.heap (Value.Tuple [||]));
+  let rel = Tml_query.Rel.create ctx ~name:"keys" (List.mapi idx1_row idx1_keys) in
+  Tml_query.Rel.add_index ctx rel 0;
+  rel
+
+let idx1_insert_more ctx rel =
+  let n = List.length idx1_keys in
+  List.iteri (fun i key -> Tml_query.Rel.insert ctx rel (idx1_row (n + i) key)) idx1_more
+
+let idx1_hex heap rel =
+  match Value.Heap.get heap rel with
+  | Value.Relation r -> (
+    match Value.Heap.get heap (List.assoc 0 r.Value.rel_indexes) with
+    | Value.Index _ as ix ->
+      String.concat ""
+        (List.map
+           (fun c -> Printf.sprintf "%02x" (Char.code c))
+           (List.of_seq (String.to_seq (Obj_codec.encode_obj ix))))
+    | _ -> Alcotest.fail "not an index")
+  | _ -> Alcotest.fail "not a relation"
+
+(* the same keys in a relation stored before REL1: rows inline and the
+   index persisted as its field list, rebuilt when decoded *)
+let idx1_legacy_relation heap =
+  ignore (Value.Heap.alloc heap (Value.Tuple [||]));
+  let rows =
+    List.mapi
+      (fun i key -> Value.Oidv (Value.Heap.alloc heap (Value.Tuple (idx1_row i key))))
+      idx1_keys
+  in
+  let module W = Tml_store.Codec.W in
+  let w = W.create ~initial:256 () in
+  W.u8 w 5;
+  W.str w "keys";
+  W.varint w (List.length rows);
+  List.iter (Obj_codec.w_value w) rows;
+  W.varint w 1 (* one index, on field 0 *);
+  W.varint w 0;
+  W.varint w 0 (* no triggers *);
+  let obj, fields = Obj_codec.decode_obj (W.contents w) in
+  let rel = Value.Heap.alloc heap obj in
+  Obj_codec.rebuild_relation_indexes heap rel fields;
+  rel
+
+(* build, commit, reopen and insert [idx1_more]: [f] gets the reopened
+   session's context and the relation *)
+let with_reopened_idx1 f =
+  with_store (fun path ->
+      let ps = Pstore.create ~fsync:false path in
+      let rel = idx1_relation (Runtime.create (Pstore.heap ps)) in
+      ignore (Pstore.commit ps);
+      Pstore.close ps;
+      let ps = Pstore.open_ ~fsync:false path in
+      let ctx = Runtime.create (Pstore.heap ps) in
+      idx1_insert_more ctx rel;
+      Fun.protect ~finally:(fun () -> Pstore.close ps) (fun () -> f ctx rel))
+
+let test_idx1_golden () =
+  let tstr = Alcotest.string in
+  let ctx = Runtime.create (Value.Heap.create ()) in
+  let rel = idx1_relation ctx in
+  check tstr "fresh" idx1_golden_hex (idx1_hex ctx.Runtime.heap rel);
+  idx1_insert_more ctx rel;
+  check tstr "fresh, then inserts" idx1_golden_more_hex (idx1_hex ctx.Runtime.heap rel);
+  with_reopened_idx1 (fun ctx rel ->
+      check tstr "reopened, then inserts" idx1_golden_more_hex
+        (idx1_hex ctx.Runtime.heap rel));
+  let heap = Value.Heap.create () in
+  let rel = idx1_legacy_relation heap in
+  check tstr "rebuilt from a legacy relation" idx1_golden_hex (idx1_hex heap rel)
+
+(* every key's positions are the rows whose key equals it under
+   [compare], ascending — also after a reopen added rows to keys the
+   store already held *)
+let test_idx1_probes_ascending () =
+  with_reopened_idx1 (fun ctx rel ->
+      let keys = idx1_keys @ idx1_more in
+      List.iter
+        (fun key ->
+          let want =
+            List.concat (List.mapi (fun i k -> if compare k key = 0 then [ i ] else []) keys)
+          in
+          let lit = Option.get (Value.to_literal key) in
+          check (Alcotest.list tint)
+            (Printf.sprintf "positions of %s" (Value.to_string key))
+            want
+            (Option.get (Tml_query.Rel.lookup ctx rel ~field:0 lit)))
+        keys)
+
 let () =
   Runtime.install ();
   Tml_query.Qprims.install ();
@@ -729,5 +850,8 @@ let () =
               test_compiled_write_cache_across_commits;
             Alcotest.test_case "a compiled call site sees another session's commit" `Quick
               test_compiled_call_sees_other_session;
+            Alcotest.test_case "IDX1 bytes match the golden ones" `Quick test_idx1_golden;
+            Alcotest.test_case "probes stay ascending after a reopen" `Quick
+              test_idx1_probes_ascending;
           ] );
     ]

@@ -45,8 +45,6 @@ let options_of ?(no_analysis = false) ~direct ~static_opt () =
 let with_profile profile f =
   if not profile then f ()
   else begin
-    Profile.register_metrics ();
-    Tierup.register_metrics ();
     Tml_obs.Metrics.register_gc ();
     Tml_obs.Metrics.reset_all ();
     Profile.enabled := true;

@@ -293,18 +293,7 @@ let lint_image ~file diags =
 (* Output                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_quote = Tml_obs.Json.quote
 
 let print_diags ~json diags =
   let diags =
@@ -320,8 +309,8 @@ let print_diags ~json diags =
     List.iteri
       (fun i d ->
         if i > 0 then print_string ",";
-        Printf.printf "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"class\":\"%s\",\"message\":\"%s\"}"
-          (json_escape d.d_file) d.d_line d.d_col d.d_class (json_escape d.d_msg))
+        Printf.printf "{\"file\":%s,\"line\":%d,\"col\":%d,\"class\":\"%s\",\"message\":%s}"
+          (json_quote d.d_file) d.d_line d.d_col d.d_class (json_quote d.d_msg))
       diags;
     print_endline "]"
   end
@@ -376,12 +365,11 @@ let audit_rules ~json ~plant_unsound =
       (fun i ((r : Dsl.rule), errs, ob) ->
         if i > 0 then print_string ",";
         Printf.printf
-          "{\"name\":\"%s\",\"fact\":\"%s\",\"heads\":[%s],\"static\":[%s],\"obligation\":\"%s\"}"
-          (json_escape r.Dsl.name) (json_escape r.Dsl.fact)
-          (String.concat "," (List.map (fun h -> "\"" ^ json_escape h ^ "\"") (heads_of r)))
-          (String.concat ","
-             (List.map (fun (e : Check.error) -> "\"" ^ json_escape e.Check.what ^ "\"") errs))
-          (json_escape (obligation_text ob)))
+          "{\"name\":%s,\"fact\":%s,\"heads\":[%s],\"static\":[%s],\"obligation\":%s}"
+          (json_quote r.Dsl.name) (json_quote r.Dsl.fact)
+          (String.concat "," (List.map json_quote (heads_of r)))
+          (String.concat "," (List.map (fun (e : Check.error) -> json_quote e.Check.what) errs))
+          (json_quote (obligation_text ob)))
       results;
     print_endline "]"
   end

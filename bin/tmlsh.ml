@@ -30,13 +30,11 @@ let interactive = Unix.isatty Unix.stdin
 let () =
   Profile.enabled := true;
   Tml_obs.Provenance.enabled := true;
-  Profile.register_metrics ();
   Tml_obs.Metrics.register_gc ();
   (* tiered execution: hot stored functions get promoted to the compiled
      closure tier as the session warms up (:tier NAME forces one; the
      "tier" rows of :stats report promotions, deopts and compiled runs) *)
   Tierup.enabled := true;
-  Tierup.register_metrics ();
   (* sampling VM profiler: attributes executed vm steps to stored
      functions and tiers (:prof for the report, :prof collapsed for
      flamegraph input) *)
@@ -133,7 +131,6 @@ let () =
 
 let wire_store session pstore =
   store := Some pstore;
-  Tml_store.Store_stats.register_metrics (Pstore.stats pstore);
   let heap = (Repl.ctx session).Runtime.heap in
   Tml_obs.Metrics.register_source ~name:"store.heap"
     ~snapshot:(fun () ->
@@ -188,7 +185,6 @@ let unwire_store session_ref =
   | Some old ->
     (Repl.ctx !session_ref).Runtime.durable_commit <- None;
     store := None;
-    Tml_obs.Metrics.unregister_source "store";
     Tml_obs.Metrics.unregister_source "store.heap";
     Pstore.close old
   | None -> ()
@@ -206,10 +202,8 @@ let open_store session_ref file =
       unwire_store session_ref;
       session_ref := session;
       wire_store session pstore;
-      let st = Pstore.stats pstore in
-      if st.Tml_store.Store_stats.recovery_truncations > 0 then
-        Printf.printf "recovered %s (truncated %d torn bytes)\n" file
-          st.Tml_store.Store_stats.truncated_bytes;
+      let torn = Tml_store.Log_store.truncated_bytes (Pstore.log pstore) in
+      if torn > 0 then Printf.printf "recovered %s (truncated %d torn bytes)\n" file torn;
       Printf.printf "restored session from %s (%d objects, faulted on demand)\n" file
         (Tml_store.Log_store.object_count (Pstore.log pstore))
   end
@@ -392,19 +386,6 @@ let remote_line c line =
     | Ok out -> print_string out
     | Error msg -> print_endline msg)
 
-let show_result (r : Repl.feed_result) =
-  List.iter (fun name -> Printf.printf "defined %s\n" name) r.Repl.defined;
-  print_string r.Repl.output;
-  if r.Repl.output <> "" && r.Repl.output.[String.length r.Repl.output - 1] <> '\n' then
-    print_newline ();
-  match r.Repl.result with
-  | Some (Eval.Done Value.Unit, _) -> ()
-  | Some (Eval.Done v, steps) ->
-    Format.printf "- : %a (in %d instructions)@." Value.pp v steps
-  | Some (Eval.Raised v, _) -> Format.printf "uncaught exception: %a@." Value.pp v
-  | Some (o, _) -> Format.printf "%a@." Eval.pp_outcome o
-  | None -> ()
-
 let () =
   if interactive then
     print_endline "tmlsh — persistent TL session (:help for commands, :quit to leave)";
@@ -433,7 +414,7 @@ let () =
             Format.printf "store error: %s@." msg
         end
         else begin
-          try show_result (Repl.feed !session line) with
+          try print_string (Repl.render (Repl.feed !session line)) with
           | Lexer.Lex_error (pos, msg) ->
             Format.printf "lexical error at %a: %s@." Ast.pp_pos pos msg
           | Parser.Parse_error (pos, msg) ->

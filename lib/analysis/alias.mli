@@ -10,10 +10,6 @@
 
 open Tml_core
 
-(** Relation-reading primitives mapped to the argument positions (over the
-    full argument list) at which a relation is consumed read-only. *)
-val reader_positions : string -> int list
-
 (** [escapes ~tmp body] is true when [tmp] (or a closure capturing it) may
     reach a position the analysis cannot account for: a non-reading
     primitive argument, an unknown callee, a functional position for the

@@ -19,10 +19,8 @@ val effect_remove : Rewrite.rule
 (** All effect-based domain rules. *)
 val rules : Rewrite.rule list
 
-(** Expansion bonus for abstractions with benign inferred effects. *)
-val inline_bonus : Term.abs -> int
-
-(** [with_analysis c] adds {!rules} to [c.rules] and installs
-    {!inline_bonus} as the expansion pass's [effect_bonus]; the identity
-    when {!enabled} is false. *)
+(** [with_analysis c] adds {!rules} to [c.rules] and installs an
+    expansion bonus for abstractions with benign inferred effects as the
+    expansion pass's [effect_bonus]; the identity when {!enabled} is
+    false. *)
 val with_analysis : Optimizer.config -> Optimizer.config

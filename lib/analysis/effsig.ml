@@ -46,7 +46,6 @@ let equal a b =
   | Exact _, Unknown | Unknown, Exact _ -> false
 
 let exit_to c = { bot with exits = Exact (Ident.Set.singleton c) }
-let effect_of cls = { bot with eff = cls }
 let read_only s = class_leq s.eff Prim.Observer
 
 let exits_within s ids =

@@ -39,8 +39,6 @@ val equal : t -> t -> bool
 (** [exit_to c] is the signature of a jump to the opaque continuation [c]. *)
 val exit_to : Ident.t -> t
 
-val effect_of : Prim.effect_class -> t
-
 (** [read_only s] holds when [s.eff] is [Pure] or [Observer]. *)
 val read_only : t -> bool
 

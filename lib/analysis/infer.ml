@@ -252,18 +252,6 @@ let summary_of_value (v : value) : summary option =
   | Abs a -> Some (summarize empty_env a)
   | _ -> None
 
-(* The effect of invoking [v] with unknown arguments: the latent signature
-   with the abstraction's own continuation parameters stripped (the caller
-   supplies those). *)
-let latent (v : value) : Effsig.t =
-  match v with
-  | Abs a -> strip (summarize empty_env a)
-  | Prim p -> (
-    match Prim.find p with
-    | Some d -> { Effsig.top with Effsig.eff = d.Prim.attrs.Prim.effects }
-    | None -> Effsig.top)
-  | Var _ | Lit _ -> Effsig.top
-
 (* [jumps_with_arity v n a]: every occurrence of [v] in [a] is as the head
    of an application with exactly [n] arguments — the companion check that
    lets a rule trust an [Exact] exit set to also be arity-correct when the

@@ -52,11 +52,6 @@ val sig_of_app : ?env:env -> Term.app -> Effsig.t
     for other values. *)
 val summary_of_value : Term.value -> summary option
 
-(** [latent v] is the effect of invoking [v] with unknown arguments:
-    exits through its own continuation parameters are stripped (the caller
-    observes them as ordinary control flow). *)
-val latent : Term.value -> Effsig.t
-
 (** [summarize env a] is the latent summary of [a] with its parameters
     opaque, resolved against [env]. *)
 val summarize : env -> Term.abs -> summary
@@ -71,6 +66,3 @@ val strip : summary -> Effsig.t
     at the exit jumps themselves. *)
 val jumps_with_arity : Ident.t -> int -> Term.app -> bool
 
-(** Value-argument positions at which a primitive invokes a user
-    procedure. *)
-val callee_positions : string -> int list

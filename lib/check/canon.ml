@@ -104,8 +104,6 @@ let render_obj_with render_ref (obj : Value.obj) =
   | Value.Func fo -> Buffer.add_string buf (Printf.sprintf "func %s" fo.Value.fo_name));
   Buffer.contents buf
 
-let render_obj obj = render_obj_with render_value obj
-
 let render_func_full (fo : Value.func_obj) =
   let buf = Buffer.create 64 in
   Buffer.add_string buf

@@ -12,19 +12,11 @@
 
 open Tml_vm
 
-(** [render_value v] — immediates by value, store references as [<oid N>];
-    closures and blocks render as ["<closure>"] (they never appear inside
-    store objects of well-formed programs). *)
-val render_value : Value.t -> string
-
-(** [render_obj obj] — one line, e.g. [array[1 2 3]] or
-    [relation r rows[<oid 4> <oid 5>] indexes[0 2]]. *)
-val render_obj : Value.obj -> string
-
-(** [render_obj_full obj] — like {!render_obj} but function objects render
-    with their persisted payload (name, PTML digest, R-value bindings,
-    derived attributes) instead of just the name: what the codec oracles
-    must see compared. *)
+(** [render_obj_full obj] — one line, e.g. [array[1 2 3]] or
+    [relation r rows[<oid 4> <oid 5>] indexes[0 2]]; function objects
+    render with their persisted payload (name, PTML digest, R-value
+    bindings, derived attributes): what the codec oracles must see
+    compared. *)
 val render_obj_full : Value.obj -> string
 
 (** [dump_heap heap] — every materialized object, one line per object in

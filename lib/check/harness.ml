@@ -338,21 +338,6 @@ let replay ~validate oracle (case : corpus_case) =
 (* JSON stats                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let stats_json stats failures =
   let buf = Buffer.create 256 in
   Buffer.add_string buf
@@ -362,8 +347,8 @@ let stats_json stats failures =
     (fun i f ->
       if i > 0 then Buffer.add_char buf ',';
       Buffer.add_string buf
-        (Printf.sprintf "{\"oracle\":\"%s\",\"seed\":%d,\"detail\":\"%s\"}"
-           (oracle_name f.f_oracle) f.f_seed (json_escape f.f_detail)))
+        (Printf.sprintf "{\"oracle\":\"%s\",\"seed\":%d,\"detail\":%s}"
+           (oracle_name f.f_oracle) f.f_seed (Tml_obs.Json.quote f.f_detail)))
     failures;
   Buffer.add_string buf "]}";
   Buffer.contents buf

@@ -73,8 +73,6 @@ type corpus_case =
   | Cdiff of Tgen.case
   | Cquery of Tgen.query_case
 
-val entry_to_string : oracle -> corpus_case -> string
-
 (** @raise Failure on malformed input *)
 val entry_of_string : string -> oracle * corpus_case
 

@@ -160,10 +160,11 @@ let run_engine engine ctx ~(proc : Term.value) ~(bindings : (Ident.t * Value.t) 
     (match config_opt with
     | Some config -> ignore (Reflect_.optimize_inplace ~config ctx oid)
     | None -> ());
-    let runs_before = (Tierup.stats ()).Tierup.runs in
+    let runs () = Tml_obs.Metrics.counter_value Jit.runs in
+    let runs_before = runs () in
     let promoted = Tierup.force_promote ctx oid in
     let outcome = Machine.run_proc ctx (Value.Oidv oid) passed_args in
-    if promoted && (Tierup.stats ()).Tierup.runs <= runs_before then
+    if promoted && runs () <= runs_before then
       Runtime.fault "tiered: promoted function never entered the compiled tier";
     outcome
 

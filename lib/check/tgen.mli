@@ -37,10 +37,6 @@ type case = {
   b : int;
 }
 
-(** [proc_gen rng ~size] — a closed [proc(a b ce cc)]; [size] steers the
-    number of generated operations. *)
-val proc_gen : Random.State.t -> size:int -> Term.value
-
 (** [case_of_seed ?min_size ?max_size seed] — deterministic: the same seed
     always yields the same case (modulo identifier stamps, which carry no
     meaning). *)
@@ -82,10 +78,6 @@ val gen_pred : Random.State.t -> width:int -> Term.value
 (** [gen_project_fn rng ~width] — a generated projection [proc(x ce cc)]
     passing a (possibly shorter or reordered) row to [cc]. *)
 val gen_project_fn : Random.State.t -> width:int -> Term.value
-
-(** [gen_field_fn rng ~width] — a generated field extractor [proc(x ce cc)]
-    passing one integer field to [cc]. *)
-val gen_field_fn : Random.State.t -> width:int -> Term.value
 
 (** {1 Shrinking} *)
 

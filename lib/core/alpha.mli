@@ -12,10 +12,8 @@
     untouched. *)
 val freshen_value : Term.value -> Term.value
 
-val freshen_app : Term.app -> Term.app
-
-(** [convert_app a] is [freshen_app a]; the name records that it also
-    {e repairs} terms violating the unique binding rule (e.g. decoded from an
+(** [convert_app a] freshens [a] as {!freshen_value} freshens a value; the
+    name records that it also {e repairs} terms violating the unique binding rule (e.g. decoded from an
     untrusted source): inner binders shadow outer ones, so the result always
     satisfies the rule.  Used by the PTML decoder. *)
 val convert_app : Term.app -> Term.app

@@ -185,8 +185,3 @@ let proc2 rng ~size =
   let cc = Ident.fresh ~sort:Cont "cc" in
   let env = { ints = [ a; b ]; arrays = []; procs = []; ce; budget = ref size } in
   abs [ a; b; ce; cc ] (gen_app rng env (fun v -> app (Var cc) [ v ]))
-
-let app_of ~proc a b =
-  let ce = Ident.fresh ~sort:Cont "halt_err" in
-  let cc = Ident.fresh ~sort:Cont "halt_ok" in
-  app proc [ int a; int b; Var ce; Var cc ], (ce, cc)

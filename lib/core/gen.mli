@@ -14,8 +14,3 @@
     the number of generated operations (roughly linear in tree size). *)
 val proc2 : Random.State.t -> size:int -> Term.value
 
-(** [app_of ~proc a b] builds a full program application
-    [(proc a b ce cc)] with fresh halt-continuation variables, returning
-    the application and the [(ce, cc)] pair (callers bind these to halt
-    continuations when evaluating). *)
-val app_of : proc:Term.value -> int -> int -> Term.app * (Ident.t * Ident.t)

@@ -10,8 +10,7 @@ val pp_app : Format.formatter -> Term.app -> unit
 val value_to_string : Term.value -> string
 val app_to_string : Term.app -> string
 
-(** [pp_value_flat] / [pp_app_flat] print on a single line (for logs and
-    error messages). *)
+(** [pp_value_flat] prints on a single line (for logs and error
+    messages). *)
 val pp_value_flat : Format.formatter -> Term.value -> unit
 
-val pp_app_flat : Format.formatter -> Term.app -> unit

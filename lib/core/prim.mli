@@ -34,9 +34,6 @@ type attrs = {
   can_fold : bool;     (** enables the [fold] rewrite rule for this primitive *)
 }
 
-(** Worst-case attributes: external effects, not commutative, no folding. *)
-val worst_attrs : attrs
-
 type t = {
   name : string;
   value_arity : int option;
@@ -69,11 +66,6 @@ val make :
   ?check_app:(Term.app -> (unit, string) result) ->
   unit ->
   t
-
-(** [generic_check ~value_arity ~cont_arity app] is the default argument
-    shape check used by [make]. *)
-val generic_check :
-  value_arity:int option -> cont_arity:int option -> Term.app -> (unit, string) result
 
 (** [is_value_arg v] holds when [v] may appear in a value argument position
     (literal, primitive, value variable, or [proc] abstraction). *)

@@ -29,17 +29,6 @@ let total s =
   s.subst + s.remove + s.reduce + s.eta + s.fold + s.case_subst + s.y_remove + s.y_reduce
   + s.domain
 
-let add_stats acc s =
-  acc.subst <- acc.subst + s.subst;
-  acc.remove <- acc.remove + s.remove;
-  acc.reduce <- acc.reduce + s.reduce;
-  acc.eta <- acc.eta + s.eta;
-  acc.fold <- acc.fold + s.fold;
-  acc.case_subst <- acc.case_subst + s.case_subst;
-  acc.y_remove <- acc.y_remove + s.y_remove;
-  acc.y_reduce <- acc.y_reduce + s.y_reduce;
-  acc.domain <- acc.domain + s.domain
-
 let pp_stats ppf s =
   Format.fprintf ppf
     "subst=%d remove=%d reduce=%d eta=%d fold=%d case-subst=%d Y-remove=%d Y-reduce=%d domain=%d"
@@ -78,8 +67,8 @@ let named ?fact name rule a =
 (* ------------------------------------------------------------------ *)
 
 (* [stats.domain] lumps every domain-rule application together; the
-   labelled table below keys them by their noted provenance name, so the
-   metrics registry (source "rules") and [tmlc --profile] can attribute
+   ["rules"] source of the metrics registry keeps one cell per noted
+   provenance name, so [tmlsh :stats] and [tmlc --profile] can attribute
    optimization work rule by rule.  Unnoted fires land under the fallback
    name "domain" — and fault in strict mode, which the differential test
    battery turns on to guarantee no anonymous rule fires. *)
@@ -90,18 +79,7 @@ let anonymous_rule_name = "domain"
 
 let strict_names = ref false
 
-let fire_tbl : (string, int ref) Hashtbl.t = Hashtbl.create 32
-
-let count_fire name =
-  match Hashtbl.find_opt fire_tbl name with
-  | Some r -> incr r
-  | None -> Hashtbl.replace fire_tbl name (ref 1)
-
-let fire_counts () =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) fire_tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset_fire_counts () = Hashtbl.reset fire_tbl
+let count_fire name = Tml_obs.Metrics.(inc (counter ~source:"rules" name))
 
 let fire rule before after =
   match !fire_hook with

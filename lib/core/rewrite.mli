@@ -27,7 +27,6 @@ type stats = {
 
 val fresh_stats : unit -> stats
 val total : stats -> int
-val add_stats : stats -> stats -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
 (** A domain-specific rewrite rule (e.g. the query rules of section 4.2 or
@@ -60,9 +59,9 @@ val named : ?fact:string -> string -> rule -> rule
 
 (** {1 Per-rule fire accounting}
 
-    [stats.domain] lumps all domain-rule fires; the labelled counters here
-    key them by noted provenance name, feeding the metrics registry
-    (source "rules") and [tmlc --profile]. *)
+    [stats.domain] lumps all domain-rule fires; the ["rules"] source of
+    the {!Tml_obs.Metrics} registry keeps one cell per noted provenance
+    name, which [tmlsh :stats] and [tmlc --profile] print. *)
 
 (** Raised (in strict mode only) when a domain rule fires without having
     noted a name — an anonymous rule that would pollute provenance. *)
@@ -75,12 +74,6 @@ val anonymous_rule_name : string
     test battery turns it on, so no rule it exercises fires anonymously. *)
 val strict_names : bool ref
 
-(** [fire_counts ()] — cumulative (process-wide) fires per noted rule
-    name, sorted by name. *)
-val fire_counts : unit -> (string * int) list
-
-val reset_fire_counts : unit -> unit
-
 (** {1 Individual rules} (exposed for unit tests) *)
 
 (** [try_beta app] applies the combined [subst] / [remove] / [reduce] rules
@@ -91,22 +84,6 @@ val reset_fire_counts : unit -> unit
     struck out together with their arguments; an application binding no
     variables is replaced by its body. *)
 val try_beta : ?stats:stats -> Term.app -> Term.app option
-
-(** [try_fold app] applies the [fold] rule: the meta-evaluation function of
-    the primitive in functional position may reduce the call (constant
-    folding, branch elimination). *)
-val try_fold : ?stats:stats -> Term.app -> Term.app option
-
-(** [try_case_subst app] applies the [case-subst] rule: inside the branch
-    selected by tag [tag_i], the scrutinee variable is known to equal
-    [tag_i] and is substituted. *)
-val try_case_subst : ?stats:stats -> Term.app -> Term.app option
-
-(** [try_y app] applies [Y-remove] (strike out recursive procedures not
-    referenced by the other members of the fixpoint nest or the entry
-    continuation) and [Y-reduce] (a fixpoint binding nothing reduces to the
-    entry continuation's body). *)
-val try_y : ?stats:stats -> Term.app -> Term.app option
 
 (** [try_eta v] applies the [η-reduce] rule to an abstraction value:
     [λ(v1..vn)(val v1..vn)] becomes [val] when no [v_i] occurs in [val]. *)

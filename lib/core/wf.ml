@@ -241,5 +241,4 @@ let check_value ?(free_allowed = default_free) v =
         go_app env abs.body
       | Lit _ | Var _ | Prim _ -> ())
 
-let well_formed_app a = check_app a = Ok ()
 let well_formed_value v = check_value v = Ok ()

@@ -38,7 +38,4 @@ val check_app : ?free_allowed:(Ident.t -> bool) -> Term.app -> (unit, error list
     abstraction). *)
 val check_value : ?free_allowed:(Ident.t -> bool) -> Term.value -> (unit, error list) result
 
-(** [well_formed_app a] = [check_app a = Ok ()]. *)
-val well_formed_app : Term.app -> bool
-
 val well_formed_value : Term.value -> bool

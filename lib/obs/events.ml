@@ -1,8 +1,8 @@
 (* Typed event vocabulary.  Every emitter below checks [Trace.enabled]
    first (via Trace's own gate), so instrumented hot paths pay one ref
    read when tracing is off.  A few emitters also feed always-on
-   metrics (VM instruction histograms), mirroring how the existing
-   Profile / Store_stats counters are unconditional. *)
+   metrics (VM instruction histograms), as the registry's other cells
+   count unconditionally. *)
 
 open Trace
 

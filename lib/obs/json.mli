@@ -1,9 +1,6 @@
-(** Minimal JSON string rendering shared by the trace sinks and the
-    metrics registry (the observability library has no dependencies). *)
-
-(** [add_escaped buf s] appends [s] to [buf] with JSON string escaping
-    applied (no surrounding quotes). *)
-val add_escaped : Buffer.t -> string -> unit
+(** Minimal JSON string rendering shared by the trace sinks, the
+    metrics registry, the slow-query log and the tools (the
+    observability library has no dependencies). *)
 
 (** [add_string buf s] appends [s] as a quoted JSON string. *)
 val add_string : Buffer.t -> string -> unit

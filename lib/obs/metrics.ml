@@ -1,8 +1,9 @@
 (* Metrics registry: counters, gauges and histograms with optional
-   labels, plus external "sources" that adapt pre-existing stat blocks
-   (optimizer profile, store stats, tier counters) behind the same
-   interface.  One snapshot endpoint renders everything as JSON; one
-   [reset_all] clears owned metrics and every source atomically. *)
+   labels.  A counter or gauge may belong to a source, a named block of
+   cells served together ([sources.tier.runs]); a source may instead be
+   computed from live state when a snapshot is taken (the GC, the log,
+   the server).  One snapshot endpoint renders everything as JSON; one
+   [reset_all] zeroes every cell and resets every computed source. *)
 
 type num = I of int | F of float
 
@@ -37,7 +38,12 @@ let locked f =
   Mutex.lock hist_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock hist_lock) f
 
-type source = { src_snapshot : unit -> (string * num) list; src_reset : unit -> unit }
+(* A source's cells are listed in creation order: a module's cells in
+   the order it defines them, labelled ones in the order their events
+   first happened. *)
+type source =
+  | Cells of (string * metric) list ref
+  | Computed of { snapshot : unit -> (string * num) list; reset : unit -> unit }
 
 let sources : (string, source) Hashtbl.t = Hashtbl.create 16
 
@@ -50,39 +56,53 @@ let full_name name labels =
 
 (* Creation is idempotent: asking for an existing name returns the same
    underlying cell, so call sites in loops need no caching of their own. *)
-let counter ?(labels = []) name : counter =
+let cell ?source ?(labels = []) name make =
   let key = full_name name labels in
-  match Hashtbl.find_opt registry key with
-  | Some (Counter c) -> c
-  | Some _ -> invalid_arg ("Metrics.counter: " ^ key ^ " registered with another type")
-  | None ->
-    let c = ref 0 in
-    Hashtbl.replace registry key (Counter c);
-    c
+  match source with
+  | None -> (
+    match Hashtbl.find_opt registry key with
+    | Some m -> m
+    | None ->
+      let m = make () in
+      Hashtbl.replace registry key m;
+      m)
+  | Some src -> (
+    let cells =
+      match Hashtbl.find_opt sources src with
+      | Some (Cells cells) -> cells
+      | Some (Computed _) -> invalid_arg ("Metrics: source " ^ src ^ " is computed")
+      | None ->
+        let cells = ref [] in
+        Hashtbl.replace sources src (Cells cells);
+        cells
+    in
+    match List.assoc_opt key !cells with
+    | Some m -> m
+    | None ->
+      let m = make () in
+      cells := !cells @ [ (key, m) ];
+      m)
+
+let counter ?source ?labels name : counter =
+  match cell ?source ?labels name (fun () -> Counter (ref 0)) with
+  | Counter c -> c
+  | _ -> invalid_arg ("Metrics.counter: " ^ name ^ " registered with another type")
 
 let inc c = incr c
 let add c n = c := !c + n
 let counter_value c = !c
 
-let gauge ?(labels = []) name : gauge =
-  let key = full_name name labels in
-  match Hashtbl.find_opt registry key with
-  | Some (Gauge g) -> g
-  | Some _ -> invalid_arg ("Metrics.gauge: " ^ key ^ " registered with another type")
-  | None ->
-    let g = ref 0. in
-    Hashtbl.replace registry key (Gauge g);
-    g
+let gauge ?source ?labels name : gauge =
+  match cell ?source ?labels name (fun () -> Gauge (ref 0.)) with
+  | Gauge g -> g
+  | _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " registered with another type")
 
 let set_gauge g v = g := v
+let add_gauge g v = g := !g +. v
 
-let histogram ?(labels = []) name : histogram =
-  let key = full_name name labels in
-  match Hashtbl.find_opt registry key with
-  | Some (Histogram h) -> h
-  | Some _ -> invalid_arg ("Metrics.histogram: " ^ key ^ " registered with another type")
-  | None ->
-    let h =
+let histogram ?labels name : histogram =
+  let make () =
+    Histogram
       {
         h_count = 0;
         h_sum = 0.;
@@ -92,9 +112,10 @@ let histogram ?(labels = []) name : histogram =
         h_ring_len = 0;
         h_ring_next = 0;
       }
-    in
-    Hashtbl.replace registry key (Histogram h);
-    h
+  in
+  match cell ?labels name make with
+  | Histogram h -> h
+  | _ -> invalid_arg ("Metrics.histogram: " ^ name ^ " registered with another type")
 
 let observe h v =
   locked (fun () ->
@@ -147,7 +168,9 @@ let hist_view h =
       })
 
 let register_source ~name ~snapshot ~reset =
-  Hashtbl.replace sources name { src_snapshot = snapshot; src_reset = reset }
+  match Hashtbl.find_opt sources name with
+  | Some (Cells _) -> invalid_arg ("Metrics.register_source: " ^ name ^ " holds cells")
+  | _ -> Hashtbl.replace sources name (Computed { snapshot; reset })
 
 let unregister_source name = Hashtbl.remove sources name
 
@@ -172,29 +195,45 @@ let register_gc () =
       @ [ ("heap_words", I s.Gc.heap_words); ("top_heap_words", I s.Gc.top_heap_words) ])
     ~reset:(fun () -> base := gc_totals (Gc.quick_stat ()))
 
-let reset_all () =
-  Hashtbl.iter
-    (fun _ m ->
-      match m with
-      | Counter c -> c := 0
-      | Gauge g -> g := 0.
-      | Histogram h ->
-        locked (fun () ->
-            h.h_count <- 0;
-            h.h_sum <- 0.;
-            h.h_min <- infinity;
-            h.h_max <- neg_infinity;
-            h.h_ring_len <- 0;
-            h.h_ring_next <- 0))
-    registry;
-  let names = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) sources []) in
-  List.iter (fun n -> (Hashtbl.find sources n).src_reset ()) names
+let zero = function
+  | Counter c -> c := 0
+  | Gauge g -> g := 0.
+  | Histogram h ->
+    locked (fun () ->
+        h.h_count <- 0;
+        h.h_sum <- 0.;
+        h.h_min <- infinity;
+        h.h_max <- neg_infinity;
+        h.h_ring_len <- 0;
+        h.h_ring_next <- 0)
 
 let sorted_metrics () =
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) registry [])
 
 let sorted_sources () =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) sources [])
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) sources [])
+
+let reset_all () =
+  Hashtbl.iter (fun _ m -> zero m) registry;
+  List.iter
+    (function
+      | _, Cells cells -> List.iter (fun (_, m) -> zero m) !cells
+      | _, Computed c -> c.reset ())
+    (sorted_sources ())
+
+(* a source's values: its cells' (histograms belong to no source) or
+   what it computes now *)
+let source_values = function
+  | Cells cells ->
+    List.map
+      (function
+        | k, Counter c -> (k, I !c)
+        | k, Gauge g -> (k, F !g)
+        | k, Histogram h -> (k, I h.h_count))
+      !cells
+  | Computed c -> c.snapshot ()
 
 (* JSON snapshot *)
 
@@ -260,7 +299,7 @@ let snapshot_json () =
           if i > 0 then Buffer.add_char buf ',';
           Json.add_string buf name;
           Buffer.add_char buf ':';
-          add_kv_list buf (src.src_snapshot ()))
+          add_kv_list buf (source_values src))
         (sorted_sources ());
       Buffer.add_char buf '}');
   Buffer.add_char buf '}';
@@ -294,7 +333,7 @@ let pp_report ppf () =
   List.iter
     (fun (name, src) ->
       Format.fprintf ppf "-- %s --@." name;
-      List.iter (fun (k, v) -> Format.fprintf ppf "  %-32s %a@." k pp_num v) (src.src_snapshot ()))
+      List.iter (fun (k, v) -> Format.fprintf ppf "  %-32s %a@." k pp_num v) (source_values src))
     (sorted_sources ())
 
 (* Prometheus text exposition (version 0.0.4).  Registry keys carry
@@ -383,6 +422,6 @@ let prometheus () =
           type_line name "gauge";
           let value = match v with I n -> string_of_int n | F f -> prom_float f in
           Buffer.add_string buf (Printf.sprintf "%s %s\n" name value))
-        (src.src_snapshot ()))
+        (source_values src))
     (sorted_sources ());
   Buffer.contents buf

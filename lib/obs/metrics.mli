@@ -1,7 +1,9 @@
 (** Metrics registry: counters, gauges and histograms with optional
-    labels, plus adapter "sources" that unify pre-existing stat blocks
-    ({!Profile}, [Store_stats], tier counters) behind one
-    interface with a single JSON snapshot endpoint. *)
+    labels, and sources, named blocks of values served together with a
+    single JSON snapshot endpoint.  A source is either cells created
+    with [~source] where their events happen (the optimizer, the rules,
+    the tier, the query layer, the store) or computed from live state
+    when a snapshot is taken (the GC, the log, the server). *)
 
 type num = I of int | F of float
 
@@ -9,19 +11,25 @@ type num = I of int | F of float
 
     Creation is idempotent: requesting an existing name (and label set)
     returns the same underlying cell.  Labels render as
-    [name{k=v,...}] in snapshots. *)
+    [name{k=v,...}] in snapshots.  A counter or gauge created with
+    [~source] is served as a key of that source ([sources.SOURCE.NAME]
+    in the snapshot, [SOURCE_NAME] in the Prometheus text), after the
+    source's earlier cells, instead of among the counters and gauges. *)
 
 type counter
 type gauge
 type histogram
 
-val counter : ?labels:(string * string) list -> string -> counter
+val counter : ?source:string -> ?labels:(string * string) list -> string -> counter
 val inc : counter -> unit
 val add : counter -> int -> unit
 val counter_value : counter -> int
 
-val gauge : ?labels:(string * string) list -> string -> gauge
+val gauge : ?source:string -> ?labels:(string * string) list -> string -> gauge
 val set_gauge : gauge -> float -> unit
+
+(** [add_gauge g x] adds [x] to [g]: a gauge that sums (seconds spent) *)
+val add_gauge : gauge -> float -> unit
 
 val histogram : ?labels:(string * string) list -> string -> histogram
 val observe : histogram -> float -> unit
@@ -35,11 +43,12 @@ val percentile : histogram -> float -> float
     figures.  [0.0] when nothing was observed.  Snapshots include [p50]
     and [p99] per histogram. *)
 
-(** {1 Sources}
+(** {1 Computed sources}
 
-    A source exposes an external stats block (a snapshot of key/value
-    pairs and a reset action).  Registering an existing name replaces
-    the previous source. *)
+    A computed source reports values it derives from live state when a
+    snapshot is taken (a snapshot of key/value pairs and a reset
+    action); it counts nothing itself.  Registering an existing name
+    replaces the previous computed source. *)
 
 val register_source :
   name:string -> snapshot:(unit -> (string * num) list) -> reset:(unit -> unit) -> unit
@@ -69,6 +78,6 @@ val pp_report : Format.formatter -> unit -> unit
     are sanitized to the Prometheus alphabet ([.] becomes [_]). *)
 val prometheus : unit -> string
 
-(** Zero every owned metric and reset every registered source, in one
-    pass (sources in name order). *)
+(** Zero every cell, a source's included, and reset every computed
+    source, in one pass (sources in name order). *)
 val reset_all : unit -> unit

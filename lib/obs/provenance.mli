@@ -30,7 +30,6 @@ val length : buf -> int
 
 (** {1 Inspection} *)
 
-val entry_equal : entry -> entry -> bool
 val equal : t -> t -> bool
 
 (** e.g. ["12 steps, size -20, cost -34"]. *)

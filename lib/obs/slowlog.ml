@@ -181,33 +181,15 @@ let load ?limit path =
 
 (* --- rendering --------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_list l =
-  "[" ^ String.concat "," (List.map (fun s -> "\"" ^ json_escape s ^ "\"") l)
-  ^ "]"
+let json_list l = "[" ^ String.concat "," (List.map Json.quote l) ^ "]"
 
 let entry_to_json e =
   Printf.sprintf
-    "{\"trace\":%d,\"kind\":\"%s\",\"source\":\"%s\",\"duration_ms\":%.3f,\
-     \"steps\":%d,\"tier\":\"%s\",\"page_faults\":%d,\"index_probes\":%d,\
+    "{\"trace\":%d,\"kind\":%s,\"source\":%s,\"duration_ms\":%.3f,\
+     \"steps\":%d,\"tier\":%s,\"page_faults\":%d,\"index_probes\":%d,\
      \"rules\":%s,\"facts\":%s}"
-    e.sl_trace (json_escape e.sl_kind) (json_escape e.sl_source)
-    (e.sl_duration_s *. 1e3) e.sl_steps (json_escape e.sl_tier)
+    e.sl_trace (Json.quote e.sl_kind) (Json.quote e.sl_source)
+    (e.sl_duration_s *. 1e3) e.sl_steps (Json.quote e.sl_tier)
     e.sl_page_faults e.sl_index_probes (json_list e.sl_rules)
     (json_list e.sl_facts)
 

@@ -67,8 +67,6 @@ val load : ?limit:int -> string -> t
 
 (** {1 Rendering} *)
 
-val entry_to_json : entry -> string
-
 val to_json : t -> string
 (** [{"limit":N,"dropped":N,"entries":[...]}], oldest first *)
 

@@ -33,9 +33,6 @@ val tid_source : (unit -> int) ref
     Defaults to [Unix.gettimeofday]; tests may install a fake one. *)
 val clock : (unit -> float) ref
 
-(** Current time in microseconds, per {!clock}. *)
-val now_us : unit -> float
-
 (** {1 Sinks} *)
 
 type sink = { sk_emit : event -> unit; sk_close : unit -> unit }

@@ -455,40 +455,6 @@ let impls () : (string * Runtime.impl) list =
 
 let names = List.map fst (impls ())
 
-(* ------------------------------------------------------------------ *)
-(* Metrics                                                              *)
-(* ------------------------------------------------------------------ *)
-
-let query_counters () =
-  [
-    "page_faults", !Relcore.page_faults;
-    "pages_sealed", !Relcore.pages_sealed;
-    "row_cache_builds", !Relcore.row_cache_builds;
-    "relations_created", !Rel.relations_created;
-    "inserts", !Rel.inserts;
-    "index_builds", !Rel.index_builds;
-    "index_loads", !Rel.index_loads;
-    "index_probes", !Rel.index_probes;
-    "stats_updates", !Rel.stats_updates;
-  ]
-
-let reset_query_counters () =
-  Relcore.page_faults := 0;
-  Relcore.pages_sealed := 0;
-  Relcore.row_cache_builds := 0;
-  Rel.relations_created := 0;
-  Rel.inserts := 0;
-  Rel.index_builds := 0;
-  Rel.index_loads := 0;
-  Rel.index_probes := 0;
-  Rel.stats_updates := 0
-
-let register_metrics () =
-  Tml_obs.Metrics.register_source ~name:"query"
-    ~snapshot:(fun () ->
-      List.map (fun (k, v) -> k, Tml_obs.Metrics.I v) (query_counters ()))
-    ~reset:reset_query_counters
-
 let installed = ref false
 
 let install () =
@@ -496,6 +462,5 @@ let install () =
     installed := true;
     Runtime.install ();
     List.iter (fun d -> Prim.register ~override:true d) (descriptors ());
-    List.iter (fun (name, impl) -> Runtime.register_impl ~override:true name impl) (impls ());
-    register_metrics ()
+    List.iter (fun (name, impl) -> Runtime.register_impl ~override:true name impl) (impls ())
   end

@@ -46,11 +46,3 @@ val install : unit -> unit
 (** Names registered by [install]. *)
 val names : string list
 
-(** Current values of the [query] metrics-source counters
-    (page faults, seals, index probes/loads/builds, ...). *)
-val query_counters : unit -> (string * int) list
-
-(** Register the ["query"] source in the {!Tml_obs.Metrics} registry. *)
-val register_metrics : unit -> unit
-
-val reset_query_counters : unit -> unit

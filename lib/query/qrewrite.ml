@@ -341,7 +341,6 @@ let declarative_rules =
 (* The compiled forms, kept under their historical export names (the unit
    tests drive the rules one at a time). *)
 let merge_select = to_rewrite merge_select_rule
-let merge_project = to_rewrite merge_project_rule
 
 (* Both constant branches under one export, as before the DSL port. *)
 let constant_select =
@@ -349,10 +348,6 @@ let constant_select =
   let f = to_rewrite constant_select_false_rule in
   fun a -> match t a with Some _ as r -> r | None -> f a
 
-let trivial_exists = to_rewrite trivial_exists_rule
-let select_union = to_rewrite select_union_rule
-let distinct_distinct = to_rewrite distinct_distinct_rule
-let select_before_distinct = to_rewrite select_before_distinct_rule
 
 (* Recognize λ(x ce cc). x.[i] == v — the indexable equality predicate
    (used by the [index_select] closure rule in [Qopt]).  The key is a

@@ -35,9 +35,6 @@ val declarative_rules : Tml_rules.Dsl.rule list
     intermediate relation to be used exactly once. *)
 val merge_select : Rewrite.rule
 
-(** πf(πg(R)) ≡ πf∘g(R). *)
-val merge_project : Rewrite.rule
-
 (** σtrue(R) ≡ R and σfalse(R) ≡ ∅ for constant predicates.  The σtrue
     direction aliases the result to [R] instead of copying, so it only
     fires when the continuation consumes the relation read-only and cannot
@@ -50,24 +47,6 @@ val merge_project : Rewrite.rule
     soundness precondition, so [Tml_analysis.Bridge.enabled] does not
     switch it. *)
 val constant_select : Rewrite.rule
-
-(** ∃x∈R: p ≡ p ∧ R≠∅ when x does not occur in p — the [trivial-exists]
-    rule, whose precondition |p|_x = 0 is the paper's showcase for scoping
-    preconditions on query rules. *)
-val trivial_exists : Rewrite.rule
-
-(** σp(R ∪ S) ≡ σp(R) ∪ σp(S): selection distributes over union, avoiding
-    materializing the concatenation first.  The predicate is duplicated
-    (α-freshened), so the rule only fires for small predicate
-    abstractions. *)
-val select_union : Rewrite.rule
-
-(** δ(δ(R)) ≡ δ(R). *)
-val distinct_distinct : Rewrite.rule
-
-(** δ(σp(R)) ≡ σp(δ(R)), oriented to run the (cheap, content-based)
-    duplicate elimination {e after} the selection shrank the relation. *)
-val select_before_distinct : Rewrite.rule
 
 (** [field_eq_predicate pred] recognizes a predicate abstraction of the
     shape λ(x ce cc). x.[i] == v, returning [(i, v)] — the shape the

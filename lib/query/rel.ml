@@ -1,13 +1,13 @@
 open Tml_core
 open Tml_vm
 
-(* Counters surfaced through the [query] metrics source (see Qprims). *)
-let inserts = ref 0
-let index_builds = ref 0
-let index_loads = ref 0
-let index_probes = ref 0
-let stats_updates = ref 0
-let relations_created = ref 0
+(* the ["query"] source's cells after [Relcore]'s *)
+let relations_created = Tml_obs.Metrics.counter ~source:"query" "relations_created"
+let inserts = Tml_obs.Metrics.counter ~source:"query" "inserts"
+let index_builds = Tml_obs.Metrics.counter ~source:"query" "index_builds"
+let index_loads = Tml_obs.Metrics.counter ~source:"query" "index_loads"
+let index_probes = Tml_obs.Metrics.counter ~source:"query" "index_probes"
+let stats_updates = Tml_obs.Metrics.counter ~source:"query" "stats_updates"
 
 let get ctx oid =
   match Value.Heap.get_opt ctx.Runtime.heap oid with
@@ -16,7 +16,7 @@ let get ctx oid =
   | None -> Runtime.fault "dangling relation reference %s" (Oid.to_string oid)
 
 let of_rows ctx ~name row_oids =
-  incr relations_created;
+  Tml_obs.Metrics.inc relations_created;
   let r = Relcore.of_array ctx.Runtime.heap name row_oids in
   Value.Heap.alloc ctx.Runtime.heap (Value.Relation r)
 
@@ -33,7 +33,7 @@ let get_stats_obj ctx (r : Value.relation) =
 let stats ctx oid = Option.map snd (get_stats_obj ctx (get ctx oid))
 
 let get_index_obj ctx ixoid =
-  if not (Value.Heap.is_loaded ctx.Runtime.heap ixoid) then incr index_loads;
+  if not (Value.Heap.is_loaded ctx.Runtime.heap ixoid) then Tml_obs.Metrics.inc index_loads;
   match Value.Heap.get_opt ctx.Runtime.heap ixoid with
   | Some (Value.Index ix) -> ix
   | _ -> Runtime.fault "%s is not an index" (Oid.to_string ixoid)
@@ -50,7 +50,7 @@ let refresh_stats ctx (r : Value.relation) ~arity_hint =
       (fun (field, ixoid) -> field, (get_index_obj ctx ixoid).Value.ix_distinct)
       (List.sort compare r.Value.rel_indexes)
   in
-  incr stats_updates;
+  Tml_obs.Metrics.inc stats_updates;
   match get_stats_obj ctx r with
   | Some (soid, st) ->
     st.Value.st_count <- r.Value.rel_count;
@@ -77,7 +77,7 @@ let create ctx ~name tuples =
     Array.of_list
       (List.map (fun fields -> Value.Oidv (Value.Heap.alloc heap (Value.Tuple fields))) tuples)
   in
-  incr relations_created;
+  Tml_obs.Metrics.inc relations_created;
   let r = Relcore.of_array heap name rows in
   (* base relations carry a stats object from birth so the cost-based
      planner has cardinalities before the first insert *)
@@ -95,7 +95,7 @@ let create ctx ~name tuples =
       st_distinct = [];
     }
   in
-  incr stats_updates;
+  Tml_obs.Metrics.inc stats_updates;
   let soid = Value.Heap.alloc heap (Value.Stats st) in
   r.Value.rel_stats <- Some soid;
   Value.Heap.alloc heap (Value.Relation r)
@@ -125,7 +125,7 @@ let index_field (ix : index) = ix.Value.ix_field
 let index_distinct (ix : index) = ix.Value.ix_distinct
 
 let index_positions (ix : index) key =
-  incr index_probes;
+  Tml_obs.Metrics.inc index_probes;
   match Value.Keys.find_opt key ix.Value.ix_keys with
   | None -> []
   | Some positions -> List.rev positions
@@ -146,7 +146,7 @@ let key_of_field ~what v =
 let add_index ctx oid field =
   let heap = ctx.Runtime.heap in
   let r = get ctx oid in
-  incr index_builds;
+  Tml_obs.Metrics.inc index_builds;
   let ix = Value.index_create field in
   Relcore.iteri heap r (fun pos row ->
       let fields = row_tuple ctx row in
@@ -161,7 +161,7 @@ let add_index ctx oid field =
 let insert ctx oid fields =
   let heap = ctx.Runtime.heap in
   let r = get ctx oid in
-  incr inserts;
+  Tml_obs.Metrics.inc inserts;
   let row = Value.Oidv (Value.Heap.alloc heap (Value.Tuple fields)) in
   let pos = Relcore.append heap r row in
   List.iter
@@ -189,8 +189,6 @@ let add_trigger ctx oid fn =
   Value.Heap.note_write ctx.Runtime.heap oid
 
 (* --- cardinalities for the planner --------------------------------- *)
-
-let card ctx oid = length ctx oid
 
 let distinct ctx oid field =
   match stats ctx oid with

@@ -100,9 +100,6 @@ val lookup :
     on their first insert or [mkindex]). *)
 val stats : Runtime.ctx -> Tml_core.Oid.t -> Value.stats_obj option
 
-(** [card ctx rel] — exact current row count (O(1)). *)
-val card : Runtime.ctx -> Tml_core.Oid.t -> int
-
 (** [distinct ctx rel field] — distinct-key count for an indexed field,
     from the stats object. *)
 val distinct : Runtime.ctx -> Tml_core.Oid.t -> int -> int option
@@ -111,11 +108,11 @@ val distinct : Runtime.ctx -> Tml_core.Oid.t -> int -> int option
     (used by [select] which preserves row identity). *)
 val of_rows : Runtime.ctx -> name:string -> Value.t array -> Tml_core.Oid.t
 
-(** {1 Counters} — surfaced through the [query] metrics source *)
+(** {1 Counters} — cells of the registry's ["query"] source *)
 
-val inserts : int ref
-val index_builds : int ref
-val index_loads : int ref
-val index_probes : int ref
-val stats_updates : int ref
-val relations_created : int ref
+val relations_created : Tml_obs.Metrics.counter
+val inserts : Tml_obs.Metrics.counter
+val index_builds : Tml_obs.Metrics.counter
+val index_loads : Tml_obs.Metrics.counter
+val index_probes : Tml_obs.Metrics.counter
+val stats_updates : Tml_obs.Metrics.counter

@@ -137,9 +137,6 @@ type rule = {
 
 val pp_head : Format.formatter -> head -> unit
 
-(** [heads_of_apat lhs] — the dispatch heads a pattern can fire at. *)
-val heads_of_apat : apat -> head list
-
 (** {1 Matching and instantiation} (exposed for the checker, the
     obligation harness and the property tests) *)
 
@@ -152,15 +149,6 @@ type env = {
 }
 
 val empty_env : env
-
-(** [match_rule lhs a] — match the pattern against a candidate redex. *)
-val match_rule : apat -> Term.app -> env option
-
-(** [eval_cond env c] — decide one side condition under a match. *)
-val eval_cond : env -> cond -> bool
-
-(** [inst_ra env rhs] — instantiate an RHS template under a match. *)
-val inst_ra : env -> ra -> Term.app
 
 (** {1 Compilation} *)
 

@@ -124,16 +124,17 @@ let sfail fmt = Format.kasprintf (fun s -> raise (Session_error s)) fmt
 (* Stage the manifest (only if this session defined names — data-only
    commits must not touch the shared manifest OIDs, or every pair of
    concurrent writers would conflict on them) and encode the batch: the
-   [kept] one the session's last Eval collected, unless staging the
-   manifest changed what a commit writes.  Caller holds the eval lock. *)
+   [kept] one the session's last Eval collected, with the manifest
+   objects staging wrote encoded into it.  Caller holds the eval lock. *)
 let prepare_commit ?kept ss =
-  if ss.ss_defined then
-    let root = Oid.to_int (Repl.stage ss.ss_repl ss.ss_pstore) in
-    (Some root, Pstore.collect ss.ss_pstore)
-  else
-    match kept with
-    | Some batch -> (None, batch)
-    | None -> (None, Pstore.collect ss.ss_pstore)
+  let staged = if ss.ss_defined then Some (Repl.stage ss.ss_repl ss.ss_pstore) else None in
+  let batch =
+    match (kept, staged) with
+    | Some batch, None -> batch
+    | Some batch, Some (_, written) -> Pstore.recollect ss.ss_pstore batch written
+    | None, _ -> Pstore.collect ss.ss_pstore
+  in
+  (Option.map (fun (root, _) -> Oid.to_int root) staged, batch)
 
 (* Hand a prepared batch to the group committer and wait for the group's
    seal.  Runs without the eval lock unless the caller (the optimizer's
@@ -241,22 +242,6 @@ let after_eval t ss ?lo () =
       ss.ss_staged_bytes <- List.fold_left (fun a (_, p) -> a + String.length p) 0 b)
     batch
 
-let render_feed (r : Repl.feed_result) =
-  let buf = Buffer.create 128 in
-  List.iter (fun name -> Buffer.add_string buf ("defined " ^ name ^ "\n")) r.Repl.defined;
-  Buffer.add_string buf r.Repl.output;
-  if r.Repl.output <> "" && r.Repl.output.[String.length r.Repl.output - 1] <> '\n' then
-    Buffer.add_char buf '\n';
-  (match r.Repl.result with
-  | Some (Eval.Done Value.Unit, _) -> ()
-  | Some (Eval.Done v, steps) ->
-    Buffer.add_string buf (Format.asprintf "- : %a (in %d instructions)@." Value.pp v steps)
-  | Some (Eval.Raised v, _) ->
-    Buffer.add_string buf (Format.asprintf "uncaught exception: %a@." Value.pp v)
-  | Some (o, _) -> Buffer.add_string buf (Format.asprintf "%a@." Eval.pp_outcome o)
-  | None -> ());
-  Buffer.contents buf
-
 (* --- slow-query log ------------------------------------------------- *)
 
 (* Identifiers mentioned in a request's source: the join key between
@@ -316,9 +301,9 @@ let slow_probe ss =
   {
     sp_t0 = !Trace.clock ();
     sp_steps = (Repl.ctx ss.ss_repl).Runtime.steps;
-    sp_faults = !Relcore.page_faults;
-    sp_probes = !Tml_query.Rel.index_probes;
-    sp_tier_runs = (Tierup.stats ()).Tierup.runs;
+    sp_faults = Metrics.counter_value Relcore.page_faults;
+    sp_probes = Metrics.counter_value Tml_query.Rel.index_probes;
+    sp_tier_runs = Metrics.counter_value Jit.runs;
   }
 
 (* Called after an Eval/Pull completes.  [rules] must only be [true]
@@ -329,7 +314,7 @@ let note_slow t ss ?trace ~kind ~src ~rules probe =
     let dur = !Trace.clock () -. probe.sp_t0 in
     if dur *. 1000. >= t.config.slow_ms then begin
       let rules, facts = if rules then fired_rules ss src else ([], []) in
-      let tier_runs = (Tierup.stats ()).Tierup.runs - probe.sp_tier_runs in
+      let tier_runs = Metrics.counter_value Jit.runs - probe.sp_tier_runs in
       let entry =
         {
           Slowlog.sl_trace =
@@ -340,8 +325,8 @@ let note_slow t ss ?trace ~kind ~src ~rules probe =
           sl_duration_s = dur;
           sl_steps = (Repl.ctx ss.ss_repl).Runtime.steps - probe.sp_steps;
           sl_tier = (if tier_runs > 0 then "tiered" else "machine");
-          sl_page_faults = !Relcore.page_faults - probe.sp_faults;
-          sl_index_probes = !Tml_query.Rel.index_probes - probe.sp_probes;
+          sl_page_faults = Metrics.counter_value Relcore.page_faults - probe.sp_faults;
+          sl_index_probes = Metrics.counter_value Tml_query.Rel.index_probes - probe.sp_probes;
           sl_rules = rules;
           sl_facts = facts;
         }
@@ -458,7 +443,7 @@ let handle_eval t ss ?trace src =
             (* defining (or redefining) names dirties the manifest:
                this session's next commit must stage and re-root it *)
             if r.Repl.defined <> [] then ss.ss_defined <- true;
-            (render_feed r, if r.Repl.defined = [] then Some lo else None)
+            (Repl.render r, if r.Repl.defined = [] then Some lo else None)
           end
         in
         after_eval t ss ?lo ();
@@ -893,9 +878,6 @@ let listen_on addr =
 let register_server_metrics t =
   Ls.register_metrics t.log;
   Metrics.register_gc ();
-  Profile.register_metrics ();
-  Tierup.register_metrics ();
-  Tml_query.Qprims.register_metrics ();
   Metrics.register_source ~name:"server"
     ~snapshot:(fun () ->
       let commits = Metrics.counter_value t.m_commits in

@@ -67,8 +67,6 @@ val read_frame : ?max_bytes:int -> Unix.file_descr -> string option
 
 val write_frame : Unix.file_descr -> string -> unit
 
-val default_max_frame : int
-
 (** {1 Message codec} *)
 
 val encode_req : ?trace:trace_ctx -> req -> string

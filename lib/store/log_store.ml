@@ -42,8 +42,17 @@ type t = {
          oldest pin, and only those *)
   mutable sealed_max : int;  (* highest sealed OID; -1 when empty *)
   lock : Mutex.t;  (* guards the directory, the file cursor, the pins and the journal *)
-  stats : Store_stats.t;
+  truncated_bytes : int;  (* the torn tail [open_] cut off *)
 }
+
+(* the ["store"] source's cells, in the order its report lists them:
+   counted over every store the process opens *)
+let commits = Tml_obs.Metrics.counter ~source:"store" "commits"
+let records_written = Tml_obs.Metrics.counter ~source:"store" "records_written"
+let bytes_written = Tml_obs.Metrics.counter ~source:"store" "bytes_written"
+let recovery_truncations = Tml_obs.Metrics.counter ~source:"store" "recovery_truncations"
+let truncated = Tml_obs.Metrics.counter ~source:"store" "truncated_bytes"
+let compactions = Tml_obs.Metrics.counter ~source:"store" "compactions"
 
 (* Every public operation holds the store lock for its whole duration:
    concurrent readers (snapshot faults share one file descriptor whose
@@ -55,7 +64,7 @@ let locked t f =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
 let path t = t.ls_path
-let stats t = t.stats
+let truncated_bytes t = t.truncated_bytes
 let root t = locked t (fun () -> t.sroot)
 let seq t = locked t (fun () -> t.seq)
 let file_bytes t = locked t (fun () -> t.tail)
@@ -284,7 +293,7 @@ let recover data =
 (* Lifecycle                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let make ~path ~fd ~dir ~tail ~seq ~root ~fsync =
+let make ~path ~fd ~dir ~tail ~seq ~root ~fsync ~truncated_bytes =
   {
     ls_path = path;
     fd;
@@ -298,7 +307,7 @@ let make ~path ~fd ~dir ~tail ~seq ~root ~fsync =
     journal = [];
     sealed_max = Hashtbl.fold (fun oid _ acc -> max oid acc) dir (-1);
     lock = Mutex.create ();
-    stats = Store_stats.create ();
+    truncated_bytes;
   }
 
 let create ?(fsync = true) path =
@@ -306,7 +315,7 @@ let create ?(fsync = true) path =
   write_all fd magic;
   if fsync then Unix.fsync fd;
   make ~path ~fd ~dir:(Hashtbl.create 256) ~tail:(String.length magic) ~seq:0 ~root:None
-    ~fsync
+    ~fsync ~truncated_bytes:0
 
 let open_ ?(fsync = true) path =
   let fd =
@@ -319,15 +328,14 @@ let open_ ?(fsync = true) path =
     Unix.close fd;
     raise e
   | dir, sealed, seq, root ->
-    let t = make ~path ~fd ~dir ~tail:sealed ~seq ~root ~fsync in
     let dropped = String.length data - sealed in
     if dropped > 0 then begin
       Unix.ftruncate fd sealed;
       if fsync then Unix.fsync fd;
-      t.stats.Store_stats.recovery_truncations <- 1;
-      t.stats.Store_stats.truncated_bytes <- dropped
+      Tml_obs.Metrics.inc recovery_truncations;
+      Tml_obs.Metrics.add truncated dropped
     end;
-    t
+    make ~path ~fd ~dir ~tail:sealed ~seq ~root ~fsync ~truncated_bytes:dropped
 
 let close t =
   locked t (fun () ->
@@ -404,10 +412,9 @@ let commit ?root t batch =
         t.seq <- seq';
         t.sroot <- new_root;
         let n = List.length batch in
-        t.stats.Store_stats.commits <- t.stats.Store_stats.commits + 1;
-        t.stats.Store_stats.records_written <- t.stats.Store_stats.records_written + n;
-        t.stats.Store_stats.bytes_written <-
-          t.stats.Store_stats.bytes_written + Buffer.length buf;
+        Tml_obs.Metrics.inc commits;
+        Tml_obs.Metrics.add records_written n;
+        Tml_obs.Metrics.add bytes_written (Buffer.length buf);
         Tml_obs.Events.store_commit ~objects:n ~bytes:(Buffer.length buf);
         n
       end)
@@ -449,7 +456,7 @@ let compact t =
       let old_tail = t.tail in
       t.tail <- Buffer.length buf;
       t.seq <- seq';
-      t.stats.Store_stats.compactions <- t.stats.Store_stats.compactions + 1;
+      Tml_obs.Metrics.inc compactions;
       Tml_obs.Events.store_compact ~live:(Buffer.length buf)
         ~dropped:(old_tail - Buffer.length buf))
 

@@ -35,8 +35,8 @@ val create : ?fsync:bool -> string -> t
 val open_ : ?fsync:bool -> string -> t
 (** [open_ path] recovers an existing store: the directory is rebuilt
     from the longest prefix ending in a valid commit record; anything
-    after it (a torn write, a crashed transaction) is cut off and counted
-    in {!stats}.  @raise Store_error if the file is missing or its header
+    after it (a torn write, a crashed transaction) is cut off
+    ({!truncated_bytes}).  @raise Store_error if the file is missing or its header
     is not a store header. *)
 
 val close : t -> unit
@@ -114,7 +114,10 @@ val latest_seq : t -> int -> int option
 (** {1 Introspection} *)
 
 val path : t -> string
-val stats : t -> Store_stats.t
+
+val truncated_bytes : t -> int
+(** the bytes of torn tail {!open_} cut off; 0 when the log ended at a
+    seal *)
 
 val max_oid : t -> int
 (** highest sealed OID; -1 when empty *)

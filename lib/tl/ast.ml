@@ -122,6 +122,3 @@ type item =
   | Ido of expr
 
 type program = item list
-
-let def_name = function
-  | Dfun { name; _ } | Dval { name; _ } -> name

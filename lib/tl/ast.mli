@@ -28,7 +28,6 @@ type ty =
   | Ttuple of ty list
   | Tfun of ty list * ty
 
-val pp_ty : Format.formatter -> ty -> unit
 val ty_to_string : ty -> string
 
 type binop =
@@ -115,4 +114,3 @@ type item =
 
 type program = item list
 
-val def_name : def -> string

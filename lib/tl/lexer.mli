@@ -30,4 +30,3 @@ exception Lex_error of Ast.pos * string
     @raise Lex_error *)
 val tokenize : string -> (token * Ast.pos) list
 
-val keywords : string list

@@ -9,13 +9,6 @@ type options = {
 
 let default_options = { mode = Lower.Library; static_opt = None; include_stdlib = true }
 
-let stdlib_module_names = [ "intlib"; "reallib"; "arraylib"; "mathlib"; "strlib"; "io" ]
-
-let is_stdlib_name name =
-  match String.index_opt name '.' with
-  | Some i -> List.mem (String.sub name 0 i) stdlib_module_names
-  | None -> false
-
 let compile ?(options = default_options) src =
   Tml_query.Qopt.install ();
   let program = Parser.parse_program src in
@@ -175,12 +168,6 @@ let run_function program name args ~engine =
   run_value program (Value.Oidv (function_oid program name)) args ~engine ()
 
 let output program = Buffer.contents program.ctx.Runtime.out
-
-let user_function_oids program =
-  List.filter_map
-    (fun (name, oid) -> if is_stdlib_name name then None else Some oid)
-    program.func_oids
-  @ Option.to_list program.main_oid
 
 let all_function_oids program =
   List.map snd program.func_oids @ Option.to_list program.main_oid

@@ -62,10 +62,5 @@ val output : program -> string
 (** [function_oid program name] @raise Not_found *)
 val function_oid : program -> string -> Oid.t
 
-(** [user_function_oids program] — the function objects of the user program
-    (excluding the standard library), e.g. to hand to
-    [Tml_reflect.Reflect.optimize_all]. *)
-val user_function_oids : program -> Oid.t list
-
 (** [all_function_oids program] — including the standard library and main. *)
 val all_function_oids : program -> Oid.t list

@@ -561,7 +561,6 @@ let lower_def genv (d : T.tdef) : compiled_def =
 type env = genv
 
 let env_create ~mode = { mode; global_ids = Hashtbl.create 64 }
-let env_global_ids (genv : env) = genv.global_ids
 let lower_defs genv tdefs = List.map (lower_def genv) tdefs
 
 let lower_main genv main =

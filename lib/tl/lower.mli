@@ -54,7 +54,6 @@ val lower_program : mode:mode -> Typecheck.tprogram -> compiled
 type env
 
 val env_create : mode:mode -> env
-val env_global_ids : env -> (string, Ident.t) Hashtbl.t
 
 (** [lower_defs env tdefs] lowers a batch of definitions. *)
 val lower_defs : env -> Typecheck.tdef list -> compiled_def list

@@ -184,6 +184,22 @@ let feed session src =
   (* standard-library names were linked by [create]; don't echo them *)
   { defined; result; output }
 
+let render r =
+  let buf = Buffer.create 128 in
+  List.iter (fun name -> Buffer.add_string buf ("defined " ^ name ^ "\n")) r.defined;
+  Buffer.add_string buf r.output;
+  if r.output <> "" && r.output.[String.length r.output - 1] <> '\n' then
+    Buffer.add_char buf '\n';
+  (match r.result with
+  | Some (Eval.Done Value.Unit, _) -> ()
+  | Some (Eval.Done v, steps) ->
+    Buffer.add_string buf (Format.asprintf "- : %a (in %d instructions)@." Value.pp v steps)
+  | Some (Eval.Raised v, _) ->
+    Buffer.add_string buf (Format.asprintf "uncaught exception: %a@." Value.pp v)
+  | Some (o, _) -> Buffer.add_string buf (Format.asprintf "%a@." Eval.pp_outcome o)
+  | None -> ());
+  Buffer.contents buf
+
 (* ------------------------------------------------------------------ *)
 (* Durable sessions                                                     *)
 (*                                                                      *)
@@ -260,18 +276,21 @@ let stage session pstore =
          fourth export, "#speccache": the rewritten module drops it *)
       Value.Heap.set heap moid
         (Value.Module { Value.mod_name = manifest_name; exports = exports ~s ~g ~f });
-      moid
+      (moid, [ s; g; f; moid ])
     | _ ->
       let s = Value.Heap.alloc heap (Value.Vector sources) in
       let g = Value.Heap.alloc heap (Value.Vector globals) in
       let f = Value.Heap.alloc heap (Value.Vector funcs) in
-      Value.Heap.alloc heap
-        (Value.Module { Value.mod_name = manifest_name; exports = exports ~s ~g ~f })
+      let moid =
+        Value.Heap.alloc heap
+          (Value.Module { Value.mod_name = manifest_name; exports = exports ~s ~g ~f })
+      in
+      (moid, [ s; g; f; moid ])
   in
   root
 
 let persist session pstore =
-  let root = stage session pstore in
+  let root, _ = stage session pstore in
   Pstore.commit ~root pstore
 
 (* Replay one definition source: type-check it against everything replayed

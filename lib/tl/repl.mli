@@ -52,6 +52,12 @@ type feed_result = {
     Runtime.Fault *)
 val feed : session -> string -> feed_result
 
+(** [render r] — what tmlsh prints and tmld answers for one input:
+    a ["defined NAME"] line per name, the input's output, then
+    ["- : V (in N instructions)"] for a value other than unit,
+    ["uncaught exception: V"] or another outcome *)
+val render : feed_result -> string
+
 (** [lookup_tml session name] — the current TML of a linked function
     (for [:dump]). *)
 val lookup_tml : session -> string -> Tml_core.Term.value option
@@ -72,9 +78,10 @@ val persist : session -> Pstore.t -> int
 
 (** [stage session pstore] writes (or updates in place) the manifest
     objects in the heap {e without} committing, and returns the root OID
-    the sealing commit should record — the server stages the manifest
-    this way and hands the batch to its group committer. *)
-val stage : session -> Pstore.t -> Tml_core.Oid.t
+    the sealing commit should record with the objects it wrote — the
+    server stages the manifest this way and hands the batch to its group
+    committer. *)
+val stage : session -> Pstore.t -> Tml_core.Oid.t * Tml_core.Oid.t list
 
 (** [restore pstore] rebuilds a session from the store's manifest:
     sources are replayed through the type checker and the lowering

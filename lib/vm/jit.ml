@@ -79,9 +79,13 @@ let is_compiled (u : Instr.unit_code) =
   | Compiled _ -> true
   | _ -> false
 
-let compiled_units_ = ref 0
-let compiled_units () = !compiled_units_
-let reset_compiled_units () = compiled_units_ := 0
+(* the ["tier"] source's cells, in the order its report lists them:
+   {!Tierup} counts the first four, [compile_unit] the last *)
+let promotions = Tml_obs.Metrics.counter ~source:"tier" "promotions"
+let deopts = Tml_obs.Metrics.counter ~source:"tier" "deopts"
+let runs = Tml_obs.Metrics.counter ~source:"tier" "runs"
+let rejections = Tml_obs.Metrics.counter ~source:"tier" "rejections"
+let compiled_units = Tml_obs.Metrics.counter ~source:"tier" "compiled_units"
 
 (* shared boxes for the hottest results; [Value.identical] is structural
    on immediates, so sharing is unobservable *)
@@ -256,7 +260,7 @@ let rec compile_unit (u : Instr.unit_code) : cunit =
             c_body = comp_code cu f.Instr.body;
           })
         u.Instr.funcs;
-    incr compiled_units_;
+    Tml_obs.Metrics.inc compiled_units;
     cu
 
 and comp_code cu (code : Instr.code) : ccode =

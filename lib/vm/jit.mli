@@ -38,8 +38,21 @@ val apply_func :
     {!Machine} at load time. *)
 val escape_apply : (Runtime.ctx -> Value.t -> Value.t list -> Eval.outcome) ref
 
-(** number of units compiled since process start or the last
-    {!reset_compiled_units} *)
-val compiled_units : unit -> int
+(** {1 The ["tier"] source}
 
-val reset_compiled_units : unit -> unit
+    Registry cells, listed in this order by [tmlsh :stats]. *)
+
+(** units compiled by the policy or by [Tierup.force_promote] *)
+val promotions : Tml_obs.Metrics.counter
+
+(** compiled code dropped by [Tierup.retire] *)
+val deopts : Tml_obs.Metrics.counter
+
+(** entries from the machine into compiled code *)
+val runs : Tml_obs.Metrics.counter
+
+(** [Tierup.force_promote] calls with nothing to compile *)
+val rejections : Tml_obs.Metrics.counter
+
+(** units {!compile_unit} compiled *)
+val compiled_units : Tml_obs.Metrics.counter

@@ -15,7 +15,6 @@ exception Codec_error of string
     Used by [Image], which packs many objects into one byte stream. *)
 
 val w_value : Tml_store.Codec.W.t -> Value.t -> unit
-val r_value : Tml_store.Codec.R.t -> Value.t
 val w_obj : Tml_store.Codec.W.t -> Value.obj -> unit
 
 val r_obj : Tml_store.Codec.R.t -> Value.obj * int list

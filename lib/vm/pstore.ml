@@ -1,6 +1,5 @@
 open Tml_core
 module Ls = Tml_store.Log_store
-module Stats = Tml_store.Store_stats
 
 exception Store_error of string
 
@@ -23,7 +22,6 @@ type t = {
 
 let heap t = t.heap
 let log t = t.store
-let stats t = Ls.stats t.store
 let path t = Ls.path t.store
 
 let root t = Option.map Oid.of_int (Ls.snapshot_root t.snap)
@@ -55,8 +53,7 @@ let mark_dirty t ix = Hashtbl.replace t.dirty ix ()
 let note_update t oid =
   if (not t.closed) && t.in_fault = 0 then mark_dirty t (Oid.to_int oid)
 
-(* process-wide, so a server's sessions add up; the store's own stats
-   block counts per log *)
+(* process-wide, so a server's sessions add up *)
 let object_faults = Tml_obs.Metrics.counter "store.object_faults"
 
 let cache_invalidations = Tml_obs.Metrics.counter "store.cache_invalidations"
@@ -71,8 +68,6 @@ let fault t oid =
     match backing_read t ix with
     | None -> None
     | Some payload ->
-      let st = stats t in
-      st.Stats.faults <- st.Stats.faults + 1;
       Tml_obs.Metrics.inc object_faults;
       Tml_obs.Events.store_fault ~oid:ix ~bytes:(String.length payload);
       let obj, indexed =
@@ -205,6 +200,12 @@ let remember t batch =
 let collect t =
   check_open t;
   remember t (changed t (to_write_oids t))
+
+let recollect t batch oids =
+  check_open t;
+  let oids = List.sort_uniq compare (List.map Oid.to_int oids) in
+  let kept = List.filter (fun (ix, _) -> not (List.mem ix oids)) batch in
+  remember t (List.merge (fun (a, _) (b, _) -> compare a b) kept (changed t oids))
 
 let mark_committed t sn =
   check_open t;

@@ -23,8 +23,8 @@
     record ({!Tml_store.Log_store.commit}), pins the new epoch and hands
     it to {!mark_committed} — the steps the server's group committer
     runs for each winner.  After a crash the store recovers exactly the
-    last sealed state.  All counters (faults, commits, recovery
-    truncations) are exposed via {!stats}. *)
+    last sealed state.  Faults and encodes are counted in the registry
+    cells below, commits and recovery truncations in {!Tml_store.Log_store}'s. *)
 
 exception Store_error of string
 
@@ -88,6 +88,12 @@ val collect : t -> (int * string) list
     unchanged) is dropped from the batch.
     @raise Store_error if an object holds a live closure *)
 
+val recollect : t -> (int * string) list -> Tml_core.Oid.t list -> (int * string) list
+(** [recollect t batch oids] — [batch], which {!collect} or
+    {!reclaim_from} returned and nothing has written since but [oids],
+    with [oids] encoded afresh: the server adds the manifest a commit
+    stages to the batch its Eval kept *)
+
 val mark_committed : t -> Tml_store.Log_store.snapshot -> unit
 (** after this session's last {!collect} was sealed (or nothing was to
     seal): adopt [snapshot] (pinned at the sealing
@@ -130,7 +136,6 @@ val log : t -> Tml_store.Log_store.t
 
 (** {1 Introspection} *)
 
-val stats : t -> Tml_store.Store_stats.t
 val path : t -> string
 
 val uncommitted_count : t -> int

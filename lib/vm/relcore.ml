@@ -18,11 +18,11 @@ open Tml_core
 
 let default_page_size = ref 4096
 
-(* Counters surfaced through the [query] metrics source (registered by
-   [Tml_query.Qprims.install]). *)
-let page_faults = ref 0
-let pages_sealed = ref 0
-let row_cache_builds = ref 0
+(* the first cells of the ["query"] source; [Tml_query.Rel] adds the
+   rest *)
+let page_faults = Tml_obs.Metrics.counter ~source:"query" "page_faults"
+let pages_sealed = Tml_obs.Metrics.counter ~source:"query" "pages_sealed"
+let row_cache_builds = Tml_obs.Metrics.counter ~source:"query" "row_cache_builds"
 
 let make ?page_size name =
   let ps = match page_size with Some ps -> max 1 ps | None -> !default_page_size in
@@ -44,7 +44,7 @@ let length r = r.Value.rel_count
 (* Fetch page [p] of [r], faulting it from the store if needed. *)
 let page heap r p =
   let oid = r.Value.rel_pages.(p) in
-  if not (Value.Heap.is_loaded heap oid) then incr page_faults;
+  if not (Value.Heap.is_loaded heap oid) then Tml_obs.Metrics.inc page_faults;
   match Value.Heap.get heap oid with
   | Value.Vector rows -> rows
   | obj ->
@@ -125,7 +125,7 @@ let append heap r v =
     r.Value.rel_tail_len <- rest;
     let oid = Value.Heap.alloc heap (Value.Vector page) in
     r.Value.rel_pages <- Array.append r.Value.rel_pages [| oid |];
-    incr pages_sealed
+    Tml_obs.Metrics.inc pages_sealed
   done;
   r.Value.rel_rows_cache <- None;
   pos
@@ -142,7 +142,7 @@ let of_array heap ?page_size name rows =
   let pages =
     Array.init npages (fun p ->
         let page = Array.sub rows (p * ps) ps in
-        incr pages_sealed;
+        Tml_obs.Metrics.inc pages_sealed;
         Value.Heap.alloc heap (Value.Vector page))
   in
   let tail = Array.sub rows (npages * ps) (n - (npages * ps)) in
@@ -159,7 +159,7 @@ let snapshot_rows heap r =
   match r.Value.rel_rows_cache with
   | Some rows -> rows
   | None ->
-    incr row_cache_builds;
+    Tml_obs.Metrics.inc row_cache_builds;
     let rows = Array.make r.Value.rel_count Value.Unit in
     iteri heap r (fun i v -> rows.(i) <- v);
     r.Value.rel_rows_cache <- Some rows;

@@ -26,30 +26,13 @@
    compiled ({!retire}); {!repromote} compiles the re-optimized code at
    once, so a hot function does not re-heat from zero. *)
 
-type stats = {
-  mutable promotions : int;
-  mutable deopts : int;
-  mutable runs : int;
-  mutable rejections : int;
-}
-
-let stats_ = { promotions = 0; deopts = 0; runs = 0; rejections = 0 }
-let stats () = stats_
-
-let reset_stats () =
-  stats_.promotions <- 0;
-  stats_.deopts <- 0;
-  stats_.runs <- 0;
-  stats_.rejections <- 0;
-  Jit.reset_compiled_units ()
-
 (* policy knobs; see docs/TIERS.md *)
 let enabled = ref false
 let call_threshold = ref 32
 
 let promote (u : Instr.unit_code) =
   ignore (Jit.compile_unit u);
-  stats_.promotions <- stats_.promotions + 1;
+  Tml_obs.Metrics.inc Jit.promotions;
   Tml_obs.Events.tier `Promote ~name:u.Instr.funcs.(u.Instr.entry).Instr.fn_name
 
 let hot (u : Instr.unit_code) =
@@ -62,12 +45,12 @@ let hot (u : Instr.unit_code) =
 
 let run ctx (c : Value.mclosure) args =
   let u = c.Value.m_unit in
-  stats_.runs <- stats_.runs + 1;
+  Tml_obs.Metrics.inc Jit.runs;
   Jit.apply_func (Jit.compile_unit u) ~fn:c.Value.m_fn ~env:c.Value.m_env ctx args
 
 let force_promote ctx oid =
   let reject () =
-    stats_.rejections <- stats_.rejections + 1;
+    Tml_obs.Metrics.inc Jit.rejections;
     false
   in
   match Value.Heap.get_opt ctx.Runtime.heap oid with
@@ -85,22 +68,11 @@ let force_promote ctx oid =
 let retire (fo : Value.func_obj) =
   match fo.Value.fo_code with
   | Some u when Jit.is_compiled u ->
-    stats_.deopts <- stats_.deopts + 1;
+    Tml_obs.Metrics.inc Jit.deopts;
     Tml_obs.Events.tier `Deopt ~name:fo.Value.fo_name;
     true
   | _ -> false
 
 let repromote ctx ~was oid = if retire was then ignore (force_promote ctx oid)
 
-let register_metrics () =
-  Tml_obs.Metrics.register_source ~name:"tier"
-    ~snapshot:(fun () ->
-      Tml_obs.Metrics.
-        [
-          ("promotions", I stats_.promotions);
-          ("deopts", I stats_.deopts);
-          ("runs", I stats_.runs);
-          ("rejections", I stats_.rejections);
-          ("compiled_units", I (Jit.compiled_units ()));
-        ])
-    ~reset:reset_stats
+let register_metrics () = ()

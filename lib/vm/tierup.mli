@@ -41,17 +41,7 @@ val retire : Value.func_obj -> bool
     [Reflect.optimize_inplace]. *)
 val repromote : Runtime.ctx -> was:Value.func_obj -> Tml_core.Oid.t -> unit
 
-type stats = {
-  mutable promotions : int;  (** units compiled by the policy or by [force_promote] *)
-  mutable deopts : int;  (** compiled code dropped by {!retire} *)
-  mutable runs : int;  (** entries from the machine into compiled code *)
-  mutable rejections : int;  (** [force_promote] calls with nothing to compile *)
-}
-
-val stats : unit -> stats
-
-(** zero {!stats} and {!Jit.compiled_units} *)
-val reset_stats : unit -> unit
-
-(** register the ["tier"] source in the {!Tml_obs.Metrics} registry *)
+(** Does nothing: the ["tier"] source's cells ({!Jit.promotions} and
+    the rest) are in the registry from the start.  Kept because the
+    benchmark's Stanford load calls it. *)
 val register_metrics : unit -> unit

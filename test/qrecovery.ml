@@ -58,17 +58,17 @@ let stage2 path =
   let ps = Pstore.open_ ~fsync:false path in
   let ctx = Runtime.create (Pstore.heap ps) in
   let rel = match Pstore.root ps with Some oid -> oid | None -> failwith "no root" in
-  Rel.index_builds := 0;
-  Rel.index_loads := 0;
+  Tml_obs.Metrics.reset_all ();
   let looked = lookup_len ctx rel 1 in
   let n = Rel.length ctx rel in
   let scanned = scan_len ctx rel 1 in
   let stats_card = match Rel.stats ctx rel with Some st -> st.Value.st_count | None -> -1 in
   Printf.printf "recovered: %d rows, lookup(1)=%d, scan(1)=%d, stats count=%d\n" n looked
     scanned stats_card;
-  Printf.printf "index loads=%d rebuilds=%d, log truncations=%d\n" !Rel.index_loads
-    !Rel.index_builds
-    (Pstore.stats ps).Tml_store.Store_stats.recovery_truncations;
+  Printf.printf "index loads=%d rebuilds=%d, log truncations=%d\n"
+    (Tml_obs.Metrics.counter_value Rel.index_loads)
+    (Tml_obs.Metrics.counter_value Rel.index_builds)
+    (Bool.to_int (Tml_store.Log_store.truncated_bytes (Pstore.log ps) > 0));
   Pstore.close ps
 
 let () =

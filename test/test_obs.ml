@@ -395,11 +395,8 @@ let test_prometheus_exposition () =
   let h = Metrics.histogram ~labels:[ "kind", "eval" ] "eval_lock.wait_s" in
   Metrics.observe h 0.25;
   Metrics.observe h 0.75;
-  Metrics.register_source ~name:"query"
-    ~snapshot:(fun () -> [ "index_probes", Metrics.I 12 ])
-    ~reset:(fun () -> ());
+  Metrics.add Tml_query.Rel.index_probes 12;
   let doc = Metrics.prometheus () in
-  Metrics.unregister_source "query";
   (* dotted names are sanitized to the Prometheus alphabet *)
   check tbool "counter type line" true (contains doc "# TYPE server_evals counter");
   check tbool "counter sample" true (contains doc "server_evals 1");
@@ -605,13 +602,12 @@ let test_replay_detects_forged_log () =
 let test_budget_exhausted_event () =
   let saved = !Provenance.enabled in
   Provenance.enabled := true;
-  Profile.register_metrics ();
-  Profile.reset ();
+  Metrics.reset_all ();
   Profile.enabled := true;
   Fun.protect
     ~finally:(fun () ->
       Profile.enabled := false;
-      Profile.reset ();
+      Metrics.reset_all ();
       Provenance.enabled := saved)
     (fun () ->
       let config = { Optimizer.o3 with Optimizer.penalty_limit = 1 } in

@@ -217,13 +217,12 @@ let test_validation_catches_breakage () =
   | _ -> Alcotest.fail "validation accepted an out-of-scope reference"
 
 let test_profile_records () =
-  Profile.register_metrics ();
-  Profile.reset ();
+  Tml_obs.Metrics.reset_all ();
   Profile.enabled := true;
   Fun.protect
     ~finally:(fun () ->
       Profile.enabled := false;
-      Profile.reset ())
+      Tml_obs.Metrics.reset_all ())
     (fun () ->
       let v = parse_v "proc(x ce! cc!) (+ 1 2 ce! cont(t) (cc! t))" in
       let _ = Optimizer.optimize_value ~config:Optimizer.o2 v in

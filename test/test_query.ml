@@ -687,9 +687,9 @@ let test_index_select_runtime_key () =
       List.iter
         (fun key ->
           let bindings = [ "key", Value.Int key ] in
-          let probes0 = !Rel.index_probes in
+          let probes0 = Tml_obs.Metrics.counter_value Rel.index_probes in
           let indexed = run_term_to_rel ctx bindings planned in
-          check tint "one probe" 1 (!Rel.index_probes - probes0);
+          check tint "one probe" 1 (Tml_obs.Metrics.counter_value Rel.index_probes - probes0);
           rows_equal ctx
             (Printf.sprintf "key %d: indexselect ≡ select" key)
             (run_to_rel ctx bindings src) indexed)
@@ -775,10 +775,10 @@ let test_prim_idxjoin () =
   rows_equal ctx "idxjoin degrade ≡ join" naive degraded;
   (* indexed path: probes reproduce the nested loop, row order included *)
   Rel.add_index ctx r2 0;
-  let probes0 = !Rel.index_probes in
+  let probes0 = Tml_obs.Metrics.counter_value Rel.index_probes in
   let indexed = run_to_rel ctx bindings "(idxjoin r1 r2 0 0 ce! k!)" in
   rows_equal ctx "idxjoin indexed ≡ join" naive indexed;
-  check tbool "index was probed" true (!Rel.index_probes > probes0)
+  check tbool "index was probed" true (Tml_obs.Metrics.counter_value Rel.index_probes > probes0)
 
 let test_join_field_eq_recognition () =
   (match Qrewrite.join_field_eq_predicate (Sexp.parse_value (join_pred ~f1:1 ~f2:0)) with
@@ -880,12 +880,11 @@ let test_join_order_runtime () =
 
 let test_query_metrics_source () =
   let ctx = fresh_ctx () in
-  Qprims.reset_query_counters ();
+  Tml_obs.Metrics.reset_all ();
   let rel = Rel.create ctx ~name:"m" [ [| Value.Int 1 |] ] in
   Rel.add_index ctx rel 0;
   ignore (Rel.lookup ctx rel ~field:0 (Literal.Int 1));
-  let counters = Qprims.query_counters () in
-  let get name = List.assoc name counters in
+  let get = Metrics_probe.count ~source:"query" in
   check tint "relations_created" 1 (get "relations_created");
   check tint "index_builds" 1 (get "index_builds");
   check tbool "index_probes counted" true (get "index_probes" >= 1);
@@ -1069,9 +1068,7 @@ let test_cold_point_query_pages () =
                 | Some oid -> oid
                 | None -> Alcotest.fail "no root"
               in
-              Relcore.page_faults := 0;
-              Rel.index_loads := 0;
-              Rel.index_builds := 0;
+              Tml_obs.Metrics.reset_all ();
               let out = run_to_rel ctx [ "r", Value.Oidv rel ] "(indexselect r 0 20 ce! k!)" in
               (match Rel.rows ctx out with
               | [| row |] ->
@@ -1082,9 +1079,10 @@ let test_cold_point_query_pages () =
               let r = Rel.get ctx rel and heap = ctx.Runtime.heap in
               check tint "sealed pages" 8 (Relcore.page_count r);
               check tint "row pages resident after the probe" 1 (Relcore.pages_loaded heap r);
-              check tint "page faults" 1 !Relcore.page_faults;
-              check tint "index_loads" 1 !Rel.index_loads;
-              check tint "index_builds" 0 !Rel.index_builds;
+              let value = Tml_obs.Metrics.counter_value in
+              check tint "page faults" 1 (value Relcore.page_faults);
+              check tint "index_loads" 1 (value Rel.index_loads);
+              check tint "index_builds" 0 (value Rel.index_builds);
               Rel.iteri ctx rel (fun _ _ -> ());
               check tint "row pages resident after a scan" 8 (Relcore.pages_loaded heap r))))
 

@@ -86,11 +86,24 @@ let test_obligation_closure_unsupported () =
 (* Indexed dispatch ≡ linear scan                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* the registry's ["rules"] source: fires per rule name since the last
+   reset, and one rule's count *)
+let rule_fires () =
+  match Metrics_probe.(find [ "sources"; "rules" ] (parse (Tml_obs.Metrics.snapshot_json ()))) with
+  | Some (Metrics_probe.Obj kvs) ->
+    List.sort compare
+      (List.filter_map
+         (function k, Metrics_probe.Num n when n > 0. -> Some (k, int_of_float n) | _ -> None)
+         kvs)
+  | _ -> []
+
+let fires name = Option.value ~default:0 (List.assoc_opt name (rule_fires ()))
+
 (* Optimize one value under a rule list, capturing everything observable
    about the optimization itself: result term, derivation log, per-rule
    fire counters. *)
 let optimize_obs rules v =
-  Rewrite.reset_fire_counts ();
+  Tml_obs.Metrics.reset_all ();
   let saved = !Tml_obs.Provenance.enabled in
   Tml_obs.Provenance.enabled := true;
   let config = Optimizer.with_rules Optimizer.o2 rules in
@@ -99,7 +112,7 @@ let optimize_obs rules v =
       ~finally:(fun () -> Tml_obs.Provenance.enabled := saved)
       (fun () -> Optimizer.optimize_value ~config v)
   in
-  v', report.Optimizer.prov, Rewrite.fire_counts ()
+  v', report.Optimizer.prov, rule_fires ()
 
 let assert_equiv what v =
   let v1, p1, f1 = optimize_obs (List.map Dsl.to_rewrite Qrewrite.declarative_rules) v in
@@ -184,23 +197,21 @@ let test_strict_names () =
       let redex () = Sexp.parse_app "(anon-test k!)" in
       (* permissive: the fire lands on the anonymous bucket *)
       Rewrite.strict_names := false;
-      Rewrite.reset_fire_counts ();
+      Tml_obs.Metrics.reset_all ();
       ignore (Rewrite.reduce_app ~rules:[ anonymous_rule ] (redex ()));
       check tint "anonymous fire counted under the fallback name" 1
-        (try List.assoc Rewrite.anonymous_rule_name (Rewrite.fire_counts ())
-         with Not_found -> 0);
+        (fires Rewrite.anonymous_rule_name);
       (* strict: the same fire faults *)
       Rewrite.strict_names := true;
       Alcotest.check_raises "strict mode rejects anonymous fires" Rewrite.Unnamed_rule_fire
         (fun () -> ignore (Rewrite.reduce_app ~rules:[ anonymous_rule ] (redex ())));
       (* a named wrapper satisfies strict mode *)
-      Rewrite.reset_fire_counts ();
+      Tml_obs.Metrics.reset_all ();
       ignore
         (Rewrite.reduce_app
            ~rules:[ Rewrite.named "t.anon-test" anonymous_rule ]
            (redex ()));
-      check tint "named fire counted" 1
-        (try List.assoc "t.anon-test" (Rewrite.fire_counts ()) with Not_found -> 0))
+      check tint "named fire counted" 1 (fires "t.anon-test"))
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in
@@ -208,15 +219,13 @@ let contains hay needle =
   go 0
 
 let test_rules_metrics_source () =
-  Profile.register_metrics ();
-  Rewrite.reset_fire_counts ();
+  Tml_obs.Metrics.reset_all ();
   let merge =
     Printf.sprintf "(select %s r ce! cont(tmp) (select %s tmp ce! k!))"
       (field_pred ~field:0 ~value:1) (field_pred ~field:1 ~value:2)
   in
   ignore (Rewrite.reduce_app ~rules:Qopt.static_rules (Sexp.parse_app merge));
-  check tbool "fire counter present" true
-    (List.mem_assoc "q.merge-select" (Rewrite.fire_counts ()));
+  check tbool "fire counter present" true (fires "q.merge-select" > 0);
   let json = Tml_obs.Metrics.snapshot_json () in
   check tbool "metrics snapshot has a rules source" true (contains json "\"rules\"");
   check tbool "metrics snapshot attributes the fire" true (contains json "q.merge-select")

@@ -868,6 +868,22 @@ let test_eval_commit_encodes_once () =
       check tint "each sealed object was encoded once" objects (objects_encoded () - before);
       Client.close c)
 
+(* A defining Eval keeps its batch too: the commit adds the manifest
+   objects staging wrote to it, so the definition is encoded once. *)
+let test_definition_encodes_once () =
+  with_server (fun addr _t ->
+      let c = Client.connect addr in
+      let before = objects_encoded () in
+      ignore (eval_ok c "let q(x: Int): Int = x + 1");
+      check tint "the Eval encodes the definition" 1 (objects_encoded () - before);
+      let _, objects, _ = commit_ok c in
+      check tint "the commit seals it with the manifest" 4 objects;
+      check tint "and encodes only the manifest" 5 (objects_encoded () - before);
+      let fresh = Client.connect addr in
+      check tint "a fresh session calls q" 3 (int_result (eval_ok fresh "q(2)"));
+      Client.close fresh;
+      Client.close c)
+
 (* A second Eval drops the first one's batch: the commit writes both. *)
 let test_two_evals_one_commit () =
   with_server (fun addr _t ->
@@ -943,6 +959,147 @@ let test_gets_run_compiled () =
           let runs = tier_runs () - runs0 in
           check tbool (Printf.sprintf "gets entered compiled code (%d runs)" runs) true (runs > 0);
           Client.close c))
+
+(* --- the registry paths the benchmark reads ---------------------------- *)
+
+(* bench/spine/server_load.ml and stanford_load.ml read these paths of
+   tmld's Stat frame (its "metrics" member is the registry's snapshot).
+   One event of each kind must move every one of them. *)
+let spine_sources =
+  [
+    [ "optimizer"; "optimize_calls" ];
+    [ "optimizer"; "reduce_s" ];
+    [ "optimizer"; "expand_s" ];
+    [ "optimizer"; "budget_exhausted" ];
+    [ "rules"; "q.index-select" ];
+    [ "tier"; "promotions" ];
+    [ "tier"; "deopts" ];
+    [ "tier"; "runs" ];
+    [ "tier"; "rejections" ];
+    [ "query"; "index_probes" ];
+    [ "query"; "page_faults" ];
+    [ "query"; "inserts" ];
+    [ "query"; "stats_updates" ];
+    [ "store.log"; "file_bytes" ];
+    [ "store.log"; "snapshots_pinned" ];
+  ]
+
+let spine_counters = [ "server.commits"; "server.group_commits"; "server.conflicts"; "server.busy" ]
+
+let spine_histograms =
+  [
+    "eval_lock.wait_s";
+    "eval_lock.hold_s";
+    "server.commit_latency_s";
+    "commit.group_wait_s";
+    "vm.run_steps";
+  ]
+
+let spine_paths =
+  List.map (fun p -> "sources" :: p) spine_sources
+  @ List.map (fun c -> [ "counters"; c ]) spine_counters
+  @ List.map (fun h -> [ "histograms"; h; "count" ]) spine_histograms
+
+let registry c =
+  match Metrics_probe.(find [ "metrics" ] (parse (Client.stats c))) with
+  | Some m -> m
+  | None -> Alcotest.fail "no metrics in the Stat frame"
+
+(* a key first counted between two snapshots is missing from the first *)
+let number ?missing path snap =
+  match (Metrics_probe.find path snap, missing) with
+  | Some (Metrics_probe.Num f), _ -> f
+  | _, Some v -> v
+  | _ -> Alcotest.failf "%s is missing" (String.concat "." path)
+
+let test_spine_paths_move () =
+  let profile = !Tml_core.Profile.enabled and tier = !Tml_vm.Tierup.enabled in
+  Tml_core.Profile.enabled := true;
+  Tml_vm.Tierup.enabled := true;
+  Fun.protect
+    ~finally:(fun () ->
+      Tml_core.Profile.enabled := profile;
+      Tml_vm.Tierup.enabled := tier)
+    (fun () ->
+      with_server ~max_clients:3 (fun addr _t ->
+          let c = Client.connect addr in
+          let before = registry c in
+          (* a relation, an index and a stats object *)
+          ignore (eval_ok c "let r = relation(tuple(1, 10), tuple(2, 20))");
+          ignore (eval_ok c "do mkindex(r, 1) end");
+          ignore (eval_ok c "let get(k: Int): Int = count(select t from t in r where t.1 == k end)");
+          (* the policy promotes get; its calls run compiled and probe *)
+          for _ = 1 to 40 do
+            check tint "get(2)" 1 (int_result (eval_ok c "get(2)"))
+          done;
+          (* re-optimizing the compiled get deopts it; q.index-select
+             fires, so get probes the index from now on *)
+          ignore (eval_ok c ":optimize get");
+          check tint "get(1)" 1 (int_result (eval_ok c "get(1)"));
+          (* an insert updates the stats object; more than a page of
+             rows seals one; the commit writes them *)
+          ignore (eval_ok c "do insert(r, tuple(3, 30)) end");
+          ignore (eval_ok c "let big = relation(tuple(0, 0))");
+          ignore (eval_ok c "do for i = 1 upto 4100 do insert(big, tuple(i, i)) end end");
+          ignore (commit_ok c);
+          (* a fresh session faults big's sealed page from the store *)
+          let a = Client.connect addr and b = Client.connect addr in
+          check tint "a scans big" 1
+            (int_result (eval_ok a "count(select t from t in big where t.2 == 0 end)"));
+          (* a fourth client is shed *)
+          (match Client.connect addr with
+          | (_ : Client.t) -> Alcotest.fail "a fourth client must be shed"
+          | exception Client.Client_error _ -> ());
+          (* first committer wins *)
+          ignore (eval_ok a "do insert(r, tuple(4, 40)) end");
+          ignore (eval_ok b "do insert(r, tuple(5, 50)) end");
+          ignore (commit_ok a);
+          (match Client.commit b with
+          | Ok (Client.Conflicted _) -> ()
+          | _ -> Alcotest.fail "b's commit must conflict");
+          (* in process: with no penalty budget at all the optimizer
+             stops at once, and a stored function optimized to a
+             primitive has no unit to compile, so forcing its promotion
+             is rejected *)
+          let s = Tml_frontend.Repl.create () in
+          ignore (Tml_frontend.Repl.feed s "let add(x: Int, y: Int): Int = x + y");
+          let config = { Tml_core.Optimizer.default with penalty_limit = 0 } in
+          ignore
+            (Tml_core.Optimizer.optimize_value ~config
+               (Option.get (Tml_frontend.Repl.lookup_tml s "add")));
+          let oid = Option.get (Tml_frontend.Repl.function_oid s "add") in
+          ignore (Tml_reflect.Reflect.optimize_inplace (Tml_frontend.Repl.ctx s) oid);
+          check tbool "add is rejected" false
+            (Tml_vm.Tierup.force_promote (Tml_frontend.Repl.ctx s) oid);
+          let after = registry c in
+          List.iter
+            (fun path ->
+              let name = String.concat "." path in
+              check tbool (name ^ " moved") true (number path after > number ~missing:0. path before))
+            (List.filter (fun p -> p <> [ "sources"; "store.log"; "snapshots_pinned" ]) spine_paths);
+          check tbool "store.log.snapshots_pinned is set" true
+            (number [ "sources"; "store.log"; "snapshots_pinned" ] after > 0.);
+          Client.close a;
+          Client.close b;
+          Client.close c;
+          (* a reset zeroes every source but those computed from the
+             state at hand *)
+          Metrics.reset_all ();
+          match Metrics_probe.(find [ "sources" ] (parse (Metrics.snapshot_json ()))) with
+          | Some (Metrics_probe.Obj sources) ->
+            List.iter
+              (fun (src, keys) ->
+                match keys with
+                | Metrics_probe.Obj kvs
+                  when not (List.mem src [ "gc"; "server"; "store.log"; "store.heap" ]) ->
+                  List.iter
+                    (fun (k, v) ->
+                      check tbool (Printf.sprintf "%s.%s is zero" src k) true
+                        (v = Metrics_probe.Num 0.))
+                    kvs
+                | _ -> ())
+              sources
+          | _ -> Alcotest.fail "no sources"))
 
 let () =
   (* a server tearing down a connection mid-write must surface as EPIPE,
@@ -1022,6 +1179,8 @@ let () =
         [
           Alcotest.test_case "an Eval and its Commit encode each object once" `Quick
             test_eval_commit_encodes_once;
+          Alcotest.test_case "a definition's commit encodes it once" `Quick
+            test_definition_encodes_once;
           Alcotest.test_case "two Evals, one Commit: both are sealed" `Quick
             test_two_evals_one_commit;
           Alcotest.test_case "an :optimize before the Commit is sealed" `Quick
@@ -1030,4 +1189,9 @@ let () =
         ] );
       ( "tier",
         [ Alcotest.test_case "repeated gets raise tier.runs" `Quick test_gets_run_compiled ] );
+      ( "registry",
+        [
+          Alcotest.test_case "every path the benchmark reads moves" `Quick
+            test_spine_paths_move;
+        ] );
     ]

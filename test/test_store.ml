@@ -7,7 +7,11 @@
 open Tml_core
 open Tml_vm
 module Ls = Tml_store.Log_store
-module Stats = Tml_store.Store_stats
+
+(* the registry's ["store"] source, counted over every store this
+   process opens, and its object faults *)
+let store_count = Metrics_probe.count ~source:"store"
+let object_faults () = Tml_obs.Metrics.counter_value Pstore.object_faults
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
@@ -49,7 +53,7 @@ let test_wal_basics () =
       check tint "objects back" 2 (Ls.object_count t);
       check tbool "latest version" true (Ls.find t 0 = Some "alpha3");
       check tbool "root sticky" true (Ls.root t = Some 1);
-      check tint "no truncation" 0 (Ls.stats t).Stats.recovery_truncations;
+      check tint "no truncation" 0 (Ls.truncated_bytes t);
       check tint "two transactions" 2 (Ls.seq t);
       Ls.close t)
 
@@ -85,9 +89,10 @@ let test_truncation_sweep () =
       for cut = sealed_len to full_len do
         let p = temp_store () in
         write_file p (String.sub data 0 cut);
+        let cuts0 = store_count "recovery_truncations" in
         let t = Ls.open_ ~fsync:false p in
         if cut = full_len then begin
-          check tint "full file: no truncation" 0 (Ls.stats t).Stats.recovery_truncations;
+          check tint "full file: no truncation" 0 (store_count "recovery_truncations" - cuts0);
           check tbool "full file: second txn" true (Ls.find t 2 = Some "second-new")
         end
         else begin
@@ -103,11 +108,10 @@ let test_truncation_sweep () =
             check tint
               (Printf.sprintf "cut %d: truncation counted" cut)
               1
-              (Ls.stats t).Stats.recovery_truncations;
+              (store_count "recovery_truncations" - cuts0);
             check tint
               (Printf.sprintf "cut %d: truncated bytes" cut)
-              (cut - sealed_len)
-              (Ls.stats t).Stats.truncated_bytes
+              (cut - sealed_len) (Ls.truncated_bytes t)
           end;
           (* recovery must also have repaired the file on disk *)
           check tint
@@ -135,8 +139,9 @@ let test_crc_corruption_cuts_tail () =
       (* flip one payload byte inside the second transaction *)
       Bytes.set data (sealed_len + 3) (Char.chr (Char.code (Bytes.get data (sealed_len + 3)) lxor 0xff));
       write_file path (Bytes.to_string data);
+      let cuts0 = store_count "recovery_truncations" in
       let t = Ls.open_ ~fsync:false path in
-      check tint "corrupt tail truncated" 1 (Ls.stats t).Stats.recovery_truncations;
+      check tint "corrupt tail truncated" 1 (store_count "recovery_truncations" - cuts0);
       check tbool "first txn intact" true (Ls.find t 0 = Some "good");
       check tbool "corrupt txn gone" true (Ls.find t 1 = None);
       Ls.close t)
@@ -171,7 +176,7 @@ let test_compaction () =
       let t = Ls.open_ ~fsync:false path in
       check tbool "reopen after compact" true
         (Ls.find t 5 = Some "object-5" && Ls.find t 99 = Some "post-compact");
-      check tint "clean reopen" 0 (Ls.stats t).Stats.recovery_truncations;
+      check tint "clean reopen" 0 (Ls.truncated_bytes t);
       Ls.close t)
 
 (* --- snapshots, checked against a model ------------------------------ *)
@@ -275,19 +280,20 @@ let test_pstore_lazy_faulting () =
       in
       check tint "everything new" 20 (Pstore.commit ps);
       Pstore.close ps;
+      let faults0 = object_faults () in
       let ps = Pstore.open_ ~fsync:false path in
       let heap = Pstore.heap ps in
       (* a cold open decodes nothing *)
-      check tint "cold open: no faults" 0 (Pstore.stats ps).Stats.faults;
+      check tint "cold open: no faults" 0 (object_faults () - faults0);
       check tint "cold open: nothing loaded" 0 (Value.Heap.loaded_count heap);
       (match Value.Heap.get heap oids.(7) with
       | Value.Vector [| Value.Int 7; Value.Str "7" |] -> ()
       | _ -> Alcotest.fail "faulted object corrupted");
-      check tint "one fault" 1 (Pstore.stats ps).Stats.faults;
+      check tint "one fault" 1 (object_faults () - faults0);
       check tint "one loaded" 1 (Value.Heap.loaded_count heap);
       (* second access is served from the cache, not a fault *)
       ignore (Value.Heap.get heap oids.(7));
-      check tint "still one fault" 1 (Pstore.stats ps).Stats.faults;
+      check tint "still one fault" 1 (object_faults () - faults0);
       Pstore.close ps)
 
 let test_pstore_mutation_roundtrip () =
@@ -341,6 +347,7 @@ let test_pstore_read_only_commit () =
       ignore (Pstore.commit ps);
       Pstore.close ps;
       let ps = Pstore.open_ ~fsync:false path in
+      let records0 = store_count "records_written" in
       let heap = Pstore.heap ps in
       (match Value.Heap.get heap arr with
       | Value.Array [| Value.Int 1; Value.Int 2 |] -> ()
@@ -351,7 +358,7 @@ let test_pstore_read_only_commit () =
       check tint "reads dirty nothing" 0 (Pstore.uncommitted_count ps);
       check tint "reads stage nothing" 0 (List.length (Pstore.collect ps));
       check tint "nothing changed, nothing written" 0 (Pstore.commit ps);
-      check tint "no record appended" 0 (Pstore.stats ps).Stats.records_written;
+      check tint "no record appended" 0 (store_count "records_written" - records0);
       Pstore.close ps)
 
 (* [attach] adopts a heap whose objects the first commit writes but did
@@ -428,18 +435,17 @@ let test_pstore_relation_refault () =
       Tml_query.Rel.add_index ctx rel 0;
       ignore (Pstore.commit ps);
       Pstore.close ps;
+      Tml_obs.Metrics.reset_all ();
       let ps = Pstore.open_ ~fsync:false path in
       let ctx = Runtime.create (Pstore.heap ps) in
       (* the persisted index serves the lookup directly: only the
          relation header and the index object fault, never the rows *)
-      Tml_query.Rel.index_builds := 0;
-      Tml_query.Rel.index_loads := 0;
       (match Tml_query.Rel.lookup ctx rel ~field:0 (Literal.Int 2) with
       | Some [ pos ] -> (
-        check tint "no index rebuild on reopen" 0 !Tml_query.Rel.index_builds;
-        check tint "index loaded from store" 1 !Tml_query.Rel.index_loads;
-        check tbool "rows not faulted by lookup" true
-          ((Pstore.stats ps).Stats.faults <= 2);
+        let value = Tml_obs.Metrics.counter_value in
+        check tint "no index rebuild on reopen" 0 (value Tml_query.Rel.index_builds);
+        check tint "index loaded from store" 1 (value Tml_query.Rel.index_loads);
+        check tbool "rows not faulted by lookup" true (object_faults () <= 2);
         (* resolving the position faults the row tuple itself *)
         match Tml_query.Rel.nth ctx rel pos with
         | Value.Oidv t -> (
@@ -494,8 +500,9 @@ let test_pstore_crash_recovery () =
       (* tear the last transaction in half *)
       let data = read_file path in
       write_file path (String.sub data 0 (String.length data - 3));
+      let cuts0 = store_count "recovery_truncations" in
       let ps = Pstore.open_ ~fsync:false path in
-      check tint "torn tail cut" 1 (Pstore.stats ps).Stats.recovery_truncations;
+      check tint "torn tail cut" 1 (store_count "recovery_truncations" - cuts0);
       (match Value.Heap.get (Pstore.heap ps) a with
       | Value.Array [| Value.Int 1 |] -> ()
       | _ -> Alcotest.fail "did not recover the sealed state");

@@ -369,8 +369,8 @@ let tier_call ctx oid i =
   | o -> Alcotest.failf "tier call: expected Done, got %a" Eval.pp_outcome o
 
 let tier_stats () =
-  let s = Tierup.stats () in
-  s.Tierup.promotions, s.Tierup.deopts, s.Tierup.runs
+  let value = Tml_obs.Metrics.counter_value in
+  value Jit.promotions, value Jit.deopts, value Jit.runs
 
 let func_unit heap oid =
   match Value.Heap.get heap oid with
@@ -416,7 +416,6 @@ let test_tier_deopt_on_mutation () =
    counting again from the next compile. *)
 let test_tier_compiled_units_reset () =
   Runtime.install ();
-  Tierup.register_metrics ();
   let compiled () = Metrics_probe.count ~source:"tier" "compiled_units" in
   let proc = tier_reader_proc () in
   let data_id = tier_free_ident proc in

@@ -26,7 +26,10 @@ let render_slots buf render slots =
     slots;
   Buffer.add_char buf ']'
 
-let render_obj_with render_ref (obj : Value.obj) =
+(* A paged index's root renders its keys and positions read through
+   [heap]; without a heap ([render_obj_full], one object as the codec
+   stores it) it renders its directory *)
+let render_obj_with ?heap render_ref (obj : Value.obj) =
   let buf = Buffer.create 64 in
   (match obj with
   | Value.Array slots ->
@@ -54,6 +57,10 @@ let render_obj_with render_ref (obj : Value.obj) =
     Buffer.add_string buf
       (Printf.sprintf "relation %s n=%d pages" rel.Value.rel_name rel.Value.rel_count);
     render_slots buf render_ref (Array.map (fun o -> Value.Oidv o) rel.Value.rel_pages);
+    if rel.Value.rel_chunks <> [||] then begin
+      Buffer.add_string buf " chunks";
+      render_slots buf render_ref (Array.map (fun o -> Value.Oidv o) rel.Value.rel_chunks)
+    end;
     Buffer.add_string buf " tail";
     render_slots buf render_ref (Array.sub rel.Value.rel_tail 0 rel.Value.rel_tail_len);
     let ixs =
@@ -76,20 +83,29 @@ let render_obj_with render_ref (obj : Value.obj) =
         Buffer.add_string buf (render_ref v))
       rel.Value.rel_triggers;
     Buffer.add_char buf ']'
+  | Value.Index ix when ix.Value.ix_leaves <> [||] && heap = None ->
+    Buffer.add_string buf (Printf.sprintf "index f=%d leaves" ix.Value.ix_field);
+    render_slots buf Fun.id
+      (Array.map
+         (fun (low, o) -> render_value (Value.of_literal low) ^ "->" ^ render_ref (Value.Oidv o))
+         ix.Value.ix_leaves)
   | Value.Index ix ->
     (* canonical: keys in index order, positions oldest-first (the index
-       keeps them newest-first) *)
+       keeps them newest-first), whichever leaves hold them *)
     Buffer.add_string buf (Printf.sprintf "index f=%d keys{" ix.Value.ix_field);
     let first = ref true in
-    Value.Keys.iter
-      (fun k ps ->
+    let iter f =
+      match heap with
+      | Some heap -> Relcore.index_iter heap ix f
+      | None -> Value.Keys.iter f ix.Value.ix_keys
+    in
+    iter (fun k ps ->
         if not !first then Buffer.add_char buf ' ';
         first := false;
         Buffer.add_string buf (render_value (Value.of_literal k));
         Buffer.add_string buf "->[";
         Buffer.add_string buf (String.concat " " (List.rev_map string_of_int ps));
-        Buffer.add_char buf ']')
-      ix.Value.ix_keys;
+        Buffer.add_char buf ']');
     Buffer.add_char buf '}'
   | Value.Stats st ->
     Buffer.add_string buf
@@ -135,11 +151,20 @@ let render_obj_full obj =
    that an engine which allocates auxiliary function objects (the reflective
    optimizer) still produces the same dump for the same program effects. *)
 let dump_heap_gen ~with_funcs heap =
+  (* a paged index's leaves render inside its root, not on their own *)
+  let leaves = Hashtbl.create 16 in
+  Value.Heap.iter
+    (fun _ obj ->
+      match obj with
+      | Value.Index ix -> Array.iter (fun (_, o) -> Hashtbl.replace leaves o ()) ix.Value.ix_leaves
+      | _ -> ())
+    heap;
   let included i =
     let oid = Oid.of_int i in
     match Value.Heap.peek heap oid with
     | None -> None
     | Some (Value.Func _) when not with_funcs -> None
+    | Some (Value.Index _) when Hashtbl.mem leaves oid -> None
     | Some obj -> Some (oid, obj)
   in
   let local = Hashtbl.create 16 in
@@ -166,7 +191,8 @@ let dump_heap_gen ~with_funcs heap =
       match obj with
       | Value.Func fo ->
         Buffer.add_string buf (Printf.sprintf "r%d: %s\n" n (render_func_full fo))
-      | obj -> Buffer.add_string buf (Printf.sprintf "r%d: %s\n" n (render_obj_with render_ref obj)))
+      | obj ->
+        Buffer.add_string buf (Printf.sprintf "r%d: %s\n" n (render_obj_with ~heap render_ref obj)))
     (List.rev !objs);
   Buffer.contents buf
 
@@ -202,6 +228,7 @@ let dump_reachable (ctx : Runtime.ctx) roots =
       | Value.Module m -> Array.iter (fun (_, v) -> visit v) m.Value.exports
       | Value.Relation rel ->
         Array.iter (fun o -> visit (Value.Oidv o)) rel.Value.rel_pages;
+        Array.iter (fun o -> visit (Value.Oidv o)) rel.Value.rel_chunks;
         Array.iter visit (Array.sub rel.Value.rel_tail 0 rel.Value.rel_tail_len);
         List.iter (fun (_, o) -> visit (Value.Oidv o)) rel.Value.rel_indexes;
         (match rel.Value.rel_stats with
@@ -228,6 +255,7 @@ let dump_reachable (ctx : Runtime.ctx) roots =
       | Some (Value.Func fo) ->
         Buffer.add_string buf (Printf.sprintf "r%d: func %s\n" n fo.Value.fo_name)
       | Some obj ->
-        Buffer.add_string buf (Printf.sprintf "r%d: %s\n" n (render_obj_with render_ref obj)))
+        Buffer.add_string buf
+          (Printf.sprintf "r%d: %s\n" n (render_obj_with ~heap:ctx.Runtime.heap render_ref obj)))
     (List.rev !order);
   Buffer.contents buf

@@ -16,14 +16,17 @@ open Tml_vm
     [relation r rows[<oid 4> <oid 5>] indexes[0 2]]; function objects
     render with their persisted payload (name, PTML digest, R-value
     bindings, derived attributes): what the codec oracles must see
-    compared. *)
+    compared.  One object alone: a paged index's root renders its
+    directory of leaves. *)
 val render_obj_full : Value.obj -> string
 
 (** [dump_heap heap] — every materialized object, one line per object in
     allocation order, function objects skipped.  OIDs (both the per-line
     labels and references inside objects) are renumbered over the included
     objects, so engines that allocate auxiliary function objects (the
-    reflective optimizer) still dump equal. *)
+    reflective optimizer) still dump equal.  An index renders its keys
+    and positions, not its layout: a paged index's leaves are not listed
+    on their own, and its root renders every key they hold. *)
 val dump_heap : Value.Heap.heap -> string
 
 (** [dump_heap_all heap] — like {!dump_heap} but {e includes} function

@@ -117,7 +117,7 @@ let index_join ctx (a : app) =
               Printf.sprintf
                 "index on field %d of %s (%d rows, %d distinct keys)" f2
                 (Oid.to_string r2_oid) st.Qcost.cs_card
-                (Option.value ~default:(Rel.index_distinct ix)
+                (Option.value ~default:(Rel.index_distinct ctx ix)
                    (Qcost.distinct_on st f2))
             | None ->
               Printf.sprintf "index on field %d of %s" f2 (Oid.to_string r2_oid)

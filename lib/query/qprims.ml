@@ -161,7 +161,7 @@ let idxjoin_impl ctx values conts =
                 (fun pos ->
                   Runtime.charge ctx 3;
                   emit fields1 (Rel.nth ctx oid2 pos))
-                (Rel.index_positions ix key)
+                (Rel.index_positions ctx ix key)
             | None -> ())
     | _ ->
       (* no index at runtime: degrade to the nested scan, with the same

@@ -39,19 +39,28 @@ let get_index_obj ctx ixoid =
   | _ -> Runtime.fault "%s is not an index" (Oid.to_string ixoid)
 
 (* Refresh the sibling stats object from the relation's current state
-   (row count, tuple arity, per-indexed-field distinct counts). Called
-   on insert and mkindex; allocates the stats object on first need (the
-   caller reports its write to the relation header afterwards either
-   way). *)
-let refresh_stats ctx (r : Value.relation) ~arity_hint =
+   (row count, tuple arity, per-indexed-field distinct counts). The
+   stats object keeps each index's distinct count: with [~fresh:(Some
+   fields)] (an insert, whose key was new in the indexes on [fields]) a
+   kept count is bumped for those fields, and only a count it lacks is
+   counted over the index's leaves; [~fresh:None] counts every index.
+   Called on insert and mkindex; allocates the stats object on first
+   need (the caller reports its write to the relation header afterwards
+   either way). *)
+let refresh_stats ctx (r : Value.relation) ~arity_hint ~fresh =
   let heap = ctx.Runtime.heap in
+  let stats = get_stats_obj ctx r in
   let distinct =
     List.map
-      (fun (field, ixoid) -> field, (get_index_obj ctx ixoid).Value.ix_distinct)
+      (fun (field, ixoid) ->
+        ( field,
+          match fresh, Option.bind stats (fun (_, st) -> List.assoc_opt field st.Value.st_distinct) with
+          | Some fresh, Some d -> if List.mem field fresh then d + 1 else d
+          | _ -> Relcore.index_distinct heap (get_index_obj ctx ixoid) ))
       (List.sort compare r.Value.rel_indexes)
   in
   Tml_obs.Metrics.inc stats_updates;
-  match get_stats_obj ctx r with
+  match stats with
   | Some (soid, st) ->
     st.Value.st_count <- r.Value.rel_count;
     (match arity_hint with
@@ -122,11 +131,11 @@ let rows ctx oid = Relcore.snapshot_rows ctx.Runtime.heap (get ctx oid)
 type index = Value.index_obj
 
 let index_field (ix : index) = ix.Value.ix_field
-let index_distinct (ix : index) = ix.Value.ix_distinct
+let index_distinct ctx (ix : index) = Relcore.index_distinct ctx.Runtime.heap ix
 
-let index_positions (ix : index) key =
+let index_positions ctx (ix : index) key =
   Tml_obs.Metrics.inc index_probes;
-  match Value.Keys.find_opt key ix.Value.ix_keys with
+  match Relcore.index_find ctx.Runtime.heap ix key with
   | None -> []
   | Some positions -> List.rev positions
 
@@ -152,10 +161,10 @@ let add_index ctx oid field =
       let fields = row_tuple ctx row in
       if field < 0 || field >= Array.length fields then
         Runtime.fault "index: field %d out of range" field;
-      Value.index_add ix (key_of_field ~what:"index" fields.(field)) pos);
-  let ixoid = Value.Heap.alloc heap (Value.Index ix) in
+      ignore (Value.index_add ix (key_of_field ~what:"index" fields.(field)) pos));
+  let ixoid = Relcore.index_alloc heap ix in
   r.Value.rel_indexes <- (field, ixoid) :: List.remove_assoc field r.Value.rel_indexes;
-  refresh_stats ctx r ~arity_hint:None;
+  refresh_stats ctx r ~arity_hint:None ~fresh:None;
   Value.Heap.note_write heap oid
 
 let insert ctx oid fields =
@@ -164,19 +173,24 @@ let insert ctx oid fields =
   Tml_obs.Metrics.inc inserts;
   let row = Value.Oidv (Value.Heap.alloc heap (Value.Tuple fields)) in
   let pos = Relcore.append heap r row in
-  List.iter
-    (fun (field, ixoid) ->
-      if field < Array.length fields then begin
-        Value.index_add (get_index_obj ctx ixoid) (key_of_field ~what:"insert" fields.(field)) pos;
-        Value.Heap.note_write heap ixoid
-      end)
-    r.Value.rel_indexes;
-  refresh_stats ctx r ~arity_hint:(Some (Array.length fields));
+  let fresh =
+    List.filter_map
+      (fun (field, ixoid) ->
+        if
+          field < Array.length fields
+          && Relcore.index_add heap ixoid (get_index_obj ctx ixoid)
+               (key_of_field ~what:"insert" fields.(field))
+               pos
+        then Some field
+        else None)
+      r.Value.rel_indexes
+  in
+  refresh_stats ctx r ~arity_hint:(Some (Array.length fields)) ~fresh:(Some fresh);
   Value.Heap.note_write heap oid
 
 let lookup ctx oid ~field key =
   match find_index ctx oid field with
-  | Some ix -> Some (index_positions ix key)
+  | Some ix -> Some (index_positions ctx ix key)
   | None -> None
 
 (* --- triggers ------------------------------------------------------- *)

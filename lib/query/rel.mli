@@ -78,12 +78,15 @@ val find_index : Runtime.ctx -> Tml_core.Oid.t -> int -> index option
 
 val index_field : index -> int
 
-(** [index_positions ix key] — positions of rows whose indexed field
-    equals [key], ascending. *)
-val index_positions : index -> Tml_core.Literal.t -> int list
+(** [index_positions ctx ix key] — positions of rows whose indexed
+    field equals [key], ascending.  A paged index faults the one leaf
+    that holds [key]. *)
+val index_positions : Runtime.ctx -> index -> Tml_core.Literal.t -> int list
 
-(** [index_distinct ix] — number of distinct keys in the index. *)
-val index_distinct : index -> int
+(** [index_distinct ctx ix] — number of distinct keys in the index,
+    counted over every leaf (the stats object keeps the same count, see
+    {!distinct}). *)
+val index_distinct : Runtime.ctx -> index -> int
 
 (** [indexed_fields ctx rel] — fields with an index, ascending. *)
 val indexed_fields : Runtime.ctx -> Tml_core.Oid.t -> int list

@@ -6,14 +6,16 @@ let magic = "TMLLOG1\n"
 
 (* The directory is multi-version: each OID maps to its version chain,
    newest first, each version tagged with the sequence number of the
-   commit that sealed it.  Old versions are kept only while a snapshot
-   pinned at an epoch that can still see them exists; with no pins the
-   chain is always a single entry.
+   commit that sealed it.  A chain keeps its head and, for each live
+   pin, the newest version at or below the pin's epoch — the one that
+   pin reads — so it holds at most (live pins + 1) versions however old
+   the oldest pin is; with no pins it is a single entry.
 
    The journal lists, newest first, the OIDs each commit sealed while
-   an older pin existed.  Only journaled OIDs can have more than one
-   version, so it is both the pinned readers' invalidation feed
-   ([written_after]) and the set of chains a release may shorten. *)
+   an older pin existed.  Only an OID sealed after a pin's epoch can
+   hold a version that pin alone reads, so the journal is both the
+   pinned readers' invalidation feed ([written_after]) and the set of
+   chains a release may shorten. *)
 type entry = {
   e_off : int;  (* absolute file offset of the payload bytes *)
   e_len : int;
@@ -36,10 +38,13 @@ type t = {
   mutable sroot : int option;
   fsync : bool;
   mutable closed : bool;
-  mutable pins : snapshot list;  (* active snapshots *)
+  mutable pins : snapshot list;
+      (* active snapshots, newest first: [pin] conses each at the
+         current epoch *)
   mutable journal : (int * int list) list;
       (* (seq, OIDs sealed), newest first: every commit newer than the
          oldest pin, and only those *)
+  mutable versions : int;  (* versions over every chain *)
   mutable sealed_max : int;  (* highest sealed OID; -1 when empty *)
   lock : Mutex.t;  (* guards the directory, the file cursor, the pins and the journal *)
   truncated_bytes : int;  (* the torn tail [open_] cut off *)
@@ -98,18 +103,45 @@ let min_pin_u t =
     (fun acc sn -> match acc with None -> Some sn.sn_seq | Some m -> Some (min m sn.sn_seq))
     None t.pins
 
-(* Keep every version a pinned epoch can still observe: all versions newer
-   than the oldest pin, plus the newest version at or below it (the one
-   that pin resolves to).  With no pins, just the head. *)
-let prune_chain min_pin es =
-  match min_pin with
-  | None -> ( match es with e :: _ -> [ e ] | [] -> [])
-  | Some m ->
-    let rec keep = function
-      | [] -> []
-      | e :: rest -> if e.e_seq <= m then [ e ] else e :: keep rest
-    in
-    keep es
+(* the live pins' epochs, newest first *)
+let pin_epochs t = List.map (fun sn -> sn.sn_seq) t.pins
+
+(* [epochs], newest first, without those at or above [s] *)
+let rec below s = function
+  | p :: ps when p >= s -> below s ps
+  | epochs -> epochs
+
+(* The versions of chain [es] a reader can still see: the head and, for
+   each pinned epoch in [epochs] (newest first), the newest version at
+   or below it. *)
+let readable epochs es =
+  let rec go epochs es =
+    match epochs, es with
+    | [], _ | _, [] -> []
+    | p :: _, e :: rest when e.e_seq > p -> go epochs rest
+    | _, e :: rest -> e :: go (below e.e_seq epochs) rest
+  in
+  match es with
+  | [] -> []
+  | head :: older -> head :: go (below head.e_seq epochs) older
+
+(* Replace [oid]'s chain by its readable versions, keeping the count. *)
+let prune t epochs oid es =
+  let kept = readable epochs es in
+  t.versions <- t.versions + List.length kept - List.length es;
+  Hashtbl.replace t.dir oid kept
+
+(* [f] over the OIDs of every journaled commit newer than [epoch]: the
+   journal is newest first, so the walk stops at the first one that is
+   not *)
+let iter_written_after t epoch f =
+  let rec go = function
+    | (s, oids) :: rest when s > epoch ->
+      List.iter f oids;
+      go rest
+    | _ -> ()
+  in
+  go t.journal
 
 let pin t =
   locked t (fun () ->
@@ -120,45 +152,39 @@ let pin t =
       t.pins <- sn :: t.pins;
       sn)
 
-(* Once the oldest pin moves to [m] (or no pin is left), the journal
-   entries at or below [m] expire, and only their chains can hold a
-   version no pin sees any more. *)
+(* Releasing [sn] can drop only versions of the OIDs sealed after its
+   epoch.  Once the oldest pin moves to [m] (or no pin is left), the
+   journal entries at or below [m] expire. *)
 let release t sn =
   locked t (fun () ->
       if sn.sn_active then begin
         sn.sn_active <- false;
         let before = min_pin_u t in
         t.pins <- List.filter (fun s -> s != sn) t.pins;
+        let epochs = pin_epochs t in
+        iter_written_after t sn.sn_seq (fun oid ->
+            match Hashtbl.find_opt t.dir oid with
+            | Some es -> prune t epochs oid es
+            | None -> ());
         let m = min_pin_u t in
-        if m <> before then begin
-          let expired, kept =
-            List.partition
-              (fun (s, _) -> match m with None -> true | Some m -> s <= m)
-              t.journal
-          in
-          t.journal <- kept;
-          List.iter
-            (fun (_, oids) ->
-              List.iter
-                (fun oid ->
-                  match Hashtbl.find_opt t.dir oid with
-                  | Some es -> Hashtbl.replace t.dir oid (prune_chain m es)
-                  | None -> ())
-                oids)
-            expired
-        end
+        if m <> before then
+          t.journal <-
+            (match m with
+            | None -> []
+            | Some m -> List.filter (fun (s, _) -> s > m) t.journal)
       end)
 
 let written_after t sn =
   locked t (fun () ->
       if not sn.sn_active then fail "snapshot (epoch %d) released" sn.sn_seq;
-      List.sort_uniq compare
-        (List.concat_map
-           (fun (s, oids) -> if s > sn.sn_seq then oids else [])
-           t.journal))
+      let oids = ref [] in
+      iter_written_after t sn.sn_seq (fun oid -> oids := oid :: !oids);
+      List.sort_uniq compare !oids)
 
-let version_count t =
-  locked t (fun () -> Hashtbl.fold (fun _ es acc -> acc + List.length es) t.dir 0)
+let version_count t = locked t (fun () -> t.versions)
+
+let chain_length t oid =
+  locked t (fun () -> List.length (Option.value ~default:[] (Hashtbl.find_opt t.dir oid)))
 
 (* ------------------------------------------------------------------ *)
 (* Low-level file I/O                                                   *)
@@ -305,6 +331,7 @@ let make ~path ~fd ~dir ~tail ~seq ~root ~fsync ~truncated_bytes =
     closed = false;
     pins = [];
     journal = [];
+    versions = Hashtbl.length dir;
     sealed_max = Hashtbl.fold (fun oid _ acc -> max oid acc) dir (-1);
     lock = Mutex.create ();
     truncated_bytes;
@@ -400,11 +427,12 @@ let commit ?root t batch =
         ignore (Unix.lseek t.fd t.tail Unix.SEEK_SET);
         write_all t.fd (Buffer.contents buf);
         if t.fsync then Unix.fsync t.fd;
-        let min_pin = min_pin_u t in
+        let epochs = pin_epochs t in
         List.iter
           (fun (oid, e) ->
             let old = Option.value ~default:[] (Hashtbl.find_opt t.dir oid) in
-            Hashtbl.replace t.dir oid (prune_chain min_pin (e :: old));
+            t.versions <- t.versions + 1;
+            prune t epochs oid (e :: old);
             t.sealed_max <- max t.sealed_max oid)
           located;
         if t.pins <> [] then t.journal <- (seq', List.map fst located) :: t.journal;
@@ -453,6 +481,7 @@ let compact t =
       t.fd <- fd;
       Hashtbl.reset t.dir;
       List.iter (fun (oid, e) -> Hashtbl.replace t.dir oid [ e ]) located;
+      t.versions <- List.length located;
       let old_tail = t.tail in
       t.tail <- Buffer.length buf;
       t.seq <- seq';
@@ -474,5 +503,12 @@ let register_metrics ?(name = "store.log") t =
             "snapshots_pinned", Tml_obs.Metrics.I (List.length t.pins);
             "objects", Tml_obs.Metrics.I (Hashtbl.length t.dir);
             "file_bytes", Tml_obs.Metrics.I t.tail;
+            "versions", Tml_obs.Metrics.I t.versions;
+            "journal_entries", Tml_obs.Metrics.I (List.length t.journal);
+            ( "oldest_pin_age",
+              Tml_obs.Metrics.I
+                (match min_pin_u t with
+                | Some m -> t.seq - m
+                | None -> 0) );
           ]))
     ~reset:(fun () -> ())

@@ -65,13 +65,17 @@ val root : t -> int option
 
     A snapshot pins the store at its current committed epoch
     ({!seq}): reads through it resolve every OID to the newest version
-    sealed {e at or before} that epoch, never to a later commit.  Superseded versions are retained while any
-    snapshot that can see them is pinned and pruned on {!release}.
+    sealed {e at or before} that epoch, never to a later commit.  Each
+    OID keeps its newest version and, for each pinned snapshot, the
+    newest version at or below its epoch; every other version is pruned
+    by the commit that supersedes it or by the {!release} of the last
+    pin that read it.  So a chain holds at most (live pins + 1)
+    versions, however old the oldest pin is.
 
     While any snapshot is pinned, each commit also records the OIDs it
-    sealed in a {e write journal}.  An entry lives as long as some pin
-    is older than its commit: it is what {!written_after} reads, and the
-    only chains a {!release} has to prune. *)
+    sealed in a {e write journal}, newest first.  An entry lives as long
+    as some pin is older than its commit: it is what {!written_after}
+    reads, and the only chains a {!release} has to prune. *)
 
 type snapshot
 
@@ -80,17 +84,17 @@ val pin : t -> snapshot
     highest sealed OID is maintained, not computed) *)
 
 val release : t -> snapshot -> unit
-(** drop the pin; idempotent.  When that moves the oldest pin (or
-    releases the last one), the journal entries no remaining pin is
-    older than expire, and their OIDs' chains are pruned to the
-    versions the remaining pins can see.  Any other release prunes
-    nothing. *)
+(** drop the pin; idempotent.  The chains of the OIDs sealed after its
+    epoch are pruned to the versions the remaining pins read.  When that
+    moves the oldest pin (or releases the last one), the journal entries
+    no remaining pin is older than expire. *)
 
 val written_after : t -> snapshot -> int list
 (** [written_after t sn] — every OID sealed by a commit after [sn]'s
     epoch, ascending and without duplicates: what a session pinned at
     [sn] must stop trusting in its cache when it moves to a newer pin.
-    Read it before releasing [sn].
+    It walks the journal only down to [sn]'s epoch.  Read it before
+    releasing [sn].
     @raise Store_error if the snapshot was released *)
 
 val snapshot_seq : snapshot -> int
@@ -128,6 +132,10 @@ val version_count : t -> int
 (** sealed versions held in the directory, over every OID: equal to
     {!object_count} when nothing is pinned *)
 
+val chain_length : t -> int -> int
+(** the versions the directory holds for one OID: at most (live pins +
+    1) *)
+
 val seq : t -> int
 
 val file_bytes : t -> int
@@ -139,9 +147,12 @@ val live_bytes : t -> int
 
 val register_metrics : ?name:string -> t -> unit
 (** register a live metrics source (default name ["store.log"]) exposing
-    [seq] (the epoch), [fsync], [snapshots_pinned],
-    [objects] and [file_bytes] in the {!Tml_obs.Metrics} registry — the
-    values [tmlsh :stats] and the server's [stat] frame report *)
+    [seq] (the epoch), [fsync], [snapshots_pinned], [objects],
+    [file_bytes], [versions] ({!version_count}), [journal_entries] and
+    [oldest_pin_age] (the epoch minus the oldest live pin's, 0 with no
+    pin) in the {!Tml_obs.Metrics} registry — the values [tmlsh :stats]
+    and the server's [stat] frame report.  An idle pin shows as a
+    growing [oldest_pin_age] and [journal_entries] *)
 
 (** {1 Compaction} *)
 

@@ -125,7 +125,7 @@ and apply ctx (f : Value.t) (args : Value.t list) : Eval.outcome =
           | Value.Mclosure c when Jit.is_compiled c.Value.m_unit -> "tiered"
           | _ -> "machine"
         in
-        Vmprof.note_apply ctx ~tier ~name:fo.Value.fo_name ~oid:(Oid.to_int oid)
+        Vmprof.note_apply ctx ~tier ~name:fo.Value.fo_name
       end;
       apply ctx impl args
     | Some _ -> Runtime.fault "%s is not applicable" (Oid.to_string oid)

@@ -89,16 +89,22 @@ let w_obj w (obj : Value.obj) =
   | Value.Relation rel ->
     (* REL1: paged relation header. Row pages are separate store
        objects referenced by OID; only the unfilled tail is inline.
-       Encoding is canonical (indexes sorted by field) so unchanged
-       headers re-encode byte-identically and [Pstore.collect] can skip
-       them. *)
+       REL2, written when the unfilled tail has sealed chunks, lists
+       their OIDs after the pages' and is otherwise REL1.  Encoding is
+       canonical (indexes sorted by field) so unchanged headers
+       re-encode byte-identically and [Pstore.collect] can skip them. *)
+    let w_oids oids =
+      Codec.W.varint w (Array.length oids);
+      Array.iter (fun oid -> Codec.W.varint w (Oid.to_int oid)) oids
+    in
+    let chunked = rel.Value.rel_chunks <> [||] in
     Codec.W.u8 w 7;
-    Codec.W.raw w "REL1";
+    Codec.W.raw w (if chunked then "REL2" else "REL1");
     Codec.W.str w rel.Value.rel_name;
     Codec.W.varint w rel.Value.rel_page_size;
     Codec.W.varint w rel.Value.rel_count;
-    Codec.W.varint w (Array.length rel.Value.rel_pages);
-    Array.iter (fun oid -> Codec.W.varint w (Oid.to_int oid)) rel.Value.rel_pages;
+    w_oids rel.Value.rel_pages;
+    if chunked then w_oids rel.Value.rel_chunks;
     Codec.W.varint w rel.Value.rel_tail_len;
     for j = 0 to rel.Value.rel_tail_len - 1 do
       w_value w rel.Value.rel_tail.(j)
@@ -119,10 +125,23 @@ let w_obj w (obj : Value.obj) =
       Codec.W.varint w (Oid.to_int oid));
     Codec.W.varint w (List.length rel.Value.rel_triggers);
     List.iter (w_value w) rel.Value.rel_triggers
+  | Value.Index ix when ix.Value.ix_leaves <> [||] ->
+    (* IXR1: a paged index's root, its leaves' low keys and OIDs in key
+       order *)
+    Codec.W.u8 w 8;
+    Codec.W.raw w "IXR1";
+    Codec.W.varint w ix.Value.ix_field;
+    Codec.W.varint w (Array.length ix.Value.ix_leaves);
+    Array.iter
+      (fun (low, oid) ->
+        w_value w (Value.of_literal low);
+        Codec.W.varint w (Oid.to_int oid))
+      ix.Value.ix_leaves
   | Value.Index ix ->
-    (* IDX1: persistent secondary index. Canonical bytes: keys in
-       [Value.Keys] order, positions ascending — the order the index
-       already holds them in, so nothing is sorted here. *)
+    (* IDX1: persistent secondary index, or one leaf of a paged one.
+       Canonical bytes: keys in [Value.Keys] order, positions ascending
+       — the order the index already holds them in, so nothing is
+       sorted here. *)
     Codec.W.u8 w 8;
     Codec.W.raw w "IDX1";
     Codec.W.varint w ix.Value.ix_field;
@@ -195,6 +214,7 @@ let r_obj r : Value.obj * int list (* indexed fields, relations only *) =
           Value.rel_name;
           rel_page_size = !Relcore.default_page_size;
           rel_pages = [||];
+          rel_chunks = [||];
           rel_tail = rows;
           rel_tail_len = Array.length rows;
           rel_count = Array.length rows;
@@ -240,12 +260,16 @@ let r_obj r : Value.obj * int list (* indexed fields, relations only *) =
       [] )
   | 7 ->
     let magic = Codec.R.raw r 4 in
-    if magic <> "REL1" then fail "bad relation magic %S" magic;
+    if magic <> "REL1" && magic <> "REL2" then fail "bad relation magic %S" magic;
+    let r_oids () =
+      let n = Codec.R.varint r in
+      Array.init n (fun _ -> Oid.of_int (Codec.R.varint r))
+    in
     let rel_name = Codec.R.str r in
     let rel_page_size = Codec.R.varint r in
     let rel_count = Codec.R.varint r in
-    let npages = Codec.R.varint r in
-    let rel_pages = Array.init npages (fun _ -> Oid.of_int (Codec.R.varint r)) in
+    let rel_pages = r_oids () in
+    let rel_chunks = if magic = "REL2" then r_oids () else [||] in
     let tail_len = Codec.R.varint r in
     let rel_tail = Array.init tail_len (fun _ -> r_value r) in
     let ni = Codec.R.varint r in
@@ -268,6 +292,7 @@ let r_obj r : Value.obj * int list (* indexed fields, relations only *) =
           Value.rel_name;
           rel_page_size;
           rel_pages;
+          rel_chunks;
           rel_tail;
           rel_tail_len = tail_len;
           rel_count;
@@ -279,21 +304,30 @@ let r_obj r : Value.obj * int list (* indexed fields, relations only *) =
       [] )
   | 8 ->
     let magic = Codec.R.raw r 4 in
-    if magic <> "IDX1" then fail "bad index magic %S" magic;
+    let r_key () =
+      match Value.to_literal (r_value r) with
+      | Some l -> l
+      | None -> fail "non-literal index key in store object"
+    in
     let ix = Value.index_create (Codec.R.varint r) in
-    let nkeys = Codec.R.varint r in
-    for _ = 1 to nkeys do
-      let key =
-        match Value.to_literal (r_value r) with
-        | Some l -> l
-        | None -> fail "non-literal index key in store object"
-      in
-      let np = Codec.R.varint r in
-      (* stored ascending, held newest first *)
-      let positions = List.rev (List.init np (fun _ -> Codec.R.varint r)) in
-      ix.Value.ix_keys <- Value.Keys.add key positions ix.Value.ix_keys
-    done;
-    ix.Value.ix_distinct <- Value.Keys.cardinal ix.Value.ix_keys;
+    (match magic with
+    | "IDX1" ->
+      let nkeys = Codec.R.varint r in
+      for _ = 1 to nkeys do
+        let key = r_key () in
+        let np = Codec.R.varint r in
+        (* stored ascending, held newest first *)
+        let positions = List.rev (List.init np (fun _ -> Codec.R.varint r)) in
+        ix.Value.ix_keys <- Value.Keys.add key positions ix.Value.ix_keys
+      done;
+      ix.Value.ix_distinct <- Value.Keys.cardinal ix.Value.ix_keys
+    | "IXR1" ->
+      let n = Codec.R.varint r in
+      ix.Value.ix_leaves <-
+        Array.init n (fun _ ->
+            let low = r_key () in
+            low, Oid.of_int (Codec.R.varint r))
+    | _ -> fail "bad index magic %S" magic);
     Value.Index ix, []
   | 9 ->
     let magic = Codec.R.raw r 4 in
@@ -348,11 +382,10 @@ let rebuild_relation_indexes heap oid fields =
               | Value.Oidv roid -> (
                 match Value.Heap.get_opt heap roid with
                 | Some (Value.Tuple slots) when field < Array.length slots ->
-                  Value.index_add ix (key_of slots.(field)) pos
+                  ignore (Value.index_add ix (key_of slots.(field)) pos)
                 | _ -> fail "relation row %d is not a valid tuple" pos)
               | _ -> fail "relation row %d is not a reference" pos);
-          let ix_oid = Value.Heap.alloc heap (Value.Index ix) in
-          field, ix_oid)
+          field, Relcore.index_alloc heap ix)
         (List.sort compare fields)
     in
     rel.Value.rel_indexes <- ixs @ rel.Value.rel_indexes

@@ -62,9 +62,12 @@ and relation = {
       (** sealed row pages: each a [Vector] of exactly [rel_page_size]
           rows, faulted on demand — the full row array is never
           materialized by the relation object itself *)
+  mutable rel_chunks : Oid.t array;
+      (** sealed chunks of [Relcore.chunk_rows] rows after the pages *)
   mutable rel_tail : t array;  (** growable tail buffer (capacity array) *)
   mutable rel_tail_len : int;  (** valid prefix of [rel_tail] *)
-  mutable rel_count : int;  (** total logical rows = pages*page_size + tail_len *)
+  mutable rel_count : int;
+      (** total logical rows = pages*page_size + chunks*chunk_rows + tail_len *)
   mutable rel_indexes : (int * Oid.t) list;
       (** field -> sibling [Index] store object, persisted with the relation *)
   mutable rel_stats : Oid.t option;  (** sibling [Stats] store object *)
@@ -79,6 +82,8 @@ and index_obj = {
   mutable ix_keys : int list Keys.t;
       (** key -> row positions, newest (largest) first *)
   mutable ix_distinct : int;  (** [Keys.cardinal ix_keys], kept *)
+  mutable ix_leaves : (Literal.t * Oid.t) array;
+      (** a root's leaves by low key; [[||]] in a leaf or a one-object index *)
 }
 
 and stats_obj = {
@@ -100,9 +105,11 @@ and func_obj = {
   mutable fo_attrs : (string * int) list;
 }
 
-let index_create field = { ix_field = field; ix_keys = Keys.empty; ix_distinct = 0 }
+let index_create field =
+  { ix_field = field; ix_keys = Keys.empty; ix_distinct = 0; ix_leaves = [||] }
 
 let index_add ix key pos =
+  let before = ix.ix_distinct in
   ix.ix_keys <-
     Keys.update key
       (function
@@ -110,7 +117,8 @@ let index_add ix key pos =
         | None ->
           ix.ix_distinct <- ix.ix_distinct + 1;
           Some [ pos ])
-      ix.ix_keys
+      ix.ix_keys;
+  ix.ix_distinct > before
 
 module Heap = struct
   type heap = {

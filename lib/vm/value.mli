@@ -74,8 +74,12 @@ and relation = {
       (** sealed row pages, each a [Vector] of exactly [rel_page_size] rows
           ([Oidv]s of [Tuple]s), faulted on demand through the store — the
           header never materializes the full row array *)
+  mutable rel_chunks : Tml_core.Oid.t array;
+      (** sealed chunks of the rows after the pages, each a [Vector] of
+          [Relcore.chunk_rows] rows, folded into one page when they fill
+          it; empty when the page size is at most [Relcore.chunk_rows] *)
   mutable rel_tail : t array;
-      (** growable tail buffer for the unfilled last page (capacity array) *)
+      (** growable buffer for the rows after the chunks (capacity array) *)
   mutable rel_tail_len : int;  (** valid prefix of [rel_tail] *)
   mutable rel_count : int;     (** total logical row count *)
   mutable rel_indexes : (int * Tml_core.Oid.t) list;
@@ -98,8 +102,13 @@ and index_obj = {
   ix_field : int;  (** the indexed tuple field *)
   mutable ix_keys : int list Keys.t;
       (** key → row positions, newest (largest) first.  A key is bound
-          to the key of the last row that carried it *)
-  mutable ix_distinct : int;  (** number of keys *)
+          to the key of the last row that carried it.  Empty in a root *)
+  mutable ix_distinct : int;  (** number of keys in [ix_keys] *)
+  mutable ix_leaves : (Tml_core.Literal.t * Tml_core.Oid.t) array;
+      (** a paged index's root: its leaves, each an index object holding
+          the keys from its low key up to the next leaf's (the first leaf
+          also every key below), ascending.  [[||]] in a leaf and in an
+          index of one object (see [Relcore]) *)
 }
 
 and stats_obj = {
@@ -135,8 +144,9 @@ and func_obj = {
 val index_create : int -> index_obj
 (** an empty index on a tuple field *)
 
-val index_add : index_obj -> Tml_core.Literal.t -> int -> unit
-(** [index_add ix key pos] records row [pos] under [key].  Rows are
+val index_add : index_obj -> Tml_core.Literal.t -> int -> bool
+(** [index_add ix key pos] records row [pos] under [key] in the keys
+    [ix] holds itself, and says whether [key] is new there.  Rows are
     added in position order, so [pos] is larger than every position
     already recorded and each key's list stays newest first *)
 

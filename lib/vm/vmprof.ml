@@ -7,7 +7,8 @@ let enabled = ref false
 
 type slot = { mutable s_steps : int; mutable s_calls : int }
 
-(* key = (tier, "name#oid") *)
+(* key = (tier, name): one row per function name and tier, so the
+   fresh function object each Eval runs adds no row *)
 let table : (string * string, slot) Hashtbl.t = Hashtbl.create 64
 
 (* The open attribution window: which function is running, on which
@@ -34,9 +35,9 @@ let close_window ctx =
     end
   | _ -> ()
 
-let note_apply ctx ~tier ~name ~oid =
+let note_apply ctx ~tier ~name =
   close_window ctx;
-  let key = (tier, Printf.sprintf "%s#%d" name oid) in
+  let key = (tier, name) in
   (slot key).s_calls <- (slot key).s_calls + 1;
   window := Some (ctx, key, ctx.Runtime.steps)
 

@@ -20,10 +20,13 @@
 val enabled : bool ref
 (** master switch; off by default *)
 
-val note_apply : Runtime.ctx -> tier:string -> name:string -> oid:int -> unit
+val note_apply : Runtime.ctx -> tier:string -> name:string -> unit
 (** called by the machine at each stored-function application: closes
     the attribution window of the previously running function (same
-    [ctx] only) and opens one for this function *)
+    [ctx] only) and opens one for this function.  Samples are keyed by
+    tier and function name, so the table grows with the distinct
+    functions run, not with the function objects: every Eval's fresh
+    expression function adds to one row *)
 
 val flush : Runtime.ctx -> unit
 (** attribute any trailing steps after a run completes *)
@@ -32,7 +35,7 @@ val reset : unit -> unit
 (** drop all samples and the open attribution window *)
 
 type sample = {
-  vp_key : string;  (** ["name#oid"] *)
+  vp_key : string;  (** the function's name *)
   vp_tier : string;  (** ["machine"] or ["tiered"] *)
   vp_steps : int;  (** abstract instructions attributed *)
   vp_calls : int;
@@ -44,7 +47,7 @@ val samples : unit -> sample list
 val total_steps : unit -> int
 
 val collapsed : unit -> string
-(** collapsed-stack text, one [tier;name#oid count] line per sample,
+(** collapsed-stack text, one [tier;name count] line per sample,
     descending by steps — pipe into [flamegraph.pl] *)
 
 val pp : Format.formatter -> unit -> unit

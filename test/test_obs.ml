@@ -536,7 +536,7 @@ let test_vmprof_attribution () =
       check tbool "total covers the samples" true
         (Vmprof.total_steps () >= List.fold_left (fun a s -> a + s.Vmprof.vp_steps) 0 samples);
       let collapsed = Vmprof.collapsed () in
-      check tbool "collapsed stack line" true (contains collapsed ";burn#");
+      check tbool "collapsed stack line" true (contains collapsed ";burn ");
       let report = Format.asprintf "%a" Vmprof.pp () in
       check tbool "report names the function" true (contains report "burn"))
 

@@ -1086,6 +1086,237 @@ let test_cold_point_query_pages () =
               Rel.iteri ctx rel (fun _ _ -> ());
               check tint "row pages resident after a scan" 8 (Relcore.pages_loaded heap r))))
 
+(* ------------------------------------------------------------------ *)
+(* A put costs what it writes: paged indexes, chunked tails              *)
+(* ------------------------------------------------------------------ *)
+
+let with_temp_store f =
+  let path = Filename.temp_file "tml_query_put" ".tmlstore" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) (fun () -> f path)
+
+let bytes_written () = Metrics_probe.count ~source:"store" "bytes_written"
+let encoded_len obj = String.length (Obj_codec.encode_obj obj)
+
+(* distinct keys, scattered over every leaf *)
+let spread i = i * 7919 mod 1_000_003
+
+(* The bytes one insert and its commit write into a committed relation
+   of [n] rows indexed on a scattered key, with the largest leaf's and a
+   chunk's encoded size *)
+let one_put n =
+  with_temp_store (fun path ->
+      Qprims.install ();
+      let ps = Pstore.create ~fsync:false path in
+      Fun.protect
+        ~finally:(fun () -> Pstore.close ps)
+        (fun () ->
+          let ctx = Runtime.create (Pstore.heap ps) in
+          let heap = ctx.Runtime.heap in
+          let rel = Rel.create ctx ~name:"w" [] in
+          Rel.add_index ctx rel 1;
+          let put i = Rel.insert ctx rel [| Value.Int i; Value.Int (spread i) |] in
+          for i = 0 to n - 1 do
+            put i
+          done;
+          ignore (Pstore.commit ~root:rel ps);
+          let b0 = bytes_written () in
+          put n;
+          ignore (Pstore.commit ps);
+          let r = Rel.get ctx rel in
+          let root = Relcore.index_obj heap (List.assoc 1 r.Value.rel_indexes) in
+          let largest_leaf =
+            Array.fold_left
+              (fun m (_, leaf) -> max m (encoded_len (Value.Heap.get heap leaf)))
+              0 root.Value.ix_leaves
+          in
+          bytes_written () - b0, largest_leaf, encoded_len (Value.Heap.get heap r.Value.rel_chunks.(0))))
+
+let test_put_bytes_flat () =
+  let small, _, _ = one_put 2_000 and large, leaf, chunk = one_put 20_000 in
+  check tbool
+    (Printf.sprintf "a put writes %d bytes at 2 000 rows and %d at 20 000, within a leaf (%d) and a chunk (%d)"
+       small large leaf chunk)
+    true
+    (abs (large - small) <= leaf + chunk)
+
+(* Rows inserted in one transaction pass through chunks that fold into
+   pages before the commit: it writes the pages and the chunks left, not
+   the folded ones *)
+let test_folded_chunks_not_written () =
+  with_page_size 256 (fun () ->
+      with_temp_store (fun path ->
+          Qprims.install ();
+          let ps = Pstore.create ~fsync:false path in
+          Fun.protect
+            ~finally:(fun () -> Pstore.close ps)
+            (fun () ->
+              let ctx = Runtime.create (Pstore.heap ps) in
+              let rel = Rel.create ctx ~name:"bulk" [] in
+              for i = 1 to 1_000 do
+                Rel.insert ctx rel [| Value.Int i |]
+              done;
+              let r = Rel.get ctx rel in
+              check tint "pages" 3 (Array.length r.Value.rel_pages);
+              check tint "chunks" 3 (Array.length r.Value.rel_chunks);
+              check tint "inline rows" 40 r.Value.rel_tail_len;
+              check tint "tuples, header, stats, pages and chunks written"
+                (1_000 + 1 + 1 + 3 + 3)
+                (Pstore.commit ~root:rel ps);
+              check tint "rows" 1_000 (Array.length (Rel.rows ctx rel)))))
+
+(* Random keys with duplicates, inserted in batches with a commit and a
+   reopen after each, into a relation whose pages fold from chunks:
+   every probe equals the scan, ascending, and the distinct counts are
+   exact *)
+let prop_paged_index_reopen =
+  QCheck2.Test.make ~name:"paged index probes ≡ scan across commits and reopens" ~count:12
+    (* not shrunk: a case inserts thousands of rows *)
+    QCheck2.Gen.(
+      no_shrink (list_size (int_range 1 4) (list_size (int_range 100 700) (int_bound 1_500))))
+    (fun batches ->
+      with_page_size 256 (fun () ->
+          with_temp_store (fun path ->
+              Qprims.install ();
+              let ps = ref (Pstore.create ~fsync:false path) in
+              let ctx = ref (Runtime.create (Pstore.heap !ps)) in
+              let rel = Rel.create !ctx ~name:"k" [] in
+              Rel.add_index !ctx rel 0;
+              let model = ref [] in
+              let agrees () =
+                let ctx = !ctx in
+                let scan = Hashtbl.create 64 in
+                let keys = ref [] in
+                Rel.iteri ctx rel (fun pos row ->
+                    match (Rel.row_tuple ctx row).(0) with
+                    | Value.Int k ->
+                      keys := k :: !keys;
+                      Hashtbl.replace scan k
+                        (pos :: Option.value ~default:[] (Hashtbl.find_opt scan k))
+                    | _ -> ());
+                let distinct = Hashtbl.length scan in
+                !keys = !model
+                && List.for_all
+                     (fun k ->
+                       Rel.lookup ctx rel ~field:0 (Literal.Int k)
+                       = Some (List.rev (Option.value ~default:[] (Hashtbl.find_opt scan k))))
+                     (List.init 1_502 (fun k -> k - 1))
+                && Rel.distinct ctx rel 0 = Some distinct
+                && Option.map (Rel.index_distinct ctx) (Rel.find_index ctx rel 0) = Some distinct
+              in
+              let ok =
+                List.for_all
+                  (fun batch ->
+                    List.iter
+                      (fun k ->
+                        Rel.insert !ctx rel [| Value.Int k |];
+                        model := k :: !model)
+                      batch;
+                    ignore (Pstore.commit ~root:rel !ps);
+                    Pstore.close !ps;
+                    ps := Pstore.open_ ~fsync:false path;
+                    ctx := Runtime.create (Pstore.heap !ps);
+                    agrees ())
+                  batches
+              in
+              Pstore.close !ps;
+              ok)))
+
+(* An index of 1 000 keys and a header with a 4 000-row inline tail,
+   written the way a store wrote them before indexes were paged and
+   tails chunked: both load and answer probes as they are, and the next
+   insert rewrites them as a root over leaves and a chunked tail *)
+let test_unpaged_layouts_upgrade () =
+  with_temp_store (fun path ->
+      Qprims.install ();
+      let n = 4_000 and nkeys = 1_000 in
+      let module W = Tml_store.Codec.W in
+      let enc f =
+        let w = W.create ~initial:256 () in
+        f w;
+        W.contents w
+      in
+      let tuple i =
+        enc (fun w ->
+            W.u8 w 3;
+            W.varint w 2;
+            Obj_codec.w_value w (Value.Int (i mod nkeys));
+            Obj_codec.w_value w (Value.Int i))
+      in
+      let rel_oid = n and ix_oid = n + 1 in
+      let header =
+        enc (fun w ->
+            W.u8 w 7;
+            W.raw w "REL1";
+            W.str w "old";
+            W.varint w 4096;
+            W.varint w n;
+            W.varint w 0 (* no pages *);
+            W.varint w n;
+            for i = 0 to n - 1 do
+              Obj_codec.w_value w (Value.Oidv (Oid.of_int i))
+            done;
+            W.varint w 1 (* one index, on field 0 *);
+            W.varint w 0;
+            W.varint w ix_oid;
+            W.u8 w 0 (* no stats *);
+            W.varint w 0 (* no triggers *))
+      in
+      let index =
+        enc (fun w ->
+            W.u8 w 8;
+            W.raw w "IDX1";
+            W.varint w 0;
+            W.varint w nkeys;
+            for k = 0 to nkeys - 1 do
+              Obj_codec.w_value w (Value.Int k);
+              W.varint w (n / nkeys);
+              for j = 0 to (n / nkeys) - 1 do
+                W.varint w (k + (nkeys * j))
+              done
+            done)
+      in
+      let log = Tml_store.Log_store.create ~fsync:false path in
+      ignore
+        (Tml_store.Log_store.commit ~root:rel_oid log
+           (List.init n (fun i -> i, tuple i) @ [ rel_oid, header; ix_oid, index ]));
+      Tml_store.Log_store.close log;
+      let magic heap oid = String.sub (Obj_codec.encode_obj (Value.Heap.get heap oid)) 1 4 in
+      let positions ctx key = Rel.lookup ctx (Oid.of_int rel_oid) ~field:0 (Literal.Int key) in
+      let reopen f =
+        let ps = Pstore.open_ ~fsync:false path in
+        Fun.protect ~finally:(fun () -> Pstore.close ps) (fun () -> f ps (Runtime.create (Pstore.heap ps)))
+      in
+      reopen (fun ps ctx ->
+          let heap = ctx.Runtime.heap and rel = Oid.of_int rel_oid in
+          check (Alcotest.option (Alcotest.list tint)) "the unpaged index answers"
+            (Some [ 7; 1_007; 2_007; 3_007 ]) (positions ctx 7);
+          check Alcotest.string "the header loads as it was" "REL1" (magic heap rel);
+          check tint "its inline rows" n (Rel.get ctx rel).Value.rel_tail_len;
+          Rel.insert ctx rel [| Value.Int 7; Value.Int n |];
+          let r = Rel.get ctx rel in
+          check Alcotest.string "the header is rewritten chunked" "REL2" (magic heap rel);
+          check tint "chunks" (n / Relcore.chunk_rows) (Array.length r.Value.rel_chunks);
+          check tint "inline rows" ((n + 1) mod Relcore.chunk_rows) r.Value.rel_tail_len;
+          check Alcotest.string "the index is rewritten as a root" "IXR1"
+            (magic heap (Oid.of_int ix_oid));
+          let root = Relcore.index_obj heap (Oid.of_int ix_oid) in
+          check tbool "over leaves of at most leaf_keys keys" true
+            (Array.length root.Value.ix_leaves > 1
+            && Array.for_all
+                 (fun (_, leaf) ->
+                   (Relcore.index_obj heap leaf).Value.ix_distinct <= Relcore.leaf_keys)
+                 root.Value.ix_leaves);
+          ignore (Pstore.commit ps));
+      reopen (fun _ ctx ->
+          check (Alcotest.option (Alcotest.list tint)) "probes after the reopen"
+            (Some [ 7; 1_007; 2_007; 3_007; n ]) (positions ctx 7);
+          check (Alcotest.option (Alcotest.list tint)) "a key of another leaf"
+            (Some [ 999; 1_999; 2_999; 3_999 ]) (positions ctx 999);
+          check tint "rows" (n + 1) (Rel.length ctx (Oid.of_int rel_oid));
+          check (Alcotest.option tint) "distinct keys" (Some nkeys)
+            (Rel.distinct ctx (Oid.of_int rel_oid) 0)))
+
 let () =
   Alcotest.run "tml_query"
     [
@@ -1143,6 +1374,17 @@ let () =
           Alcotest.test_case "query metrics source" `Quick test_query_metrics_source;
           Alcotest.test_case "cold point query faults one page" `Quick
             test_cold_point_query_pages;
+        ] );
+      ( "paged-index",
+        [
+          Alcotest.test_case "a put writes the same bytes at 2 000 and 20 000 rows" `Quick
+            test_put_bytes_flat;
+          Alcotest.test_case "unpaged index and long inline tail upgrade on insert" `Quick
+            test_unpaged_layouts_upgrade;
+          Alcotest.test_case "folded chunks are not written" `Quick
+            test_folded_chunks_not_written;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x1dc5 |])
+            prop_paged_index_reopen;
         ] );
       ( "properties",
         [

@@ -589,7 +589,7 @@ let test_reclamation_gates () =
       Server.stop t2)
 
 (* Expression functions share one name and, reclaimed, one OID: the VM
-   profiler's (tier, name#oid) table grows per function, not per eval. *)
+   profiler's (tier, name) table grows per function, not per eval. *)
 let test_vmprof_table_bounded () =
   let module Vmprof = Tml_vm.Vmprof in
   let saved = !Vmprof.enabled in
@@ -614,6 +614,35 @@ let test_vmprof_table_bounded () =
           run 101 10_000;
           check tint "profile table size constant over 10 000 evals" size
             (List.length (Vmprof.samples ()));
+          Client.close c))
+
+(* A committed Eval's expression function keeps its fresh OID: still
+   the profile gains at most one row over 1 000 of them. *)
+let test_vmprof_committed_evals () =
+  let module Vmprof = Tml_vm.Vmprof in
+  let saved = !Vmprof.enabled in
+  Vmprof.enabled := true;
+  Vmprof.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Vmprof.enabled := saved;
+      Vmprof.reset ())
+    (fun () ->
+      with_server ~window:0. (fun addr _t ->
+          let c = Client.connect addr in
+          ignore (eval_ok c "let r = relation(tuple(0, 0))");
+          ignore (commit_ok c);
+          let put i =
+            ignore (eval_ok c (Printf.sprintf "do insert(r, tuple(%d, %d)) end" i i));
+            ignore (commit_ok c)
+          in
+          let size = List.length (Vmprof.samples ()) in
+          for i = 1 to 1000 do
+            put i
+          done;
+          check tbool "1 000 committed evals add at most one row" true
+            (List.length (Vmprof.samples ()) <= size + 1);
+          check tint "every insert committed" 1001 (int_result (eval_ok c "count(r)"));
           Client.close c))
 
 (* --- request spans ---------------------------------------------------- *)
@@ -1153,6 +1182,8 @@ let () =
           Alcotest.test_case "gates keep their objects across a restart" `Quick
             test_reclamation_gates;
           Alcotest.test_case "vm profile table bounded" `Quick test_vmprof_table_bounded;
+          Alcotest.test_case "committed evals share a profile row" `Quick
+            test_vmprof_committed_evals;
         ] );
       ( "cursor",
         [

@@ -186,7 +186,8 @@ let test_compaction () =
    store.  The model keeps every epoch's OID -> payload map and the OIDs
    each commit sealed; after every step each live pin must read its own
    epoch, see exactly the later commits' OIDs in the journal and know its
-   epoch's highest OID. *)
+   epoch's highest OID, and every chain holds at most (live pins + 1)
+   versions. *)
 type mvcc_op = Put of int | Commit | Pin | Release of int
 
 let pp_mvcc_op = function
@@ -261,12 +262,52 @@ let prop_mvcc_model =
                   pins := List.filter (fun (s, _) -> s != sn) live));
               if Ls.seq t <> !epoch then QCheck2.Test.fail_reportf "epoch drifted";
               List.iter check_pin !pins;
+              let versions = ref 0 in
+              for oid = 0 to 19 do
+                let n = Ls.chain_length t oid in
+                versions := !versions + n;
+                if n > List.length !pins + 1 then
+                  QCheck2.Test.fail_reportf "%d versions of %d under %d pins" n oid
+                    (List.length !pins)
+              done;
+              if Ls.version_count t <> !versions then
+                QCheck2.Test.fail_reportf "version count %d, chains hold %d"
+                  (Ls.version_count t) !versions;
               if !pins = [] && Ls.version_count t <> Ls.object_count t then
                 QCheck2.Test.fail_reportf "no pins, yet %d versions of %d objects"
                   (Ls.version_count t) (Ls.object_count t))
             ops;
           Ls.close t;
           true))
+
+(* An idle pin shows in the [store.log] source: it holds a journal entry
+   per later commit, but of the versions those commits superseded only
+   the one it reads. *)
+let test_idle_pin_metrics () =
+  with_store (fun path ->
+      let t = Ls.create ~fsync:false path in
+      ignore (Ls.commit t [ 0, "v0"; 1, "other" ]);
+      let sn = Ls.pin t in
+      for i = 1 to 50 do
+        ignore (Ls.commit t [ 0, Printf.sprintf "v%d" i ])
+      done;
+      Ls.register_metrics ~name:"pinlog" t;
+      Fun.protect
+        ~finally:(fun () ->
+          Tml_obs.Metrics.unregister_source "pinlog";
+          Ls.close t)
+        (fun () ->
+          let get = Metrics_probe.count ~source:"pinlog" in
+          check tint "journal_entries" 50 (get "journal_entries");
+          check tint "oldest_pin_age" 50 (get "oldest_pin_age");
+          check tbool "versions - objects <= live pins" true
+            (get "versions" - get "objects" <= get "snapshots_pinned");
+          check (Alcotest.option Alcotest.string) "the pin reads its epoch" (Some "v0")
+            (Ls.find_at t sn 0);
+          Ls.release t sn;
+          check tint "released: journal_entries" 0 (get "journal_entries");
+          check tint "released: oldest_pin_age" 0 (get "oldest_pin_age");
+          check tint "released: one version each" (get "objects") (get "versions")))
 
 (* --- persistent heap ---------------------------------------------- *)
 
@@ -834,6 +875,7 @@ let () =
           Alcotest.test_case "bad magic rejected" `Quick test_bad_magic_rejected;
           Alcotest.test_case "compaction" `Quick test_compaction;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) prop_mvcc_model;
+          Alcotest.test_case "an idle pin's cost is visible" `Quick test_idle_pin_metrics;
         ] );
       ( "pstore",
         [
